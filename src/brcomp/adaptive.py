@@ -172,7 +172,7 @@ def _tree_from_dp(eps: float, k: int, argmax_tables, h: float, t_grid: int) -> S
             return
         table = argmax_tables[remaining - 1]
         j = int(table[m + depth * (t_grid - 1)])
-        t_nodes[node] = j * h
+        t_nodes[node] = min(j * h, eps)  # (t_grid - 1) * h can round above eps
         walk(2 * node + 1, depth + 1, m - j)
         walk(2 * node + 2, depth + 1, m - j + (t_grid - 1))
 

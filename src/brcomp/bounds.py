@@ -16,6 +16,18 @@ loosest to tightest:
 A smaller U gives a tighter bound.  ``maxkl`` is the largest KL divergence
 of a GRR output pair over the offset t, and ``h_eps`` takes the worst case
 over t of the exact per-step log-MGF.
+
+Closed forms replace numerical search wherever one exists:
+
+- ``h_eps`` is the value at the stationary point of an objective that is
+  concave in ``u = e^(-t)``, plus an outward rounding margin.
+- The first three U are quadratic, ``a lambda^2 + b lambda`` summed over the
+  rounds, so the exponent's minimum over ``(0, lambda_max]`` is
+  ``-(eps_g - b)^2 / 4a`` at ``lambda = (eps_g - b) / 2a`` (clamped to the
+  window), and the budget certifying ``delta_g`` is ``b + 2 sqrt(a L)`` with
+  ``L = log(1/delta_g)`` (``quadratic_epsilon``).
+- Only GENERAL_MGF searches over lambda: its exponent is convex but has no
+  closed-form minimizer.
 """
 
 from __future__ import annotations
@@ -28,11 +40,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grr import one_minus_p, p_of_t
-from .optim import golden_max, golden_min, iters_for_rel_tol
+# golden_max stays bound here for code that looks it up through this module
+# (perfbench's tracer patches every binding site)
+from .optim import golden_max, golden_min, iters_for_rel_tol  # noqa: F401
 
 _MAXKL_SERIES_CUTOFF = 1e-6
-_H_GRID = 256
+# h_eps is raised by this many machine epsilons (2^-52) times
+# lambda*eps + log1p(lambda) + 1, which bounds the magnitudes of the terms it
+# sums; against 60-digit mpmath the largest error measured over eps in
+# [1e-4, 6], lambda in [1e-3, 1e5] is 1.02 such units
+_H_MARGIN_ULPS = 2.0
 
 
 def maxkl(eps: float) -> float:
@@ -58,64 +75,66 @@ class UFunctionKind(enum.Enum):
     GENERAL_MGF = "general_mgf"
 
 
-def h_eps(eps: float, lam: float, grid_points: int = _H_GRID) -> float:
+def h_eps(eps: float, lam: float) -> float:
     """Worst-case per-step log-MGF of the privacy loss at moment lambda:
 
         sup over t in [0, eps] of
             lambda (eps - t) + log(1 + p_t (e^(-lambda eps) - 1)).
 
-    Only the decaying exponential e^(-lambda eps) is ever formed, so large
-    lambda*eps underflows harmlessly rather than overflowing.  The sup is
-    taken on a grid and refined by golden section around the grid argmax;
-    the value (not the argmax) is the contract.
+    With ``u = e^(-t)``, ``A = 1 - e^(-eps (1 + lambda))`` and
+    ``B = 1 - e^(-lambda eps)`` the objective is
+    ``lambda (eps + log u) + log(A - u B) - log(1 - e^(-eps))``, strictly
+    concave in u and zero at both ends ``u = e^(-eps)`` and ``u = 1``.  So its
+    stationary point ``u* = lambda A / ((1 + lambda) B)`` lies inside and is
+    the maximizer, with ``A - u* B = A / (1 + lambda)``.  Both logarithms are
+    formed with log1p, and only decaying exponentials are formed, so large
+    lambda*eps underflows harmlessly rather than overflowing.
+
+    The value is used as an upper bound, so it is raised by a rounding
+    margin proportional to the magnitudes of the summed terms; it is never
+    below the exact supremum.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    e_neg = math.exp(-lam * eps) if lam * eps < 745.0 else 0.0
-    denom = math.expm1(-eps)
+    lam_eps = lam * eps
+    margin = _H_MARGIN_ULPS * 2.0 ** -52 * (lam_eps + math.log1p(lam) + 1.0)
+    big_b = -math.expm1(-lam_eps)
+    if big_b == 0.0:  # lambda*eps underflows; the sup is below lambda*eps
+        return margin
+    one_minus_e = -math.expm1(-eps)
+    # log u* = log(lambda / (1 + lambda)) + log(A / B)
+    log_u = math.log1p(math.exp(-lam_eps) * one_minus_e / big_b) - math.log1p(1.0 / lam)
+    # log of A / ((1 + lambda)(1 - e^(-eps))), the MGF's inner term at u*
+    log_inner = math.log1p(math.exp(-eps) * big_b / one_minus_e) - math.log1p(lam)
+    return max(lam * (eps + log_u) + log_inner, 0.0) + margin
 
-    def value(t):
-        # log(1 + p (E - 1)) = log(p E + (1 - p)), with 1 - p formed stably
-        if t <= 0.0:
-            return 0.0
-        p = math.exp(-t) * (math.expm1(t - eps) / denom)
-        inner = p * e_neg + math.expm1(-t) / denom
-        if inner <= 0.0:
-            return -math.inf
-        return lam * (eps - t) + math.log(inner)
 
-    tg = np.linspace(0.0, eps, grid_points)
-    inner_g = p_of_t(eps, tg) * e_neg + one_minus_p(eps, tg)
-    with np.errstate(divide="ignore"):
-        vals = lam * (eps - tg) + np.log(inner_g)
-    vals[0] = 0.0
-    j = int(vals.argmax())
-    lo = tg[max(j - 1, 0)]
-    hi = tg[min(j + 1, grid_points - 1)]
-    _, refined = golden_max(value, lo, hi, iters=60)
-    return max(float(vals[j]), refined, 0.0)
+# lambda^2 and lambda coefficients of the quadratic per-step bounds
+_QUADRATIC = {
+    UFunctionKind.IMPROVED_DRV10: (lambda e: 0.5 * e * e, lambda e: 0.5 * e * e),
+    UFunctionKind.DR19: (lambda e: 0.125 * e * e, lambda e: 0.5 * e * e),
+    UFunctionKind.KL_IMPROVED_DR19: (lambda e: 0.125 * e * e, maxkl),
+}
 
 
 def u_function(kind: UFunctionKind, eps: float, lam: float) -> float:
     """Value of the named per-step bound at (eps, lambda)."""
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    if kind is UFunctionKind.IMPROVED_DRV10:
-        return 0.5 * eps * eps * (lam * lam + lam)
-    if kind is UFunctionKind.DR19:
-        return 0.5 * eps * eps * (0.25 * lam * lam + lam)
-    if kind is UFunctionKind.KL_IMPROVED_DR19:
-        return 0.125 * eps * eps * lam * lam + lam * maxkl(eps)
     if kind is UFunctionKind.GENERAL_MGF:
         return h_eps(eps, lam)
-    raise ValueError(f"unknown U-function kind {kind!r}")
+    if kind not in _QUADRATIC:
+        raise ValueError(f"unknown U-function kind {kind!r}")
+    a, b = _QUADRATIC[kind]
+    return a(eps) * lam * lam + b(eps) * lam
 
 
 @dataclass(frozen=True)
 class LambdaSearch:
-    """Search window and precision for the lambda minimization."""
+    """The lambda window (0, lambda_max] of every bound, and the precision of
+    the numerical search that GENERAL_MGF needs."""
 
     lambda_max: float = 1e6
     rel_tol: float = 1e-10
@@ -139,11 +158,21 @@ class UBoundResult(NamedTuple):
 class EpsilonResult(NamedTuple):
     eps_g: float
     lam: float
-    capped_at_basic: bool  # True when basic composition was the binding bound
+    capped_at_basic: bool     # True when basic composition was the binding bound
+    at_ceiling: bool = False  # True when the certifying lambda sits on lambda_max
 
 
-def _sum_u(kind: UFunctionKind, eps_counts: Counter, lam: float) -> float:
-    return math.fsum(n * u_function(kind, e, lam) for e, n in eps_counts.items())
+def _sum_h(eps_counts: Counter, lam: float) -> float:
+    return math.fsum(n * h_eps(e, lam) for e, n in eps_counts.items())
+
+
+def _quadratic_coeffs(kind: UFunctionKind, eps_counts: Counter) -> tuple[float, float]:
+    """(a, b) with sum_i U(eps_i, lambda) = a lambda^2 + b lambda."""
+    if kind not in _QUADRATIC:
+        raise ValueError(f"{kind!r} is not a quadratic bound")
+    fa, fb = _QUADRATIC[kind]
+    return (math.fsum(n * fa(e) for e, n in eps_counts.items()),
+            math.fsum(n * fb(e) for e, n in eps_counts.items()))
 
 
 def _minimize_over_lambda(obj, search: LambdaSearch) -> tuple[float, float, bool]:
@@ -201,23 +230,31 @@ def _as_counts(eps_list: Sequence[float]) -> Counter:
 def generic_delta_from_u(kind: UFunctionKind, eps_list: Sequence[float],
                          eps_g: float,
                          search: LambdaSearch = _DEFAULT_SEARCH) -> UBoundResult:
-    """inf over lambda of exp(-lambda eps_g + sum_i U(eps_i, lambda)), clamped to [0, 1].
+    """inf over lambda in (0, lambda_max] of exp(-lambda eps_g + sum_i U(eps_i, lambda)).
 
-    The exponent is convex in lambda (a sum of log-MGF-type terms minus a
-    linear one), so a doubling bracket plus golden section finds the
-    minimum.  When the exponent is positive for every lambda the bound is
-    vacuous and 1 is returned.
+    For the quadratic kinds the exponent ``a lambda^2 - (eps_g - b) lambda``
+    is minimized in closed form at ``lambda = (eps_g - b) / 2a``, clamped to
+    the window (``at_ceiling`` reports the clamp).  GENERAL_MGF's exponent is
+    convex, so a doubling bracket plus golden section finds its minimum.
+    When the exponent is positive for every lambda the bound is vacuous and
+    1 is returned.
     """
     counts = _as_counts(eps_list)
     if not counts:  # every round was a zero-parameter no-op
         return UBoundResult(0.0 if eps_g > 0.0 else 1.0, 0.0, False)
-
-    def phi(lam):
-        return -lam * eps_g + _sum_u(kind, counts, lam)
-
-    lam, val, ceiling = _minimize_over_lambda(phi, search)
-    delta = math.exp(min(val, 0.0)) if val < 0.0 else 1.0
-    return UBoundResult(min(delta, 1.0), lam, ceiling)
+    if kind is UFunctionKind.GENERAL_MGF:
+        lam, val, ceiling = _minimize_over_lambda(
+            lambda lam: -lam * eps_g + _sum_h(counts, lam), search)
+    else:
+        a, b = _quadratic_coeffs(kind, counts)
+        gain = eps_g - b
+        if not gain > 0.0:  # the infimum is approached only as lambda -> 0
+            return UBoundResult(1.0, 0.0, False)
+        lam = gain / (2.0 * a) if a > 0.0 else math.inf  # a underflows below eps ~ 1e-162
+        ceiling = lam >= search.lambda_max
+        lam = min(lam, search.lambda_max)
+        val = lam * (a * lam - gain)
+    return UBoundResult(math.exp(val) if val < 0.0 else 1.0, lam, ceiling)
 
 
 def basic_composition(eps_list: Sequence[float]) -> float:
@@ -226,19 +263,45 @@ def basic_composition(eps_list: Sequence[float]) -> float:
     return math.fsum(e * n for e, n in counts.items())
 
 
-def optkl_epsilon(eps_list: Sequence[float], delta_g: float) -> float:
-    """Closed-form adaptive budget from the KL-improved bound:
-
-        min( sum eps_i,
-             sum maxkl(eps_i) + sqrt( (1/2) sum eps_i^2 log(1/delta_g) ) ).
-    """
+def _log_inv_delta(delta_g: float) -> float:
     if not 0.0 < delta_g < 1.0:
         raise ValueError(f"delta_g must lie in (0, 1), got {delta_g}")
+    return -math.log(delta_g)
+
+
+def quadratic_epsilon(kind: UFunctionKind, eps_list: Sequence[float], delta_g: float,
+                      search: LambdaSearch = _DEFAULT_SEARCH) -> EpsilonResult:
+    """Smallest eps_g at which a quadratic bound certifies delta_g.
+
+    delta(eps_g) <= delta_g holds iff some lambda in the window satisfies
+    eps_g >= a lambda + b + L / lambda with ``L = log(1/delta_g)``.  The
+    right side is least at ``lambda = sqrt(L / a)``, where it equals
+    ``b + 2 sqrt(a L)``; when that lambda exceeds lambda_max the window's
+    edge is used instead.  The budget is not capped at basic composition.
+    """
+    big_l = _log_inv_delta(delta_g)
     counts = _as_counts(eps_list)
-    bias = math.fsum(n * maxkl(e) for e, n in counts.items())
-    var = math.fsum(n * e * e for e, n in counts.items())
-    kl_branch = bias + math.sqrt(0.5 * var * math.log(1.0 / delta_g))
-    return min(basic_composition(eps_list), kl_branch)
+    if not counts:
+        return EpsilonResult(0.0, 0.0, False)
+    a, b = _quadratic_coeffs(kind, counts)
+    lam = math.sqrt(big_l / a) if a > 0.0 else math.inf
+    if lam > search.lambda_max:
+        lam = search.lambda_max
+        return EpsilonResult(a * lam + b + big_l / lam, lam, False, True)
+    return EpsilonResult(b + 2.0 * math.sqrt(a * big_l), lam, False)
+
+
+def optkl_epsilon(eps_list: Sequence[float], delta_g: float,
+                  search: LambdaSearch = _DEFAULT_SEARCH) -> float:
+    """Adaptive budget from the KL-improved bound, in closed form:
+
+        min( sum eps_i,
+             sum maxkl(eps_i) + sqrt( (1/2) sum eps_i^2 log(1/delta_g) ) ),
+
+    the second term taken over the lambda window (``quadratic_epsilon``).
+    """
+    kl = quadratic_epsilon(UFunctionKind.KL_IMPROVED_DR19, eps_list, delta_g, search)
+    return min(basic_composition(eps_list), kl.eps_g)
 
 
 def mgf_delta(eps_list: Sequence[float], eps_g: float,
@@ -259,18 +322,16 @@ def mgf_epsilon(eps_list: Sequence[float], delta_g: float,
     basic budget within the lambda window, the basic value is returned with
     the cap flagged.
     """
-    if not 0.0 < delta_g < 1.0:
-        raise ValueError(f"delta_g must lie in (0, 1), got {delta_g}")
+    big_l = _log_inv_delta(delta_g)
     counts = _as_counts(eps_list)
     if not counts:
         return EpsilonResult(0.0, 0.0, True)
-    big_l = math.log(1.0 / delta_g)
 
     def ratio(lam):
-        return (_sum_u(UFunctionKind.GENERAL_MGF, counts, lam) + big_l) / lam
+        return (_sum_h(counts, lam) + big_l) / lam
 
-    lam, val, _ = _minimize_over_lambda(ratio, search)
+    lam, val, ceiling = _minimize_over_lambda(ratio, search)
     basic = basic_composition(eps_list)
     if val >= basic:
-        return EpsilonResult(basic, lam, True)
-    return EpsilonResult(max(val, 0.0), lam, False)
+        return EpsilonResult(basic, lam, True, ceiling)
+    return EpsilonResult(max(val, 0.0), lam, False, ceiling)

@@ -22,7 +22,7 @@ from . import bounds, validation
 from .adaptive import (AdaptiveSolverConfig, adaptive_edge_high, adaptive_edge_low,
                        delta_adaptive_lb, gap_certificate)
 from .errors import CapError, UnreachableTargetError
-from .nonadaptive import delta_opt_nonadaptive_hom, dp_optcomp_het, dp_optcomp_hom
+from .nonadaptive import TIE_RTOL, delta_opt_nonadaptive_hom, dp_optcomp_het, dp_optcomp_hom
 from .validation import brute_force_nonadaptive
 
 METHODS = ("basic", "dp-optcomp", "dp-optcomp-half", "br-optcomp", "adaptive-lb",
@@ -51,7 +51,6 @@ class Options:
     t_grid: int = 64
     depth_cap: int = 6
     lambda_max: float = 1e6
-    seed: int = 0
 
     def solver_cfg(self) -> AdaptiveSolverConfig:
         return AdaptiveSolverConfig(t_grid=self.t_grid, depth_cap=self.depth_cap)
@@ -86,7 +85,7 @@ def method_delta(method: str, eps_list, eps_g: float,
             res = delta_opt_nonadaptive_hom(eps0, k, eps_g)
             meta = {"t": res.t}
             half = dp_optcomp_hom(eps0 / 2.0, k, eps_g)
-            if abs(res.delta - half) <= 1e-12:
+            if math.isclose(res.delta, half, rel_tol=TIE_RTOL):
                 meta["coincides_with_half_dp"] = True
             return res.delta, meta
         if k <= validation.BRUTE_FORCE_CAP:
@@ -134,7 +133,11 @@ def method_epsilon(method: str, eps_list, delta_g: float,
     if method == "basic":
         return bounds.basic_composition(eps_list), {"closed_form": True}
     if method == "optkl":
-        return bounds.optkl_epsilon(eps_list, delta_g), {"closed_form": True}
+        return bounds.optkl_epsilon(eps_list, delta_g, opts.search()), {"closed_form": True}
+    if method in _U_KIND:
+        res = bounds.quadratic_epsilon(_U_KIND[method], eps_list, delta_g, opts.search())
+        return res.eps_g, {"closed_form": True, "lambda": res.lam,
+                           "at_ceiling": res.at_ceiling}
     if method == "mgf":
         res = bounds.mgf_epsilon(eps_list, delta_g, opts.search())
         return res.eps_g, {"lambda": res.lam, "capped_at_basic": res.capped_at_basic}
@@ -149,6 +152,8 @@ def _bisect_epsilon(method: str, eps_list, delta_g: float, opts: Options) -> tup
     over to the inverted budgets with no tolerance slop.
     """
     span = bounds.basic_composition(eps_list)
+    if not span > 0.0:
+        raise ValueError("zero-width budget bracket: every round has eps = 0")
     lo, hi = -span, span
     d_lo, _ = method_delta(method, eps_list, lo, opts)
     if delta_g > d_lo:
@@ -232,7 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-grid", type=int, default=64)
         p.add_argument("--depth-cap", type=int, default=6)
         p.add_argument("--lambda-max", type=float, default=1e6)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("delta", help="loss at a fixed budget")
     common(p)
@@ -294,8 +298,7 @@ def _load_eps(args) -> list[float]:
 def _opts(args) -> Options:
     return Options(t_grid=getattr(args, "t_grid", 64),
                    depth_cap=getattr(args, "depth_cap", 6),
-                   lambda_max=getattr(args, "lambda_max", 1e6),
-                   seed=getattr(args, "seed", 0))
+                   lambda_max=getattr(args, "lambda_max", 1e6))
 
 
 def _cmd_delta(args) -> int:

@@ -31,7 +31,10 @@ from .grr import one_minus_p, p_of_t, q_of_t
 
 SUBSET_CAP = 25          # 2^k enumeration refuses above this
 _CHUNK_BITS = 20         # subset sums processed in blocks of 2^20 masks
-TIE_TOL = 1e-12
+# candidates whose values agree to this relative tolerance count as tied:
+# well above the kernel's rounding noise, well below the relative gap
+# between neighbouring candidates near the maximum
+TIE_RTOL = 1e-10
 
 
 @lru_cache(maxsize=64)
@@ -106,7 +109,7 @@ def candidate_points(eps: float, k: int, eps_g: float) -> list[Candidate]:
 class OptResult(NamedTuple):
     delta: float
     t: float                  # maximizing offset (smallest candidate on ties)
-    maximizers: list[float]   # all candidate offsets within TIE_TOL of the max
+    maximizers: list[float]   # all candidate offsets within TIE_RTOL of the max
 
 
 def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
@@ -153,7 +156,7 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
     best = float(values.max())
     if best <= endpoint_value:
         return OptResult(endpoint_value, 0.0, [])
-    winners = np.flatnonzero(values >= best - TIE_TOL)
+    winners = np.flatnonzero(values >= best * (1.0 - TIE_RTOL))
     return OptResult(min(best, 1.0), float(t[winners[0]]),
                      [float(x) for x in t[winners]])
 
@@ -163,25 +166,47 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
 # ---------------------------------------------------------------------------
 
 
-def f_ell(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
-    """Partial sum sum_{i<=ell} C(k,i) p^(k-i) (1-p)^i (e^(kt - i eps) - e^(eps_g)).
-
-    Unlike ``delta_hom_fixed_t`` the brackets are kept signed, which makes
-    the sum differentiable in t.  Evaluated directly in float; intended for
-    moderate k.
-    """
+def _check_ell_t(eps: float, k: int, ell: int, t: float) -> None:
     _validate_hom(eps, k)
     if not 0 <= ell <= k:
         raise ValueError(f"ell must lie in [0, k={k}], got {ell}")
     if not 0.0 <= t <= eps:
         raise ValueError(f"t must lie in [0, eps={eps}], got {t}")
-    p = float(p_of_t(eps, t))
-    omp = float(one_minus_p(eps, t))
-    eg = math.exp(eps_g)
-    total = math.fsum(
-        math.comb(k, i) * p ** (k - i) * omp ** i * (math.exp(k * t - i * eps) - eg)
-        for i in range(ell + 1))
-    return total
+
+
+def _log_weights(eps: float, k: int, t: float, i, n_p) -> np.ndarray:
+    """log( C(k,i) p^n_p (1-p)^i ), with 0 * log(0) taken as 0."""
+    lp, lomp = _stable_logs(eps, t)
+    with np.errstate(invalid="ignore"):
+        return (_log_binom(k)[i] + np.where(n_p > 0, n_p * lp, 0.0)
+                + np.where(i > 0, i * lomp, 0.0))
+
+
+def _signed_log_diff(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """log|e^x - e^y| and the sign of e^x - e^y."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore"):
+        mag = np.maximum(x, y) + np.log(-np.expm1(-np.abs(x - y)))
+    return mag, np.sign(x - y)
+
+
+def _f_ell_terms(eps: float, k: int, eps_g: float, ell: int, t: float) -> np.ndarray:
+    """The ell+1 signed terms of ``f_ell``, each formed in log space."""
+    _check_ell_t(eps, k, ell, t)
+    i = np.arange(ell + 1)
+    mag, sign = _signed_log_diff(k * t - i * eps, eps_g)
+    return sign * np.exp(_log_weights(eps, k, t, i, k - i) + mag)
+
+
+def f_ell(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
+    """Partial sum sum_{i<=ell} C(k,i) p^(k-i) (1-p)^i (e^(kt - i eps) - e^(eps_g)).
+
+    Unlike ``delta_hom_fixed_t`` the brackets are kept signed, which makes
+    the sum differentiable in t.  Each term is formed in log space, so large
+    k neither overflows the binomial nor underflows the powers; the signed
+    sum is exactly rounded.
+    """
+    return math.fsum(_f_ell_terms(eps, k, eps_g, ell, t).tolist())
 
 
 def f_ell_magnitude(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
@@ -191,12 +216,7 @@ def f_ell_magnitude(eps: float, k: int, eps_g: float, ell: int, t: float) -> flo
     quantity (roughly 1e-14 of it) rather than with the value itself;
     derivative oracles use it as a resolution floor.
     """
-    p = float(p_of_t(eps, t))
-    omp = float(one_minus_p(eps, t))
-    eg = math.exp(eps_g)
-    return math.fsum(
-        math.comb(k, i) * p ** (k - i) * omp ** i * abs(math.exp(k * t - i * eps) - eg)
-        for i in range(ell + 1))
+    return math.fsum(np.abs(_f_ell_terms(eps, k, eps_g, ell, t)).tolist())
 
 
 def df_ell_dt(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
@@ -204,21 +224,15 @@ def df_ell_dt(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
 
         (k - ell) C(k, ell) p^(k-1-ell) (1-p)^ell
         * (e^(eps_g - t) - e^(kt - (ell+1) eps)) / (1 - e^(-eps))
+
+    formed in log space like ``f_ell``.
     """
-    _validate_hom(eps, k)
-    if not 0 <= ell <= k:
-        raise ValueError(f"ell must lie in [0, k={k}], got {ell}")
-    if not 0.0 <= t <= eps:
-        raise ValueError(f"t must lie in [0, eps={eps}], got {t}")
+    _check_ell_t(eps, k, ell, t)
     if ell == k:
         return 0.0
-    p = float(p_of_t(eps, t))
-    omp = float(one_minus_p(eps, t))
-    if ell >= 1 and omp == 0.0:
-        return 0.0
-    return ((k - ell) * math.comb(k, ell) * p ** (k - 1 - ell) * omp ** ell
-            * (math.exp(eps_g - t) - math.exp(k * t - (ell + 1) * eps))
-            / -math.expm1(-eps))
+    mag, sign = _signed_log_diff(eps_g - t, k * t - (ell + 1) * eps)
+    log_w = _log_weights(eps, k, t, ell, k - 1 - ell)
+    return float(sign * (k - ell) * np.exp(log_w + mag - math.log(-math.expm1(-eps))))
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,12 @@ class TestGapCertificate:
         with pytest.raises(ValueError):
             gap_certificate(1.0, 1, 0.0)
 
+    def test_top_grid_offset_rounding_above_eps(self):
+        # (t_grid - 1) * h rounds above eps for this eps; the tree must clamp
+        cert = gap_certificate(0.991475588277046, 8, 0.49751113769095595,
+                               AdaptiveSolverConfig(depth_cap=8))
+        assert cert.delta_nonadaptive <= cert.delta_adaptive_lb * (1.0 + 1e-9) + 1e-15
+
     def test_mgf_bound_dominates_lower_bound(self):
         for eg in (0.0, 0.5, 1.5):
             lb = delta_adaptive_lb([1.0] * 4, eg).delta

@@ -1,13 +1,17 @@
 """Tests for the moment-generating-function family of adaptive upper bounds."""
 
 import math
+from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from brcomp.bounds import (LambdaSearch, UFunctionKind, basic_composition,
-                           generic_delta_from_u, h_eps, maxkl, mgf_delta,
-                           mgf_epsilon, optkl_epsilon, u_function)
+from brcomp.bounds import (LambdaSearch, UFunctionKind, _minimize_over_lambda,
+                           basic_composition, generic_delta_from_u, h_eps, maxkl,
+                           mgf_delta, mgf_epsilon, optkl_epsilon, quadratic_epsilon,
+                           u_function)
+from brcomp.cli import EPS_BISECT_TOL, Options, method_delta, method_epsilon
 from brcomp.nonadaptive import delta_hom_fixed_t, delta_opt_nonadaptive_hom
 
 MAXKL_1 = 0.123301561482245  # frozen 40-digit evaluation at eps = 1
@@ -236,3 +240,147 @@ def test_lambda_search_validation():
         LambdaSearch(lambda_max=0.0)
     with pytest.raises(ValueError):
         LambdaSearch(rel_tol=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# closed forms against independent references
+# ---------------------------------------------------------------------------
+
+
+def _mp_h_sup(eps, lam, iters=120):
+    """sup over t in [0, eps] of the per-step log-MGF, by golden section on
+    the original t-objective at 60 digits (unimodal: concave in e^-t)."""
+    with mp.workdps(60):
+        eps, lam = mp.mpf(eps), mp.mpf(lam)
+        e_lam, den = mp.exp(-lam * eps), -mp.expm1(-eps)
+
+        def f(t):
+            p = (mp.exp(-t) - mp.exp(-eps)) / den
+            return lam * (eps - t) + mp.log(p * e_lam + 1 - p)
+
+        inv_phi = (mp.sqrt(5) - 1) / 2
+        a, b = mp.mpf(0), eps
+        c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(iters):
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - inv_phi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_phi * (b - a)
+                fd = f(d)
+        return max(fc, fd, mp.mpf(0))
+
+
+class TestHEpsClosedForm:
+    def test_outward_and_tight_against_mpmath(self):
+        rng = np.random.default_rng(2024)
+        log_eps = rng.uniform(-4.0, math.log10(6.0), 1000)
+        log_lam = rng.uniform(-3.0, 5.0, 1000)
+        pts = list(zip((10.0 ** log_eps).tolist(), (10.0 ** log_lam).tolist()))
+        pts += [(1e-4, 1e-3), (1e-4, 1e5), (6.0, 1e-3), (6.0, 1e5), (1e-4, 1e4)]
+        for eps, lam in pts:
+            excess = float(mp.mpf(h_eps(eps, lam)) - _mp_h_sup(eps, lam))
+            assert 0.0 <= excess <= 1e-14 * max(1.0, lam * eps), (eps, lam, excess)
+
+    def test_underflowing_moment(self):
+        # lambda * eps below the smallest subnormal: the sup is ~0, never negative
+        h = h_eps(1e-200, 1e-200)
+        assert 0.0 <= h <= 1e-15
+
+
+def _numeric_delta(kind, eps_list, eps_g, search):
+    """The former numerical path: golden-section search of the u_function exponent."""
+    counts = Counter(e for e in eps_list if e > 0.0)
+    _, val, _ = _minimize_over_lambda(
+        lambda lam: -lam * eps_g + math.fsum(n * u_function(kind, e, lam)
+                                             for e, n in counts.items()), search)
+    return math.exp(val) if val < 0.0 else 1.0
+
+
+def _numeric_epsilon(kind, eps_list, delta_g, search):
+    """The former budget inversion: bisection of the numerical delta over a
+    symmetric bracket grown by doubling."""
+    span = basic_composition(eps_list)
+    lo, hi = -span, span
+    while _numeric_delta(kind, eps_list, hi, search) > delta_g:
+        hi *= 2.0
+    for _ in range(math.ceil(math.log2((hi - lo) / EPS_BISECT_TOL))):
+        mid = 0.5 * (lo + hi)
+        if _numeric_delta(kind, eps_list, mid, search) > delta_g:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _random_cases(seed, n):
+    """(kind, eps_list, delta_g, search): homogeneous and heterogeneous lists,
+    and a lambda window that binds in about a third of the cases."""
+    rng = np.random.default_rng(seed)
+    kinds = [UFunctionKind.IMPROVED_DRV10, UFunctionKind.DR19,
+             UFunctionKind.KL_IMPROVED_DR19]
+    for j in range(n):
+        kind = kinds[j % 3]
+        k = int(rng.integers(1, 300))
+        if j % 2:
+            eps_list = (10.0 ** rng.uniform(-3.0, 0.3, size=k)).tolist()
+        else:
+            eps_list = [10.0 ** float(rng.uniform(-3.0, 0.3))] * k
+        delta_g = 10.0 ** float(rng.uniform(-12.0, -1.0))
+        search = LambdaSearch()
+        if j % 3 == 2:
+            free = quadratic_epsilon(kind, eps_list, delta_g).lam
+            search = LambdaSearch(lambda_max=free / float(rng.uniform(1.5, 50.0)))
+        yield kind, eps_list, delta_g, search
+
+
+class TestQuadraticClosedForms:
+    def test_epsilon_matches_numerical_inversion(self):
+        bound_seen = 0
+        for kind, eps_list, delta_g, search in _random_cases(5, 36):
+            res = quadratic_epsilon(kind, eps_list, delta_g, search)
+            bound_seen += res.at_ceiling
+            old = _numeric_epsilon(kind, eps_list, delta_g, search)
+            assert abs(res.eps_g - old) <= 4 * EPS_BISECT_TOL, (kind, len(eps_list))
+        assert bound_seen >= 10
+
+    def test_delta_matches_numerical_search(self):
+        rng = np.random.default_rng(6)
+        for kind, eps_list, delta_g, search in _random_cases(6, 60):
+            centre = quadratic_epsilon(kind, eps_list, delta_g, search).eps_g
+            for eps_g in (centre * float(rng.uniform(0.3, 2.0)), -centre):
+                got = generic_delta_from_u(kind, eps_list, eps_g, search)
+                old = _numeric_delta(kind, eps_list, eps_g, search)
+                assert got.delta == pytest.approx(old, rel=1e-9), (kind, eps_g)
+                assert got.lam <= search.lambda_max
+
+    def test_ceiling_flag_when_window_binds(self):
+        res = generic_delta_from_u(UFunctionKind.DR19, [0.01], 1.0,
+                                   LambdaSearch(lambda_max=100.0))
+        assert res.at_ceiling and res.lam == 100.0
+        a, b = 0.125e-4, 0.5e-4
+        assert res.delta == pytest.approx(math.exp(100.0 * (100.0 * a + b - 1.0)), rel=1e-14)
+        free = generic_delta_from_u(UFunctionKind.DR19, [0.01], 1.0)
+        assert not free.at_ceiling and free.delta < res.delta
+
+    def test_budget_round_trips_through_cli(self):
+        method_of = {UFunctionKind.IMPROVED_DRV10: "drv10", UFunctionKind.DR19: "dr19",
+                     UFunctionKind.KL_IMPROVED_DR19: "optkl"}
+        for kind, eps_list, delta_g, search in _random_cases(7, 45):
+            opts = Options(lambda_max=search.lambda_max)
+            budget, _ = method_epsilon(method_of[kind], eps_list, delta_g, opts)
+            back, _ = method_delta(method_of[kind], eps_list, budget, opts)
+            assert back <= delta_g * (1.0 + 1e-12), (method_of[kind], len(eps_list))
+
+    def test_rejects_general_mgf(self):
+        with pytest.raises(ValueError):
+            quadratic_epsilon(UFunctionKind.GENERAL_MGF, [1.0], 1e-6)
+
+    def test_underflowing_quadratic_coefficient(self):
+        # eps^2 underflows to 0 below eps ~ 1e-162: the lambda window's edge binds
+        res = quadratic_epsilon(UFunctionKind.DR19, [1e-170], 1e-6)
+        assert res.at_ceiling and res.eps_g == pytest.approx(math.log(1e6) / 1e6, rel=1e-12)
+        assert generic_delta_from_u(UFunctionKind.DR19, [1e-170], 1e-5).at_ceiling

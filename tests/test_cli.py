@@ -103,6 +103,44 @@ class TestEpsilon:
         assert code == 2
 
 
+    def test_quadratic_bounds_in_closed_form(self, capsys):
+        # dr19: a = k eps^2 / 8, b = k eps^2 / 2; budget b + 2 sqrt(a log(1/delta_g))
+        code, out, err = run_cli(capsys, "epsilon", "--eps", "0.1", "--k", "50",
+                                 "--delta-g", "1e-6", "--method", "dr19")
+        assert code == 0
+        a, b = 50 * 0.01 / 8, 50 * 0.01 / 2
+        assert float(out) == pytest.approx(b + 2 * math.sqrt(a * math.log(1e6)), rel=1e-11)
+        assert "closed_form=True" in err and "at_ceiling=False" in err
+
+    def test_lambda_max_binds_quadratic_budget(self, capsys):
+        code, out, err = run_cli(capsys, "epsilon", "--eps", "0.001", "--k", "1",
+                                 "--delta-g", "1e-6", "--method", "drv10",
+                                 "--lambda-max", "10")
+        assert code == 0
+        a = b = 0.5e-6
+        assert float(out) == pytest.approx(10 * a + b + math.log(1e6) / 10, rel=1e-11)
+        assert "at_ceiling=True" in err
+
+    def test_zero_eps_rounds_return(self):
+        # every round data independent: any positive budget certifies delta_g
+        assert method_epsilon("dr19", [0.0], 1e-6)[0] == 0.0
+        assert method_epsilon("drv10", [0.0, 0.0], 1e-6)[0] == 0.0
+
+    def test_bisection_refuses_zero_width_bracket(self):
+        from brcomp.cli import _bisect_epsilon
+        with pytest.raises(ValueError, match="zero-width"):
+            _bisect_epsilon("br-optcomp", [0.0], 1e-6, Options())
+
+    def test_half_dp_flag_is_relative(self):
+        # half-DP is 0 and br-optcomp 2.5e-34 here: they do not coincide
+        value, meta = method_delta("br-optcomp", [2.0] * 100, 150.0)
+        assert 0.0 < value < 1e-30
+        assert "coincides_with_half_dp" not in meta
+        # one round at eps_g = 0: the optimum sits at the midpoint offset
+        _, meta = method_delta("br-optcomp", [1.0], 0.0)
+        assert meta["coincides_with_half_dp"] is True
+
+
 class TestHeterogeneous:
     def test_eps_file(self, tmp_path, capsys):
         f = tmp_path / "eps.txt"
@@ -221,6 +259,15 @@ class TestGap:
                                "--eps-g", "0", "--t-grid", "32")
         assert code == 0
         assert json.loads(out)["t_grid"] == 32
+
+
+    def test_seed_only_on_validate(self, capsys):
+        for cmd in (["delta", "--eps-g", "0", "--method", "basic"],
+                    ["epsilon", "--delta-g", "1e-6", "--method", "basic"],
+                    ["gap", "--eps-g", "0"]):
+            with pytest.raises(SystemExit):
+                main(cmd + ["--eps", "1", "--k", "2", "--seed", "3"])
+        assert "seed" not in Options.__dataclass_fields__
 
 
 class TestValidate:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,7 +10,8 @@ from brcomp.errors import CapError
 from brcomp.grr import grr_probs
 from brcomp.nonadaptive import (candidate_points, delta_het_fixed_t, delta_hom_fixed_t,
                                 delta_opt_nonadaptive_hom, df_ell_dt, dp_optcomp_het,
-                                dp_optcomp_hom, f_ell, nonadaptive_recursion_check)
+                                dp_optcomp_hom, f_ell, f_ell_magnitude,
+                                nonadaptive_recursion_check)
 from brcomp.validation import finite_diff_check, hockey_stick
 from brcomp.grr import FiniteMechanismPair
 
@@ -122,6 +124,22 @@ class TestDeltaOpt:
             assert 0.0 < res.t < eps
             assert min(abs(res.t - c) for c in cands) <= 1e-12
 
+    @pytest.mark.parametrize("eps,k,eps_g", [(0.01, 2000, 1.5), (2.0, 100, 150.0)])
+    def test_argmax_of_tiny_delta_checked_in_mpmath(self, eps, k, eps_g):
+        # delta is far below 1e-12 here, so only a relative tie test keeps the
+        # reported offset and maximizer set true
+        res = delta_opt_nonadaptive_hom(eps, k, eps_g)
+        cands = sorted({c.t for c in candidate_points(eps, k, eps_g) if 0.0 < c.t < eps})
+        vals = np.array([delta_hom_fixed_t(eps, k, eps_g, t) for t in cands])
+        # the float values are accurate far beyond 1e-4 relative, so the
+        # true argmax lies in this band; rank the band at 40 digits
+        band = [t for t, v in zip(cands, vals) if v >= vals.max() * (1.0 - 1e-4)]
+        exact = {t: _mp_delta_fixed_t(eps, k, eps_g, t) for t in band + [res.t]}
+        best = max(band, key=exact.get)
+        assert res.t == best
+        assert res.maximizers == [best]
+        assert float(exact[best]) == pytest.approx(res.delta, rel=1e-9)
+
     def test_sandwich_between_dp_baselines(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
@@ -215,6 +233,54 @@ class TestFEllDerivative:
             target = delta_hom_fixed_t(eps, k, eps_g, t)
             vals = [f_ell(eps, k, eps_g, ell, t) for ell in range(k + 1)]
             assert min(abs(v - target) for v in vals) <= 1e-10
+
+
+    def test_large_k_in_log_space(self):
+        # k = 2000 used to overflow converting C(k, i) to float
+        eps, k, eps_g, t = 0.01, 2000, 1.5, 0.005
+        for ell in (0, 700, 1000, 1999):
+            got = f_ell(eps, k, eps_g, ell, t)
+            want = _mp_f_ell(eps, k, eps_g, ell, t)
+            assert abs(got - float(want)) <= 1e-10 * f_ell_magnitude(eps, k, eps_g, ell, t)
+            d_want = _mp_df_ell(eps, k, eps_g, ell, t)
+            assert df_ell_dt(eps, k, eps_g, ell, t) == pytest.approx(float(d_want), rel=1e-10)
+        # the full sum is E_q[1] - e^eps_g E_p[1]
+        assert f_ell(eps, k, eps_g, k, t) == pytest.approx(-math.expm1(eps_g), rel=1e-10)
+
+
+def _mp_probs(eps, t):
+    eps, t = mp.mpf(eps), mp.mpf(t)
+    p = (mp.exp(-t) - mp.exp(-eps)) / -mp.expm1(-eps)
+    return p, mp.exp(t) * p
+
+
+def _mp_sum_terms(eps, k, eps_g, t, indices):
+    """sum over the given i of C(k,i) (q^(k-i) (1-q)^i - e^eps_g p^(k-i) (1-p)^i),
+    the signed terms of f_ell, at 40 digits."""
+    with mp.workdps(40):
+        p, q = _mp_probs(eps, t)
+        eg = mp.exp(eps_g)
+        return mp.fsum(mp.binomial(k, i) * (q ** (k - i) * (1 - q) ** i
+                                            - eg * p ** (k - i) * (1 - p) ** i)
+                       for i in indices)
+
+
+def _mp_delta_fixed_t(eps, k, eps_g, t):
+    """delta_k(t, eps_g): only the positive brackets count."""
+    return _mp_sum_terms(eps, k, eps_g, t,
+                         [i for i in range(k + 1) if k * t - i * eps > eps_g])
+
+
+def _mp_f_ell(eps, k, eps_g, ell, t):
+    return _mp_sum_terms(eps, k, eps_g, t, range(ell + 1))
+
+
+def _mp_df_ell(eps, k, eps_g, ell, t):
+    with mp.workdps(40):
+        p, _ = _mp_probs(eps, t)
+        return ((k - ell) * mp.binomial(k, ell) * p ** (k - 1 - ell) * (1 - p) ** ell
+                * (mp.exp(eps_g - t) - mp.exp(k * mp.mpf(t) - (ell + 1) * mp.mpf(eps)))
+                / -mp.expm1(-eps))
 
 
 class TestHeterogeneous:
