@@ -35,7 +35,7 @@ for g in (-1.0, 0.0, 0.7, 1.5):
     print(f"  eps_g={g:+.1f}:  {half:.6f} (eps/2-DP)  <=  {br:.6f} (BR)  "
           f"<=  {full:.6f} (eps-DP)")
 
-print("\n=== scaling: the optimum costs O(k^2) ===")
+print("\n=== scaling: the optimum costs O(k^1.5) ===")
 import time
 for n in (100, 1000, 10000):
     t0 = time.time()

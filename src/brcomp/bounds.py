@@ -185,7 +185,6 @@ def _minimize_over_lambda(obj, search: LambdaSearch) -> tuple[float, float, bool
     lmax = search.lambda_max
     lam = min(1.0, lmax)
     f_cur = obj(lam)
-    hit_ceiling = False
     if lam < lmax and obj(min(2.0 * lam, lmax)) < f_cur:
         while lam < lmax:
             nxt = min(2.0 * lam, lmax)
@@ -193,9 +192,6 @@ def _minimize_over_lambda(obj, search: LambdaSearch) -> tuple[float, float, bool
             if f_nxt >= f_cur:
                 break
             lam, f_cur = nxt, f_nxt
-        if lam >= lmax and f_cur <= obj(lmax * 0.999):
-            hit_ceiling = True
-        lo, hi = lam / 4.0, min(4.0 * lam, lmax)
     else:
         while lam > 1e-12:
             nxt = lam / 2.0
@@ -203,7 +199,10 @@ def _minimize_over_lambda(obj, search: LambdaSearch) -> tuple[float, float, bool
             if f_nxt >= f_cur:
                 break
             lam, f_cur = nxt, f_nxt
-        lo, hi = lam / 4.0, min(4.0 * lam, lmax)
+    # either branch can end on the window edge: doubling up to it, or (when
+    # lambda_max < 1) halving that never improved on it
+    hit_ceiling = lam >= lmax and f_cur <= obj(lmax * 0.999)
+    lo, hi = lam / 4.0, min(4.0 * lam, lmax)
     iters = iters_for_rel_tol(search.rel_tol)
     x, v = golden_min(obj, lo, hi, iters)
     if f_cur < v:

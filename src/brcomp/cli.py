@@ -64,8 +64,12 @@ def _is_homogeneous(eps_list) -> bool:
 
 
 def method_delta(method: str, eps_list, eps_g: float,
-                 opts: Options = Options()) -> tuple[float, dict]:
-    """Additive loss of the named method at budget eps_g, plus solver metadata."""
+                 opts: Options = Options(), *, describe: bool = True) -> tuple[float, dict]:
+    """Additive loss of the named method at budget eps_g, plus solver metadata.
+
+    ``describe=False`` skips metadata that costs extra evaluations (the
+    ``br-optcomp`` comparison with half-DP); bisection only needs the value.
+    """
     k = len(eps_list)
     eps0 = eps_list[0]
     hom = _is_homogeneous(eps_list)
@@ -84,8 +88,8 @@ def method_delta(method: str, eps_list, eps_g: float,
         if hom:
             res = delta_opt_nonadaptive_hom(eps0, k, eps_g)
             meta = {"t": res.t}
-            half = dp_optcomp_hom(eps0 / 2.0, k, eps_g)
-            if math.isclose(res.delta, half, rel_tol=TIE_RTOL):
+            if describe and math.isclose(res.delta, dp_optcomp_hom(eps0 / 2.0, k, eps_g),
+                                         rel_tol=TIE_RTOL):
                 meta["coincides_with_half_dp"] = True
             return res.delta, meta
         if k <= validation.BRUTE_FORCE_CAP:
@@ -155,18 +159,22 @@ def _bisect_epsilon(method: str, eps_list, delta_g: float, opts: Options) -> tup
     if not span > 0.0:
         raise ValueError("zero-width budget bracket: every round has eps = 0")
     lo, hi = -span, span
-    d_lo, _ = method_delta(method, eps_list, lo, opts)
+
+    def delta(eps_g: float) -> float:
+        return method_delta(method, eps_list, eps_g, opts, describe=False)[0]
+
+    d_lo = delta(lo)
     if delta_g > d_lo:
         raise UnreachableTargetError(
             f"delta_g={delta_g} exceeds the largest achievable value {d_lo}", d_lo)
-    while method_delta(method, eps_list, hi, opts)[0] > delta_g:
+    while delta(hi) > delta_g:
         hi *= 2.0  # loose bounds can need budgets beyond the basic sum
         if hi > 1e9:
             raise UnreachableTargetError("no finite budget reaches the target", 0.0)
     iters = max(1, math.ceil(math.log2(max(hi - lo, 1e-12) / EPS_BISECT_TOL)))
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if method_delta(method, eps_list, mid, opts)[0] > delta_g:
+        if delta(mid) > delta_g:
             lo = mid
         else:
             hi = mid

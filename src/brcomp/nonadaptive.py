@@ -11,7 +11,14 @@ and the optimum over t is attained at one of the candidate points
 
     t_ell = (eps_g + (ell + 1) eps) / (k + 1),   ell = 0..k,
 
-each clamped to [0, eps].  Evaluating every candidate costs O(k^2) total.
+each clamped to [0, eps].  One kernel, ``fixed_t_sums``, evaluates the sum
+at many offsets at once.  With ``q = e^t p`` each positive term is at most
+the Bin(k, 1-q) probability of its index, so it sums only a window of
+O(sqrt k) terms around that distribution's mode and certifies the rest: a
+geometric tail bound at each window edge must stay below 2^-60 of the
+window's sum, or the window is widened.  Scanning every candidate so costs
+O(k^1.5) instead of O(k^2); for k up to about 150 a window would span the
+whole row, and whole rows are summed.
 
 The heterogeneous fixed-t value and the optimal composition of plain
 eps_i-DP mechanisms are evaluated by exact subset enumeration (capped at
@@ -35,6 +42,14 @@ _CHUNK_BITS = 20         # subset sums processed in blocks of 2^20 masks
 # well above the kernel's rounding noise, well below the relative gap
 # between neighbouring candidates near the maximum
 TIE_RTOL = 1e-10
+# fixed_t_sums windows: first half-width in standard deviations of Bin(k, 1-q)
+# plus a few terms for the skewed rows near q = 0 or 1; the certified mass
+# left outside a window must stay below 2^TAIL_LOG2 of the window's sum
+WINDOW_SDS = 11.0
+WINDOW_PAD = 4
+TAIL_LOG2 = -60
+_BLOCK_ELEMS = 1 << 19   # terms per evaluated block; bounds the temporaries
+_DENSE_ELEMS = 1 << 13   # below this many terms in all, whole rows beat windows
 
 
 @lru_cache(maxsize=64)
@@ -55,8 +70,16 @@ def _validate_hom(eps: float, k: int) -> None:
         raise ValueError(f"k must be a positive integer, got {k}")
 
 
-def _stable_logs(eps: float, t) -> tuple[np.ndarray, np.ndarray]:
-    """log(p) and log(1-p), each taken on the stably computed side."""
+def _endpoint_value(eps_g: float) -> float:
+    """max(1 - e^(eps_g), 0): the loss at t = 0 or t = eps, for every k."""
+    return -math.expm1(eps_g) if eps_g < 0.0 else 0.0
+
+
+def _stable_logs(eps, t) -> tuple[np.ndarray, np.ndarray]:
+    """log(p) and log(1-p), each taken on the stably computed side.
+
+    ``eps`` may be a scalar or an array matching ``t`` (one pair per round).
+    """
     t = np.asarray(t, dtype=float)
     p = p_of_t(eps, t)
     omp = one_minus_p(eps, t)
@@ -66,29 +89,167 @@ def _stable_logs(eps: float, t) -> tuple[np.ndarray, np.ndarray]:
     return lp, lomp
 
 
+class FixedTSums(NamedTuple):
+    values: np.ndarray    # delta_k(t_j, eps_g) per offset, before any clamp to 1
+    omitted: np.ndarray   # certified bound on the positive mass left outside each window
+                          # (both 1-D for an array of offsets, scalars for one offset)
+    passes: int           # window evaluations spent (1 when no window had to widen)
+
+
+def _last_positive(eps: float, k: int, eps_g: float, t: np.ndarray) -> np.ndarray:
+    """Largest i with ``k t - i eps > eps_g`` as evaluated in floats (-1 if none).
+
+    The float brackets decrease in i, so the positive terms are exactly
+    ``i <= m``; the division's estimate is off by at most one either way.
+    """
+    m = np.clip(np.floor((k * t - eps_g) / eps), -1, k).astype(np.int64)
+    m += (m < k) & (k * t - (m + 1) * eps > eps_g)
+    m -= (m >= 0) & ~(k * t - m * eps > eps_g)
+    return m
+
+
+def _log_terms(eps, k, eps_g, t, lp, lomp, i, lbin_i, valid=None) -> np.ndarray:
+    """log T_i at offsets t and indices i, -inf where a term is dropped.
+
+    ``t``, ``lp`` and ``lomp`` broadcast against ``i`` (scalars for one row,
+    columns for a block of rows); ``lbin_i`` is log C(k, i) at the same
+    indices.  ``valid=None`` keeps exactly the terms whose bracket is
+    positive.
+    """
+    a = k * t - i * eps
+    # a dropped term's bracket is nonpositive and its log -inf or nan
+    lterm = lbin_i + (k - i) * lp + i * lomp + a + np.log1p(-np.exp(eps_g - a))
+    return np.where(a > eps_g if valid is None else valid, lterm, -np.inf)
+
+
+def _row_logsums(lterm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the largest log term and the sum of exp(term - largest), so
+    that a row's sum is ``exp(top) * tot`` (0 for a row with no term)."""
+    top = lterm.max(axis=-1)
+    tot = np.exp(lterm - top[..., None]).sum(axis=-1)
+    return top, np.where(np.isfinite(top), tot, 0.0)
+
+
+def _log_tail(k: int, lbin, lq, l1mq, edge, step: int) -> np.ndarray:
+    """log of ``B_edge r / (1 - r)``, the geometric bound on the B-mass beyond
+    ``edge`` in direction ``step`` (-1 or +1); +inf where the ratio r of
+    consecutive B terms at the edge is not below 1."""
+    if step < 0:
+        log_r = np.log(edge) - np.log(k - edge + 1) + lq - l1mq
+    else:
+        log_r = np.log(k - edge) - np.log(edge + 1) + l1mq - lq
+    log_b = lbin[edge] + (k - edge) * lq + edge * l1mq
+    tail = log_b + log_r - np.log(-np.expm1(np.minimum(log_r, 0.0)))
+    return np.where(log_r < 0.0, tail, np.inf)
+
+
+def _windowed(k: int, n_offsets: int) -> bool:
+    """Whether fixed_t_sums windows the rows.  Not when even the widest first
+    window would span the row (k up to about 150), nor when all the rows
+    together hold fewer terms than the window bookkeeping costs."""
+    widest = 2 * (math.ceil(WINDOW_SDS * math.sqrt(k) / 2.0) + WINDOW_PAD) + 1
+    return widest <= k and n_offsets * (k + 1) > _DENSE_ELEMS
+
+
+def fixed_t_sums(eps: float, k: int, eps_g: float, t) -> FixedTSums:
+    """delta_k(t_j, eps_g) at each offset t_j in (0, eps): the one binomial kernel.
+
+    With ``q = e^t p`` every positive term obeys
+    ``T_i <= B_i = C(k,i) q^(k-i) (1-q)^i``, the Bin(k, 1-q) pmf, and the
+    positive terms are exactly ``i <= m(t)``.  Each offset sums the terms in
+    a window of ``[0, m]`` centred on ``min(mode, m)`` with half-width
+    ``WINDOW_SDS`` standard deviations plus ``WINDOW_PAD`` terms, so a scan
+    over O(k) offsets costs O(k^1.5).  The mass left out on each side is
+    bounded by the geometric tail ``B_edge r / (1 - r)``, r the ratio of
+    consecutive B terms at the edge (below 1 away from the mode); a window
+    whose bound exceeds ``2^TAIL_LOG2`` of its sum is doubled until the
+    bound holds, at worst up to the whole of ``[0, m]``.  Small rows are
+    summed whole in one pass (see ``_windowed``).  Work runs in blocks of at
+    most ``_BLOCK_ELEMS`` terms.
+    """
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lp, lomp = _stable_logs(eps, t)
+        if not _windowed(k, t.size):
+            return _row_sums(eps, k, eps_g, t, lp, lomp)
+        res = _window_sums(eps, k, eps_g, t.reshape(-1), lp.reshape(-1), lomp.reshape(-1))
+    return res._replace(values=res.values.reshape(t.shape),
+                        omitted=res.omitted.reshape(t.shape))
+
+
+def _row_sums(eps, k, eps_g, t, lp, lomp) -> FixedTSums:
+    """fixed_t_sums over whole rows, in blocks of offsets.  A scalar offset
+    runs as one 1-D row on numpy scalars, the cheapest form for the many
+    single evaluations of a bisection."""
+    i, lbin = np.arange(k + 1), _log_binom(k)
+    if t.ndim == 0:
+        lterm = _log_terms(eps, k, eps_g, float(t), lp, lomp, i, lbin)
+        top = lterm.max()
+        value = math.exp(top) * np.exp(lterm - top).sum() if top > -np.inf else 0.0
+        return FixedTSums(np.float64(value), np.float64(0.0), 1)
+    values = np.empty(t.size)
+    step = max(1, _BLOCK_ELEMS // (k + 1))
+    for s in range(0, t.size, step):
+        b = slice(s, s + step)
+        top, tot = _row_logsums(_log_terms(eps, k, eps_g, t[b, None], lp[b, None],
+                                           lomp[b, None], i, lbin))
+        values[b] = np.exp(top) * tot
+    return FixedTSums(values, np.zeros(t.size), 1)
+
+
+def _window_sums(eps, k, eps_g, t, lp, lomp) -> FixedTSums:
+    """fixed_t_sums over certified windows, widening the ones that fail."""
+    lbin = _log_binom(k)
+    m = _last_positive(eps, k, eps_g, t)
+    lq, l1mq = t + lp, (t - eps) + lomp            # log q and log(1 - q)
+    centre = np.minimum(np.floor((k + 1) * np.exp(l1mq)).astype(np.int64), m)
+    half = (np.ceil(WINDOW_SDS * np.sqrt(k * np.exp(lq + l1mq))).astype(np.int64)
+            + WINDOW_PAD)
+    values, omitted = np.zeros(t.size), np.zeros(t.size)
+    rows = np.flatnonzero(m >= 0)
+    log_cap = TAIL_LOG2 * math.log(2.0)
+    passes = 0
+    while rows.size:
+        passes += 1
+        lo = np.maximum(centre[rows] - half[rows], 0)
+        hi = np.minimum(centre[rows] + half[rows], m[rows])
+        span = hi - lo
+        offs = np.arange(int(span.max()) + 1)
+        step = max(1, _BLOCK_ELEMS // offs.size)
+        top, tot = np.empty(rows.size), np.empty(rows.size)
+        for s in range(0, rows.size, step):
+            b, r = slice(s, s + step), rows[s:s + step]
+            i = np.minimum(lo[b, None] + offs, hi[b, None])
+            top[b], tot[b] = _row_logsums(_log_terms(
+                eps, k, eps_g, t[r, None], lp[r, None], lomp[r, None], i, lbin[i],
+                offs <= span[b, None]))
+        lq_r, l1mq_r = lq[rows], l1mq[rows]
+        log_tail = np.logaddexp(
+            np.where(lo > 0, _log_tail(k, lbin, lq_r, l1mq_r, lo, -1), -np.inf),
+            np.where(hi < m[rows], _log_tail(k, lbin, lq_r, l1mq_r, hi, +1), -np.inf))
+        log_sum = top + np.log(tot)   # -inf for a row with no term
+        ok = log_tail <= log_sum + log_cap
+        values[rows[ok]] = np.exp(top[ok]) * tot[ok]
+        omitted[rows[ok]] = np.exp(log_tail[ok])
+        rows = rows[~ok]
+        half[rows] *= 2
+    return FixedTSums(values, omitted, passes)
+
+
 def delta_hom_fixed_t(eps: float, k: int, eps_g: float, t: float) -> float:
     """Additive loss of k-fold composition at a fixed offset t.
 
-    Evaluates the binomial sum in log space; terms whose bracket
-    ``e^(kt - i eps) - e^(eps_g)`` is nonpositive are skipped.
+    Evaluates the binomial sum in log space through ``fixed_t_sums``; terms
+    whose bracket ``e^(kt - i eps) - e^(eps_g)`` is nonpositive are skipped.
     """
     _validate_hom(eps, k)
     if not 0.0 <= t <= eps:
         raise ValueError(f"t must lie in [0, eps={eps}], got {t}")
     if t == 0.0 or t == eps:
-        return max(-math.expm1(eps_g), 0.0)
-    i = np.arange(k + 1)
-    a = k * t - i * eps
-    mask = a > eps_g
-    if not mask.any():
+        return _endpoint_value(eps_g)
+    if not k * t > eps_g:   # even the i = 0 bracket is nonpositive
         return 0.0
-    lp, lomp = _stable_logs(eps, t)
-    with np.errstate(divide="ignore"):
-        lterm = (_log_binom(k) + (k - i) * lp + i * lomp
-                 + a + np.log1p(-np.exp(np.minimum(eps_g - a, 0.0))))
-    lterm = lterm[mask]
-    m = lterm.max()
-    return float(min(math.exp(m) * np.exp(lterm - m).sum(), 1.0))
+    return float(min(fixed_t_sums(eps, k, eps_g, t).values, 1.0))
 
 
 class Candidate(NamedTuple):
@@ -118,41 +279,23 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
     Maximizes ``delta_hom_fixed_t`` over the candidate offsets (plus the
     interval endpoints, which always evaluate to ``max(1 - e^(eps_g), 0)``).
     Outside ``(-k eps, k eps)`` the value is that constant for every t and is
-    returned directly.  Total work is O(k^2).
+    returned directly.  All candidates go through ``fixed_t_sums`` at once,
+    each summing a certified window of O(sqrt k) terms, so the total work
+    is O(k^1.5) (O(k^2) for k up to about 150, where a window spans the row).
     """
     _validate_hom(eps, k)
     if eps_g >= k * eps:
         return OptResult(0.0, 0.0, [])
     if eps_g <= -k * eps:
         return OptResult(-math.expm1(eps_g), 0.0, [])
-    endpoint_value = max(-math.expm1(eps_g), 0.0)
+    endpoint_value = _endpoint_value(eps_g)
 
     t_all = (eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1)
     t = np.unique(np.clip(t_all, 0.0, eps))
     t = t[(t > 0.0) & (t < eps)]
     if t.size == 0:
         return OptResult(endpoint_value, 0.0, [])
-
-    # evaluate candidates in row blocks: full (k+1)^2 matrices exhaust memory
-    # well before the O(k^2) flops become the constraint
-    i = np.arange(k + 1)
-    lbin = _log_binom(k)
-    block = max(1, (1 << 21) // (k + 1))
-    values = np.empty(t.size)
-    for lo in range(0, t.size, block):
-        tb = t[lo:lo + block]
-        lp, lomp = _stable_logs(eps, tb)
-        a = k * tb[:, None] - i[None, :] * eps
-        mask = a > eps_g
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lterm = (lbin[None, :] + (k - i)[None, :] * lp[:, None]
-                     + i[None, :] * lomp[:, None]
-                     + a + np.log1p(-np.exp(np.minimum(eps_g - a, 0.0))))
-        lterm = np.where(mask, lterm, -np.inf)
-        m = lterm.max(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            vb = np.exp(m[:, 0]) * np.exp(lterm - m).sum(axis=1)
-        values[lo:lo + block] = np.where(np.isfinite(m[:, 0]), vb, 0.0)
+    values = fixed_t_sums(eps, k, eps_g, t).values
     best = float(values.max())
     if best <= endpoint_value:
         return OptResult(endpoint_value, 0.0, [])
@@ -269,7 +412,7 @@ def delta_het_fixed_t(eps_list: Sequence[float], eps_g: float,
         raise ValueError("each t must lie in [0, eps_i]")
     k = eps.size
     _check_subset_size(k)
-    lp, lomp = _stable_logs_het(eps, t)
+    lp, lomp = _stable_logs(eps, t)
     tsum = float(t.sum())
     total = 0.0
     for masks in _subset_chunks(k):
@@ -285,15 +428,6 @@ def delta_het_fixed_t(eps_list: Sequence[float], eps_g: float,
             lterm = log_w + a + np.log1p(-np.exp(np.minimum(eps_g - a, 0.0)))
         total += float(np.exp(lterm[mask & np.isfinite(lterm)]).sum())
     return min(max(total, 0.0), 1.0)
-
-
-def _stable_logs_het(eps: np.ndarray, t: np.ndarray):
-    p = p_of_t(eps, t)
-    omp = one_minus_p(eps, t)
-    with np.errstate(divide="ignore"):
-        lp = np.where(p > 0.5, np.log1p(-omp), np.log(p))
-        lomp = np.where(omp > 0.5, np.log1p(-p), np.log(omp))
-    return lp, lomp
 
 
 def dp_optcomp_hom(eps_dp: float, k: int, eps_g: float) -> float:

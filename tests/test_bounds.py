@@ -194,6 +194,19 @@ class TestMgf:
         assert res.capped_at_basic
         assert res.eps_g == pytest.approx(0.01, abs=1e-15)
 
+    def test_ceiling_flag_below_lambda_one(self):
+        # a window below lambda = 1 is searched by halving; a minimum on its
+        # edge must be flagged just as on a window above 1
+        low = mgf_delta([0.01], 0.01, LambdaSearch(lambda_max=0.5))
+        assert low.lam == 0.5 and low.at_ceiling
+        high = mgf_delta([0.01], 0.01, LambdaSearch(lambda_max=100))
+        assert high.lam == 100 and high.at_ceiling
+        # an interior minimum inside a sub-unit window stays unflagged
+        inner = mgf_delta([1.0] * 3, 0.8, LambdaSearch(lambda_max=0.9))
+        assert inner.lam == pytest.approx(0.61, abs=0.01) and not inner.at_ceiling
+        edge = mgf_delta([1.0] * 3, 1.0, LambdaSearch(lambda_max=0.9))
+        assert edge.lam == 0.9 and edge.at_ceiling
+
     def test_tail_shrinks_with_lambda_ceiling(self):
         # at eps_g = basic budget the bound keeps improving as lambda_max grows
         d_small = mgf_delta([1.0] * 3, 3.0, LambdaSearch(lambda_max=1e2)).delta

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from brcomp.cli import Options, curve_rows, main, method_delta, method_epsilon
+from brcomp.cli import EPS_BISECT_TOL, Options, curve_rows, main, method_delta, method_epsilon
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +139,23 @@ class TestEpsilon:
         # one round at eps_g = 0: the optimum sits at the midpoint offset
         _, meta = method_delta("br-optcomp", [1.0], 0.0)
         assert meta["coincides_with_half_dp"] is True
+
+
+    def test_bisection_skips_half_dp_metadata(self, monkeypatch):
+        # the half-DP comparison only feeds metadata that bisection discards
+        import brcomp.cli as cli
+        calls = []
+        real = cli.dp_optcomp_hom
+        monkeypatch.setattr(cli, "dp_optcomp_hom",
+                            lambda *a: calls.append(a) or real(*a))
+        eps_g, meta = method_epsilon("br-optcomp", [0.1] * 5, 1e-6)
+        assert calls == [] and meta == {"bisection_tol": EPS_BISECT_TOL}
+        _, meta = method_delta("br-optcomp", [1.0], 0.0)
+        assert len(calls) == 1 and meta["coincides_with_half_dp"] is True
+        value, meta = method_delta("br-optcomp", [0.1] * 5, eps_g + EPS_BISECT_TOL,
+                                   describe=False)
+        assert len(calls) == 1 and set(meta) == {"t"}
+        assert value <= 1e-6
 
 
 class TestHeterogeneous:

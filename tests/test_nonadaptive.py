@@ -5,12 +5,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brcomp import nonadaptive
 from brcomp.errors import CapError
 from brcomp.grr import grr_probs
-from brcomp.nonadaptive import (candidate_points, delta_het_fixed_t, delta_hom_fixed_t,
+from brcomp.nonadaptive import (TAIL_LOG2, TIE_RTOL, _log_binom, _stable_logs,
+                                candidate_points, delta_het_fixed_t, delta_hom_fixed_t,
                                 delta_opt_nonadaptive_hom, df_ell_dt, dp_optcomp_het,
-                                dp_optcomp_hom, f_ell, f_ell_magnitude,
+                                dp_optcomp_hom, f_ell, f_ell_magnitude, fixed_t_sums,
                                 nonadaptive_recursion_check)
 from brcomp.validation import finite_diff_check, hockey_stick
 from brcomp.grr import FiniteMechanismPair
@@ -281,6 +285,193 @@ def _mp_df_ell(eps, k, eps_g, ell, t):
         return ((k - ell) * mp.binomial(k, ell) * p ** (k - 1 - ell) * (1 - p) ** ell
                 * (mp.exp(eps_g - t) - mp.exp(k * mp.mpf(t) - (ell + 1) * mp.mpf(eps)))
                 / -mp.expm1(-eps))
+
+
+# ---------------------------------------------------------------------------
+# The windowed kernel against the O(k^2) whole-row oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_values(eps, k, eps_g, t):
+    """delta_k(t_j, eps_g) by summing every one of the k+1 terms of each row:
+    the candidate scan as it stood before windowing, kept as the reference."""
+    t = np.asarray(t, dtype=float)
+    i = np.arange(k + 1)
+    lbin = _log_binom(k)
+    block = max(1, (1 << 19) // (k + 1))
+    values = np.empty(t.size)
+    for lo in range(0, t.size, block):
+        tb = t[lo:lo + block]
+        lp, lomp = _stable_logs(eps, tb)
+        a = k * tb[:, None] - i[None, :] * eps
+        mask = a > eps_g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lterm = (lbin[None, :] + (k - i)[None, :] * lp[:, None]
+                     + i[None, :] * lomp[:, None]
+                     + a + np.log1p(-np.exp(np.minimum(eps_g - a, 0.0))))
+        lterm = np.where(mask, lterm, -np.inf)
+        m = lterm.max(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            vb = np.exp(m[:, 0]) * np.exp(lterm - m).sum(axis=1)
+        values[lo:lo + block] = np.where(np.isfinite(m[:, 0]), vb, 0.0)
+    return values
+
+
+def _oracle_opt(eps, k, eps_g):
+    """(delta, t, maximizers) of the optimum over whole-row candidate values."""
+    endpoint = -math.expm1(eps_g) if eps_g < 0.0 else 0.0
+    if eps_g >= k * eps:
+        return 0.0, 0.0, []
+    if eps_g <= -k * eps:
+        return endpoint, 0.0, []
+    t = np.unique(np.clip((eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1), 0.0, eps))
+    t = t[(t > 0.0) & (t < eps)]
+    if t.size == 0:
+        return endpoint, 0.0, []
+    values = _oracle_values(eps, k, eps_g, t)
+    best = float(values.max())
+    if best <= endpoint:
+        return endpoint, 0.0, []
+    winners = np.flatnonzero(values >= best * (1.0 - TIE_RTOL))
+    return min(best, 1.0), float(t[winners[0]]), [float(x) for x in t[winners]]
+
+
+def _assert_close(got, want, rel=1e-15):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.all(np.abs(got - want) <= rel * want), (got, want)
+
+
+def _assert_certified(res):
+    # every window's certified omitted mass is at most 2^-60 of its sum
+    assert np.all(res.omitted <= 2.0 ** TAIL_LOG2 * res.values)
+
+
+def _draw_case(rng, k_max=10 ** 4):
+    """k log-uniform in [1, k_max], eps in [1e-3, 3] and eps_g = k eps v^3
+    with v uniform on (-1, 1): across (-k eps, k eps), but most draws land
+    where delta is neither 1 nor 0."""
+    k = int(round(10.0 ** rng.uniform(0.0, math.log10(k_max))))
+    eps = float(rng.uniform(1e-3, 3.0))
+    return eps, k, float(k * eps * rng.uniform(-1.0, 1.0) ** 3)
+
+
+class TestWindowedKernel:
+    def test_optimum_matches_whole_row_oracle(self):
+        rng = np.random.default_rng(101)
+        windowed = 0
+        for _ in range(60):
+            eps, k, eps_g = _draw_case(rng)
+            res = delta_opt_nonadaptive_hom(eps, k, eps_g)
+            want, t, maximizers = _oracle_opt(eps, k, eps_g)
+            _assert_close(res.delta, want)
+            assert res.t == t and res.maximizers == maximizers
+            cands = np.unique([c.t for c in candidate_points(eps, k, eps_g)
+                               if 0.0 < c.t < eps])
+            if cands.size:
+                got = fixed_t_sums(eps, k, eps_g, cands)
+                _assert_certified(got)
+                windowed += nonadaptive._windowed(k, cands.size)
+        assert windowed >= 20
+
+    def test_fixed_t_matches_whole_row_oracle(self):
+        rng = np.random.default_rng(103)
+        for _ in range(80):
+            eps, k, eps_g = _draw_case(rng)
+            t = rng.uniform(0.0, eps, size=int(rng.integers(1, 65)))
+            t = t[t > 0.0]
+            res = fixed_t_sums(eps, k, eps_g, t)
+            _assert_close(res.values, _oracle_values(eps, k, eps_g, t))
+            _assert_certified(res)
+            _assert_close(delta_hom_fixed_t(eps, k, eps_g, float(t[0])),
+                          min(_oracle_values(eps, k, eps_g, t[:1])[0], 1.0))
+
+    def test_single_offset_windows_above_the_dense_size(self):
+        # one offset is summed whole up to _DENSE_ELEMS terms, windowed beyond
+        eps, eps_g, t = 0.02, 3.0, 0.0093
+        for k in (8000, 20000):
+            res = fixed_t_sums(eps, k, eps_g, t)
+            assert res.values.shape == () and res.omitted.shape == ()
+            assert nonadaptive._windowed(k, 1) == (k >= 8192)
+            _assert_close(res.values, _oracle_values(eps, k, eps_g, [t])[0])
+            _assert_certified(res)
+
+    def test_skewed_rows_widen_their_windows(self):
+        # eps = 3 puts q near 0 or 1 at most offsets: the binomial is skewed
+        # and the first window's tail bound fails for some of them
+        eps, k, eps_g = 3.0, 300, -100.0
+        t = np.linspace(0.0, eps, 41)[1:-1]
+        res = fixed_t_sums(eps, k, eps_g, t)
+        assert res.passes >= 2
+        _assert_close(res.values, _oracle_values(eps, k, eps_g, t))
+        _assert_certified(res)
+
+    def test_narrow_first_windows_widen_to_the_same_values(self, monkeypatch):
+        # windows of half a standard deviation fail the certificate almost
+        # everywhere; doubling them, up to the whole row, must reproduce the
+        # oracle exactly as wide ones do
+        monkeypatch.setattr(nonadaptive, "WINDOW_SDS", 0.5)
+        monkeypatch.setattr(nonadaptive, "WINDOW_PAD", 0)
+        rng = np.random.default_rng(107)
+        for eps, k, eps_g in ((0.1, 2000, 1.0), (1.0, 500, 20.0), (0.01, 5000, -0.3)):
+            t = np.sort(rng.uniform(0.0, eps, 48))
+            res = fixed_t_sums(eps, k, eps_g, t)
+            assert res.passes >= 4
+            _assert_close(res.values, _oracle_values(eps, k, eps_g, t))
+            _assert_certified(res)
+            opt = delta_opt_nonadaptive_hom(eps, k, eps_g)
+            want, t_star, maximizers = _oracle_opt(eps, k, eps_g)
+            _assert_close(opt.delta, want)
+            assert (opt.t, opt.maximizers) == (t_star, maximizers)
+
+    def test_block_size_caps_the_temporaries(self):
+        # many offsets at large k are evaluated in several blocks
+        eps, k, eps_g = 0.01, 30000, 2.0
+        t = np.linspace(0.0, eps, 601)[1:-1]
+        res = fixed_t_sums(eps, k, eps_g, t)
+        assert t.size * 2 * math.ceil(11 * math.sqrt(k) / 2) > nonadaptive._BLOCK_ELEMS
+        _assert_close(res.values, _oracle_values(eps, k, eps_g, t))
+        _assert_certified(res)
+
+    def test_no_positive_term_is_zero(self):
+        res = fixed_t_sums(0.1, 1000, 50.0, np.array([0.01, 0.05]))
+        assert res.values.tolist() == [0.0, 0.0] and res.omitted.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("eps,k,eps_g", [(0.3, 100, 3.0), (0.1, 1000, 4.0),
+                                             (0.01, 10 ** 4, 1.5)])
+    def test_mpmath_references_at_scale(self, eps, k, eps_g):
+        # the float log-binomial table is a running sum of logs whose rounding
+        # grows with k (about 4e-10 relative at k = 1e4), hence the tolerance
+        rel = 1e-13 * k
+        t = 0.37 * eps
+        want = _mp_delta_fixed_t(eps, k, eps_g, t)
+        assert delta_hom_fixed_t(eps, k, eps_g, t) == pytest.approx(float(want), rel=rel)
+        res = delta_opt_nonadaptive_hom(eps, k, eps_g)
+        want = _mp_delta_fixed_t(eps, k, eps_g, res.t)
+        assert res.delta == pytest.approx(float(want), rel=rel)
+        assert 1e-4 < res.delta < 0.1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(600, 4000), eps=st.floats(1e-3, 3.0),
+           z=st.floats(-3.0, 30.0), shift=st.floats(-14.0, 0.5))
+    def test_windowed_delta_nonincreasing_in_eps_g(self, k, eps, z, shift):
+        # eps_g sits z standard deviations of the summed privacy loss above
+        # its mean at t = eps/2, where delta is neither 1 nor 0; the second
+        # budget is up to 3 eps higher, so the last positive index m, and
+        # with it a window's upper edge, moves between the two.  Each log
+        # term carries rounding of order 1e-16 (k + k eps) in absolute terms
+        # (the binomial, power and bracket logs), which bounds how far two
+        # nearby evaluations can disagree in the wrong direction.
+        ts = np.linspace(0.0, eps, 18)[1:-1]
+        eps_g = k * 0.5 * eps * math.tanh(0.25 * eps) + z * 0.5 * eps * math.sqrt(k)
+        higher = eps_g + eps * 10.0 ** shift * 3.0
+        slack = 1.0 + 1e-15 * k * (1.0 + eps)
+        assert nonadaptive._windowed(k, ts.size)
+        lo = fixed_t_sums(eps, k, eps_g, ts).values
+        hi = fixed_t_sums(eps, k, higher, ts).values
+        assert np.all(hi <= lo * slack)
+        opt_lo = delta_opt_nonadaptive_hom(eps, k, eps_g).delta
+        opt_hi = delta_opt_nonadaptive_hom(eps, k, higher).delta
+        assert opt_hi <= opt_lo * slack
 
 
 class TestHeterogeneous:
