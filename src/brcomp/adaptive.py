@@ -34,17 +34,13 @@ import numpy as np
 
 from .errors import CapError
 from .grr import q_of_t
-from .nonadaptive import candidate_points, delta_opt_nonadaptive_hom
+from .nonadaptive import (_endpoint_value, _validate_hom, candidate_points,
+                          delta_opt_nonadaptive_hom)
 from .optim import golden_max
 
 STRATEGY_DEPTH_CAP = 20
 GAP_STRICT_TOL = 1e-7   # certified gap must exceed this to be reported strict
 _MAX_SWEEPS = 4
-
-
-def base_delta(eps_g: float) -> float:
-    """Loss of the empty composition: max(1 - e^(eps_g), 0)."""
-    return max(-math.expm1(eps_g), 0.0)
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ class StrategyTree:
 def _subtree_value(t_nodes: np.ndarray, eps_list: Sequence[float],
                    node: int, depth: int, x: float) -> float:
     if depth == len(eps_list):
-        return base_delta(x)
+        return _endpoint_value(x)
     eps = eps_list[depth]
     t = float(t_nodes[node])
     q = float(q_of_t(eps, t))
@@ -142,7 +138,7 @@ def _lattice_dp(eps: float, k: int, eps_g: float, t_grid: int):
     """
     h = eps / (t_grid - 1)
     span = k * (t_grid - 1)
-    v = np.array([base_delta(eps_g + m * h) for m in range(-span, span + 1)])
+    v = np.array([_endpoint_value(eps_g + m * h) for m in range(-span, span + 1)])
     q = np.asarray(q_of_t(eps, np.arange(t_grid) * h), dtype=float)
     argmax_tables = []
     for remaining in range(1, k + 1):
@@ -245,7 +241,7 @@ def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
     eps = [float(e) for e in eps_list]
     k = len(eps)
     if k == 0:
-        return AdaptiveLowerBound(base_delta(eps_g), StrategyTree((), np.empty(0)),
+        return AdaptiveLowerBound(_endpoint_value(eps_g), StrategyTree((), np.empty(0)),
                                   cfg.t_grid, cfg.refine_iters)
     if k > cfg.depth_cap:
         raise CapError(f"k={k} exceeds the adaptive solver depth cap {cfg.depth_cap}")
@@ -303,7 +299,7 @@ def adaptive_edge_high(eps: float, k: int, eps_g: float) -> float:
     product is maximized at equal offsets for a fixed sum) and solved by a
     one-dimensional golden section over s.
     """
-    _validate_edge(eps, k)
+    _validate_hom(eps, k)
     if eps_g < (k - 1) * eps - 1e-12:
         raise ValueError(f"edge form requires eps_g >= (k-1)*eps = {(k - 1) * eps}")
     if eps_g >= k * eps:
@@ -330,7 +326,7 @@ def adaptive_edge_low(eps: float, k: int, eps_g: float) -> float:
 
     with the same equal-offset reduction (log(1 - q_t) is concave in t).
     """
-    _validate_edge(eps, k)
+    _validate_hom(eps, k)
     if eps_g > -(k - 1) * eps + 1e-12:
         raise ValueError(f"edge form requires eps_g <= -(k-1)*eps = {-(k - 1) * eps}")
     constant = -math.expm1(eps_g)
@@ -348,13 +344,6 @@ def adaptive_edge_low(eps: float, k: int, eps_g: float) -> float:
 
     _, best = golden_max(obj, 0.0, hi, iters=64)
     return constant + max(best, 0.0)
-
-
-def _validate_edge(eps: float, k: int) -> None:
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if k < 1 or k != int(k):
-        raise ValueError(f"k must be a positive integer, got {k}")
 
 
 # ---------------------------------------------------------------------------

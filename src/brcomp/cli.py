@@ -23,6 +23,7 @@ from .adaptive import (AdaptiveSolverConfig, adaptive_edge_high, adaptive_edge_l
                        delta_adaptive_lb, gap_certificate)
 from .errors import CapError, UnreachableTargetError
 from .nonadaptive import TIE_RTOL, delta_opt_nonadaptive_hom, dp_optcomp_het, dp_optcomp_hom
+from .optim import bisect_nonincreasing
 from .validation import brute_force_nonadaptive
 
 METHODS = ("basic", "dp-optcomp", "dp-optcomp-half", "br-optcomp", "adaptive-lb",
@@ -48,9 +49,9 @@ class CurveRow:
 
 @dataclass(frozen=True)
 class Options:
-    t_grid: int = 64
-    depth_cap: int = 6
-    lambda_max: float = 1e6
+    t_grid: int = AdaptiveSolverConfig.t_grid
+    depth_cap: int = AdaptiveSolverConfig.depth_cap
+    lambda_max: float = bounds.LambdaSearch.lambda_max
 
     def solver_cfg(self) -> AdaptiveSolverConfig:
         return AdaptiveSolverConfig(t_grid=self.t_grid, depth_cap=self.depth_cap)
@@ -172,13 +173,7 @@ def _bisect_epsilon(method: str, eps_list, delta_g: float, opts: Options) -> tup
         if hi > 1e9:
             raise UnreachableTargetError("no finite budget reaches the target", 0.0)
     iters = max(1, math.ceil(math.log2(max(hi - lo, 1e-12) / EPS_BISECT_TOL)))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if delta(mid) > delta_g:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), {"bisection_tol": EPS_BISECT_TOL}
+    return bisect_nonincreasing(delta, delta_g, lo, hi, iters), {"bisection_tol": EPS_BISECT_TOL}
 
 
 def curve_rows(methods, eps: float, k_max: int, delta_g: float,
@@ -196,8 +191,7 @@ def curve_rows(methods, eps: float, k_max: int, delta_g: float,
 
     def one(method: str, k: int) -> CurveRow:
         eg, meta = method_epsilon(method, [eps] * k, delta_g, opts)
-        flagged = dict(meta)
-        return CurveRow(k, method, eps, delta_g, eg, _meta_str(flagged))
+        return CurveRow(k, method, eps, delta_g, eg, _meta_str(meta))
 
     jobs = [(m, k) for m in methods for k in range(1, k_max + 1)]
     if threads > 1:
@@ -242,9 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps-file", help="newline-separated per-round parameters")
         if with_k:
             p.add_argument("--k", type=int, help="number of rounds (with --eps)")
-        p.add_argument("--t-grid", type=int, default=64)
-        p.add_argument("--depth-cap", type=int, default=6)
-        p.add_argument("--lambda-max", type=float, default=1e6)
+        p.add_argument("--t-grid", type=int, default=Options.t_grid)
+        p.add_argument("--depth-cap", type=int, default=Options.depth_cap)
+        p.add_argument("--lambda-max", type=float, default=Options.lambda_max)
 
     p = sub.add_parser("delta", help="loss at a fixed budget")
     common(p)
@@ -304,9 +298,7 @@ def _load_eps(args) -> list[float]:
 
 
 def _opts(args) -> Options:
-    return Options(t_grid=getattr(args, "t_grid", 64),
-                   depth_cap=getattr(args, "depth_cap", 6),
-                   lambda_max=getattr(args, "lambda_max", 1e6))
+    return Options(t_grid=args.t_grid, depth_cap=args.depth_cap, lambda_max=args.lambda_max)
 
 
 def _cmd_delta(args) -> int:

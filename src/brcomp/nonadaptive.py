@@ -490,8 +490,8 @@ def nonadaptive_recursion_check(eps: float, k: int, eps_g: float, t: float) -> t
     lhs = delta_hom_fixed_t(eps, k, eps_g, t)
     q = float(q_of_t(eps, t))
     if k == 1:
-        d0 = max(-math.expm1(eps_g - t), 0.0)
-        d1 = max(-math.expm1(eps_g + eps - t), 0.0)
+        d0 = _endpoint_value(eps_g - t)
+        d1 = _endpoint_value(eps_g + eps - t)
     else:
         d0 = delta_hom_fixed_t(eps, k - 1, eps_g - t, t)
         d1 = delta_hom_fixed_t(eps, k - 1, eps_g + eps - t, t)

@@ -1,8 +1,11 @@
-"""Golden-section search helpers.
+"""One golden-section search and one bisection.
 
-Both directions track the best point ever evaluated, so a caller using the
-result as a certified bound can never lose value to the final interval
-midpoint.
+The golden section serves ``mgf``'s lambda search (over log lambda, see
+``bounds``) and the adaptive solver's one-dimensional searches.  Both
+directions track the best point ever evaluated, endpoints included, so a
+caller using the result as a certified bound can never lose value to the
+final interval midpoint.  The bisection serves every budget inversion that
+has no closed form.
 """
 
 from __future__ import annotations
@@ -47,3 +50,19 @@ def golden_min(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]:
 def iters_for_rel_tol(rel_tol: float) -> int:
     """Golden-section iterations needed to shrink a bracket by rel_tol."""
     return max(1, math.ceil(math.log(rel_tol) / math.log(INV_PHI)))
+
+
+def bisect_nonincreasing(f, level: float, lo: float, hi: float, iters: int) -> float:
+    """Where a nonincreasing f falls to ``level``: halve [lo, hi] ``iters``
+    times, keeping f(lo) > level >= f(hi), and return the final midpoint.
+
+    The midpoints depend only on (lo, hi) and the comparisons, so callers
+    that share a bracket share the midpoint sequence.
+    """
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -22,7 +22,7 @@ from .errors import CapError
 from .grr import (FiniteMechanismPair, counting_query_mech, cq_t_value, grr_probs,
                   one_minus_p, one_minus_q, p_of_t, q_of_t)
 from .nonadaptive import delta_het_fixed_t, delta_hom_fixed_t, delta_opt_nonadaptive_hom
-from .optim import golden_max
+from .optim import bisect_nonincreasing, golden_max
 
 BRUTE_FORCE_CAP = 3
 _SHARD = 1 << 19
@@ -456,11 +456,8 @@ def run_checks(level: str = "fast", seed: int = 0) -> list[CheckResult]:
 
 def _invert_generic(kind, eps_list, delta_g: float) -> float:
     """Bisection inversion of the generic bound, for cross-checking closed forms."""
-    lo, hi = 0.0, bounds.basic_composition(eps_list) + 10.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if bounds.generic_delta_from_u(kind, eps_list, mid).delta > delta_g:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    def delta(eps_g: float) -> float:
+        return bounds.generic_delta_from_u(kind, eps_list, eps_g).delta
+
+    hi = bounds.basic_composition(eps_list) + 10.0
+    return bisect_nonincreasing(delta, delta_g, 0.0, hi, 80)

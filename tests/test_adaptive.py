@@ -8,6 +8,7 @@ import pytest
 from brcomp.adaptive import (AdaptiveSolverConfig, StrategyTree, adaptive_edge_high,
                              adaptive_edge_low, delta_adaptive_lb, gap_certificate)
 from brcomp.bounds import mgf_delta
+from brcomp.cli import method_delta
 from brcomp.errors import CapError
 from brcomp.grr import one_minus_q, q_of_t
 from brcomp.nonadaptive import candidate_points, delta_hom_fixed_t, delta_opt_nonadaptive_hom
@@ -116,6 +117,14 @@ class TestEdgeForms:
             -math.expm1(-2.0), abs=1e-12)
         assert adaptive_edge_low(1.0, 2, -2.5) == pytest.approx(
             -math.expm1(-2.5), abs=1e-12)
+
+    def test_budgets_past_exp_overflow(self):
+        # eps_g > 709 overflows e^eps_g; the base case max(1 - e^eps_g, 0) is 0
+        # there and must not raise
+        assert method_delta("adaptive-lb", [300.0] * 3, 1000.0)[0] == 0.0
+        # 800 < k eps, so the loss is not 0: the lower bound meets the edge form
+        lb = method_delta("adaptive-lb", [300.0] * 3, 800.0)[0]
+        assert lb == pytest.approx(adaptive_edge_high(300.0, 3, 800.0), abs=1e-12)
 
     def test_single_round_agrees_with_nonadaptive(self):
         assert adaptive_edge_high(1.0, 1, 0.0) == pytest.approx(

@@ -7,10 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from brcomp.bounds import (LambdaSearch, UFunctionKind, _minimize_over_lambda,
-                           basic_composition, generic_delta_from_u, h_eps, maxkl,
-                           mgf_delta, mgf_epsilon, optkl_epsilon, quadratic_epsilon,
-                           u_function)
+from brcomp.bounds import (_MAXKL_LOG_FORM, _MAXKL_SERIES_CUTOFF, LambdaSearch,
+                           UFunctionKind, _minimize_over_lambda, basic_composition,
+                           generic_delta_from_u, h_eps, maxkl, mgf_delta, mgf_epsilon,
+                           optkl_epsilon, quadratic_epsilon, u_function)
 from brcomp.cli import EPS_BISECT_TOL, Options, method_delta, method_epsilon
 from brcomp.nonadaptive import delta_hom_fixed_t, delta_opt_nonadaptive_hom
 
@@ -41,6 +41,18 @@ class TestMaxkl:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             maxkl(0.0)
+
+    def test_matches_mpmath_across_branches(self):
+        # 50-digit r - 1 - log r with r = eps / (e^eps - 1), from 1e-9 to 50
+        # and on both sides of each branch switch
+        pts = np.geomspace(1e-9, 50.0, 600).tolist()
+        for edge in (_MAXKL_SERIES_CUTOFF, _MAXKL_LOG_FORM):
+            pts += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1e3)]
+        with mp.workdps(50):
+            for eps in pts:
+                r = mp.mpf(eps) / mp.expm1(mp.mpf(eps))
+                want = r - 1 - mp.log(r)
+                assert abs(mp.mpf(maxkl(eps)) - want) <= 2e-13 * want, eps
 
 
 class TestUFunction:
@@ -195,8 +207,8 @@ class TestMgf:
         assert res.eps_g == pytest.approx(0.01, abs=1e-15)
 
     def test_ceiling_flag_below_lambda_one(self):
-        # a window below lambda = 1 is searched by halving; a minimum on its
-        # edge must be flagged just as on a window above 1
+        # a minimum on the edge of a window below lambda = 1 is flagged just
+        # as on a window above 1
         low = mgf_delta([0.01], 0.01, LambdaSearch(lambda_max=0.5))
         assert low.lam == 0.5 and low.at_ceiling
         high = mgf_delta([0.01], 0.01, LambdaSearch(lambda_max=100))
@@ -251,8 +263,38 @@ class TestBasicComposition:
 def test_lambda_search_validation():
     with pytest.raises(ValueError):
         LambdaSearch(lambda_max=0.0)
-    with pytest.raises(ValueError):
-        LambdaSearch(rel_tol=-1.0)
+
+
+class TestLambdaWindowCeiling:
+    """at_ceiling is set exactly when the minimizer sits on lambda_max: a
+    window edge 1 % above the free minimizer leaves it inside and unflagged,
+    one 1 % below it binds."""
+
+    def test_mgf_delta_on_both_sides(self):
+        for eps_list, eps_g in (([0.5] * 6, 2.0), ([1.0] * 3, 0.8), ([0.1] * 40, 3.0),
+                                ([0.3, 0.5, 0.2, 0.9], 1.5)):
+            free = mgf_delta(eps_list, eps_g)
+            assert not free.at_ceiling
+            above = mgf_delta(eps_list, eps_g, LambdaSearch(lambda_max=1.01 * free.lam))
+            assert not above.at_ceiling and above.lam == pytest.approx(free.lam, rel=1e-6)
+            assert above.delta == pytest.approx(free.delta, rel=1e-12)
+            edge = free.lam / 1.01
+            below = mgf_delta(eps_list, eps_g, LambdaSearch(lambda_max=edge))
+            assert below.at_ceiling and below.lam == edge
+            assert below.delta > free.delta
+
+    def test_mgf_epsilon_on_both_sides(self):
+        for eps_list, delta_g in (([0.1] * 40, 1e-6), ([1.0] * 10, 1e-3), ([0.5] * 3, 0.3),
+                                  ([2.0] * 10, 0.05), ([0.3, 0.5, 0.2, 0.9], 1e-2)):
+            free = mgf_epsilon(eps_list, delta_g)
+            assert not free.at_ceiling and not free.capped_at_basic
+            above = mgf_epsilon(eps_list, delta_g, LambdaSearch(lambda_max=1.01 * free.lam))
+            assert not above.at_ceiling and above.lam == pytest.approx(free.lam, rel=1e-6)
+            assert above.eps_g == pytest.approx(free.eps_g, rel=1e-12)
+            edge = free.lam / 1.01
+            below = mgf_epsilon(eps_list, delta_g, LambdaSearch(lambda_max=edge))
+            assert below.at_ceiling and below.lam == edge
+            assert below.eps_g > free.eps_g
 
 
 # ---------------------------------------------------------------------------

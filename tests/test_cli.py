@@ -8,8 +8,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brcomp.cli import EPS_BISECT_TOL, Options, curve_rows, main, method_delta, method_epsilon
+from brcomp.cli import (EPS_BISECT_TOL, METHODS, Options, curve_rows, main, method_delta,
+                        method_epsilon)
+
+INVERTIBLE = tuple(m for m in METHODS if not m.startswith("edge-"))
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +90,17 @@ class TestEpsilon:
         for m in ("br-optcomp", "mgf", "optkl", "dp-optcomp", "dr19"):
             vals = [method_epsilon(m, [0.5] * 5, dg)[0] for dg in (1e-8, 1e-5, 1e-2)]
             assert vals[0] >= vals[1] >= vals[2], m
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(method=st.sampled_from(INVERTIBLE), eps=st.floats(0.01, 2.0),
+           k=st.integers(1, 3), log_targets=st.lists(st.floats(-9.0, -3.0), min_size=2,
+                                                     max_size=2))
+    def test_budget_nonincreasing_in_delta_target_property(self, method, eps, k,
+                                                           log_targets):
+        assert len(INVERTIBLE) == 9
+        tight, loose = sorted(10.0 ** x for x in log_targets)
+        assert method_epsilon(method, [eps] * k, tight)[0] >= \
+            method_epsilon(method, [eps] * k, loose)[0]
 
     def test_unreachable_target_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "epsilon", "--eps", "0.1", "--k", "1",

@@ -64,6 +64,10 @@ class TestDeltaHomFixedT:
             lhs, rhs = nonadaptive_recursion_check(eps, k, eps_g, t)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_recursion_check_past_exp_overflow(self):
+        # the k = 1 base case at eps_g > 709 is 0, not an OverflowError
+        assert nonadaptive_recursion_check(1.0, 1, 800.0, 0.5) == (0.0, 0.0)
+
     def test_large_k_no_underflow(self):
         # direct products would underflow at this size; log-space must not
         v = delta_hom_fixed_t(0.01, 10 ** 5, 5.0, 0.005)
