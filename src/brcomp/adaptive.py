@@ -18,6 +18,16 @@ values, no quantization: budgets are indexed by the integer m).  The
 realized argmax tree is then tightened by per-node golden-section
 coordinate ascent, which can only increase the certified value.
 
+The ascent sweeps the depths in order.  At each depth one lockstep golden
+search (``optim.golden_max_batch``) refines every node of that depth in
+every starting tree: the grid tree and the interior candidate constant
+trees, or the nine constant starts when the eps differ.  This equals
+refining each tree alone in preorder, bit for bit: a node's objective
+depends only on its ancestors' offsets (through its budget) and on its own
+subtree, both orders refine every ancestor before a node and no descendant,
+and nodes of one depth have disjoint subtrees.  One level-wise evaluator,
+``_level_values``, serves the searches and ``StrategyTree.value``.
+
 Closed-form edge regions: for eps_g beyond (k-1)*eps in either direction
 the recursion collapses to a product form whose supremum is attained at
 equal offsets (log q_t and log(1 - q_t) are both concave in t), leaving a
@@ -36,11 +46,12 @@ from .errors import CapError
 from .grr import q_of_t
 from .nonadaptive import (_endpoint_value, _validate_hom, candidate_points,
                           delta_opt_nonadaptive_hom)
-from .optim import golden_max
+from .optim import golden_max, golden_max_batch
 
 STRATEGY_DEPTH_CAP = 20
 GAP_STRICT_TOL = 1e-7   # certified gap must exceed this to be reported strict
 _MAX_SWEEPS = 4
+_DP_BLOCK = 16  # grid offsets per pass of the lattice DP (its arrays hold this many rows)
 
 
 @dataclass(frozen=True)
@@ -108,21 +119,55 @@ class StrategyTree:
             node = 2 * node + 1 + (1 - int(y))
         return float(self.t_nodes[node])
 
+    def _levels(self) -> list[np.ndarray]:
+        """The offsets of each depth d as a (1, 2^d) array."""
+        return [self.t_nodes[(1 << d) - 1:(1 << (d + 1)) - 1][None, :]
+                for d in range(self.depth)]
+
     def value(self, eps_g: float) -> float:
         """Exact loss of this strategy at budget eps_g (sums 2^k outcome paths)."""
-        return _subtree_value(self.t_nodes, self.eps_list, 0, 0, eps_g)
+        t = self._levels()
+        q = [q_of_t(e, tl) for e, tl in zip(self.eps_list, t)]
+        return float(_level_values(np.full((1, 1), float(eps_g)), t, q, self.eps_list, 0)[0, 0])
 
 
-def _subtree_value(t_nodes: np.ndarray, eps_list: Sequence[float],
-                   node: int, depth: int, x: float) -> float:
-    if depth == len(eps_list):
-        return _endpoint_value(x)
-    eps = eps_list[depth]
-    t = float(t_nodes[node])
-    q = float(q_of_t(eps, t))
-    v1 = _subtree_value(t_nodes, eps_list, 2 * node + 1, depth + 1, x - t)
-    v0 = _subtree_value(t_nodes, eps_list, 2 * node + 2, depth + 1, x + eps - t)
-    return q * v1 + (1.0 - q) * v0
+def _children(x: np.ndarray, t: np.ndarray, eps: float) -> np.ndarray:
+    """Budgets one level down: node i's q-branch child 2i gets x - t, its
+    other child 2i + 1 gets (x + eps) - t."""
+    out = np.empty(x.shape[:-1] + (2 * x.shape[-1],))
+    out[..., 0::2] = x - t
+    out[..., 1::2] = (x + eps) - t
+    return out
+
+
+def _endpoint_values(x: np.ndarray) -> np.ndarray:
+    """``_endpoint_value`` elementwise.  It calls math.expm1, because
+    np.expm1 rounds some inputs differently and the value must not depend
+    on how many trees are evaluated together."""
+    out = np.zeros(x.shape)
+    neg = x < 0.0
+    xn = x[neg].tolist()
+    out[neg] = -np.fromiter(map(math.expm1, xn), float, len(xn))
+    return out
+
+
+def _level_values(x: np.ndarray, t: Sequence[np.ndarray], q: Sequence[np.ndarray],
+                  eps_list: Sequence[float], depth: int) -> np.ndarray:
+    """Exact loss of every subtree rooted at ``depth``, for B trees at once.
+
+    ``x`` holds the budgets at the subtree roots, shape (B, 2^depth);
+    ``t[j]`` and ``q[j]`` hold the offsets of depth j and their q-values,
+    shape (B, 2^j), for every j >= depth.  Each node's value is
+    ``q v1 + (1 - q) v0`` over its children's values, summed in the same
+    order as the recursion over outcome paths, so a tree's value does not
+    depend on which trees share the batch.
+    """
+    for j in range(depth, len(eps_list)):
+        x = _children(x, t[j], eps_list[j])
+    v = _endpoint_values(x)
+    for j in range(len(eps_list) - 1, depth - 1, -1):
+        v = q[j] * v[..., 0::2] + (1.0 - q[j]) * v[..., 1::2]
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -138,84 +183,93 @@ def _lattice_dp(eps: float, k: int, eps_g: float, t_grid: int):
     """
     h = eps / (t_grid - 1)
     span = k * (t_grid - 1)
-    v = np.array([_endpoint_value(eps_g + m * h) for m in range(-span, span + 1)])
+    v = _endpoint_values(eps_g + np.arange(-span, span + 1) * h)
     q = np.asarray(q_of_t(eps, np.arange(t_grid) * h), dtype=float)
     argmax_tables = []
     for remaining in range(1, k + 1):
-        need = (k - remaining) * (t_grid - 1)
-        prev_span = (k - remaining + 1) * (t_grid - 1)
-        mm = np.arange(-need, need + 1)
-        best = np.full(mm.shape, -np.inf)
-        best_j = np.zeros(mm.shape, dtype=np.int64)
-        for j in range(t_grid):
-            i1 = mm - j + prev_span                 # q-branch: budget - t
-            i0 = i1 + (t_grid - 1)                  # other branch: budget + eps - t
-            cand = q[j] * v[i1] + (1.0 - q[j]) * v[i0]
+        size = 2 * (k - remaining) * (t_grid - 1) + 1   # budgets m = -need..need
+        # row r of win is v[r:r + size]: offset j reads the q-branch (budget - t)
+        # from row (t_grid - 1) - j and the other branch (budget + eps - t)
+        # from t_grid - 1 rows further
+        win = np.lib.stride_tricks.sliding_window_view(v, size)
+        best = np.full(size, -np.inf)
+        best_j = np.zeros(size, dtype=np.int64)
+        cols = np.arange(size)
+        # offsets in blocks of _DP_BLOCK rows; argmax and the strict > keep
+        # the smallest j among equal values
+        for j0 in range(0, t_grid, _DP_BLOCK):
+            j = np.arange(j0, min(j0 + _DP_BLOCK, t_grid))
+            cand = win[(t_grid - 1) - j] * q[j, None]
+            cand += win[2 * (t_grid - 1) - j] * (1.0 - q[j, None])
+            top = cand.argmax(axis=0)
+            cand = cand[top, cols]
             upd = cand > best
             best[upd] = cand[upd]
-            best_j[upd] = j
+            best_j[upd] = j0 + top[upd]
         argmax_tables.append(best_j)
         v = best
     return float(v[0]), argmax_tables, h
 
 
 def _tree_from_dp(eps: float, k: int, argmax_tables, h: float, t_grid: int) -> StrategyTree:
-    t_nodes = np.zeros((1 << k) - 1)
-
-    def walk(node: int, depth: int, m: int) -> None:
-        remaining = k - depth
-        if remaining == 0:
-            return
-        table = argmax_tables[remaining - 1]
-        j = int(table[m + depth * (t_grid - 1)])
-        t_nodes[node] = min(j * h, eps)  # (t_grid - 1) * h can round above eps
-        walk(2 * node + 1, depth + 1, m - j)
-        walk(2 * node + 2, depth + 1, m - j + (t_grid - 1))
-
-    walk(0, 0, 0)
+    """Play the argmax tables level by level; ``m`` holds the budget index
+    (budget eps_g + m h) of each node of a depth, in heap order."""
+    t_nodes = np.empty((1 << k) - 1)
+    m = np.zeros(1, dtype=np.int64)
+    for depth in range(k):
+        j = argmax_tables[k - depth - 1][m + depth * (t_grid - 1)]
+        # (t_grid - 1) * h can round above eps
+        t_nodes[(1 << depth) - 1:(1 << (depth + 1)) - 1] = np.minimum(j * h, eps)
+        m = np.stack([m - j, m - j + (t_grid - 1)], axis=-1).ravel()
     return StrategyTree((eps,) * k, t_nodes)
 
 
-def _refine_tree(tree: StrategyTree, eps_g: float, bracket: Sequence[float],
-                 iters: int) -> StrategyTree:
-    """Per-node golden-section coordinate ascent; value never decreases."""
-    t_nodes = tree.t_nodes.copy()
-    eps_list = tree.eps_list
+def _refine_trees(trees: Sequence[StrategyTree], eps_g: float, bracket: Sequence[float],
+                  iters: int) -> list[StrategyTree]:
+    """Per-node golden-section coordinate ascent on trees that share
+    ``eps_list``; no tree's value decreases.
+
+    A sweep runs one lockstep golden search per depth, over all nodes of
+    that depth in all trees still improving (see the module docstring for
+    why this equals a preorder sweep of each tree alone).  A tree stops
+    once a sweep gains at most 1e-15, and keeps the offsets of that sweep.
+    """
+    eps_list = trees[0].eps_list
     k = len(eps_list)
-
-    def ascend_once() -> float:
-        def walk(node: int, depth: int, x: float) -> None:
-            if depth == k:
-                return
-            eps = eps_list[depth]
-            left, right = 2 * node + 1, 2 * node + 2
-
-            def obj(t):
-                q = float(q_of_t(eps, t))
-                return (q * _subtree_value(t_nodes, eps_list, left, depth + 1, x - t)
-                        + (1.0 - q) * _subtree_value(t_nodes, eps_list, right, depth + 1,
-                                                     x + eps - t))
-
-            t0 = float(t_nodes[node])
-            lo = max(0.0, t0 - bracket[depth])
-            hi = min(eps, t0 + bracket[depth])
-            t_best, v_best = golden_max(obj, lo, hi, iters)
-            if v_best > obj(t0):
-                t_nodes[node] = t_best
-            t = float(t_nodes[node])
-            walk(left, depth + 1, x - t)
-            walk(right, depth + 1, x + eps - t)
-
-        walk(0, 0, eps_g)
-        return _subtree_value(t_nodes, eps_list, 0, 0, eps_g)
-
-    value = tree.value(eps_g)
+    t = [np.concatenate(level) for level in zip(*(tree._levels() for tree in trees))]
+    q = [q_of_t(e, tl) for e, tl in zip(eps_list, t)]
+    x0 = np.full((len(trees), 1), float(eps_g))
+    value = _level_values(x0, t, q, eps_list, 0)[:, 0]
+    active = np.arange(len(trees))
     for _ in range(_MAX_SWEEPS):
-        new_value = ascend_once()
-        if new_value <= value + 1e-15:
+        ta = [tl[active] for tl in t]
+        qa = [ql[active] for ql in q]
+        x = x0[active]
+        for d in range(k):
+            eps = eps_list[d]
+
+            def obj(s):
+                tt, qq = list(ta), list(qa)
+                tt[d], qq[d] = s, q_of_t(eps, s)
+                return _level_values(x, tt, qq, eps_list, d)
+
+            t0 = ta[d]
+            lo = np.maximum(t0 - bracket[d], 0.0)
+            hi = np.minimum(t0 + bracket[d], eps)
+            t_best, v_best = golden_max_batch(obj, lo, hi, iters)
+            ta[d] = np.where(v_best > obj(t0), t_best, t0)
+            qa[d] = q_of_t(eps, ta[d])
+            x = _children(x, ta[d], eps)
+        new_value = _level_values(x0[active], ta, qa, eps_list, 0)[:, 0]
+        for tl, ql, tn, qn in zip(t, q, ta, qa):
+            tl[active], ql[active] = tn, qn
+        improving = ~(new_value <= value[active] + 1e-15)
+        value[active] = new_value
+        active = active[improving]
+        if active.size == 0:
             break
-        value = new_value
-    return StrategyTree(eps_list, t_nodes)
+    return [StrategyTree(eps_list, np.concatenate([tl[b] for tl in t]))
+            for b in range(len(trees))]
 
 
 @dataclass(frozen=True)
@@ -252,33 +306,31 @@ def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
     if homogeneous:
         grid_value, tables, h = _lattice_dp(eps[0], k, eps_g, cfg.t_grid)
         tree = _tree_from_dp(eps[0], k, tables, h, cfg.t_grid)
-        if cfg.refine_iters > 0:
-            refined = _refine_tree(tree, eps_g, [h] * k, cfg.refine_iters)
-            if refined.value(eps_g) > grid_value:
-                tree = refined
-        best_value = max(grid_value, tree.value(eps_g))
         # the nonadaptive optimum is itself a feasible strategy: seed every
         # interior candidate offset as a constant tree so the bound can never
         # land below it
-        for cand in candidate_points(eps[0], k, eps_g):
-            if not 0.0 < cand.t < eps[0]:
-                continue
-            const = StrategyTree.constant(eps, [cand.t] * k)
-            if cfg.refine_iters > 0:
-                const = _refine_tree(const, eps_g, [h] * k, cfg.refine_iters)
+        consts = [StrategyTree.constant(eps, [cand.t] * k)
+                  for cand in candidate_points(eps[0], k, eps_g) if 0.0 < cand.t < eps[0]]
+        if cfg.refine_iters > 0:
+            refined, *consts = _refine_trees([tree, *consts], eps_g, [h] * k,
+                                             cfg.refine_iters)
+            if refined.value(eps_g) > grid_value:
+                tree = refined
+        best_value = max(grid_value, tree.value(eps_g))
+        for const in consts:
             v = const.value(eps_g)
             if v > best_value:
                 best_value, tree = v, const
         return AdaptiveLowerBound(best_value, tree, cfg.t_grid, cfg.refine_iters)
 
+    trees = [StrategyTree.constant(eps, [frac * e for e in eps])
+             for frac in np.linspace(0.1, 0.9, 9)]
+    if cfg.refine_iters > 0:
+        trees = _refine_trees(trees, eps_g, eps, cfg.refine_iters)
+        trees = _refine_trees(trees, eps_g, [e / cfg.t_grid for e in eps], cfg.refine_iters)
     best_tree = None
     best_value = -1.0
-    for frac in np.linspace(0.1, 0.9, 9):
-        tree = StrategyTree.constant(eps, [frac * e for e in eps])
-        if cfg.refine_iters > 0:
-            tree = _refine_tree(tree, eps_g, [e for e in eps], cfg.refine_iters)
-            tree = _refine_tree(tree, eps_g, [e / cfg.t_grid for e in eps],
-                                cfg.refine_iters)
+    for tree in trees:
         v = tree.value(eps_g)
         if v > best_value:
             best_value, best_tree = v, tree

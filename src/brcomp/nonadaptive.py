@@ -421,7 +421,8 @@ def delta_het_fixed_t(eps_list: Sequence[float], eps_g: float,
         for b in range(k):
             inset = ((masks >> b) & 1).astype(float)
             sum_eps_s += inset * eps[b]
-            log_w += inset * lomp[b] + (1.0 - inset) * lp[b]
+            # select, not blend: at t = 0 or t = eps one log is -inf, and 0 * -inf is nan
+            log_w += np.where(inset, lomp[b], lp[b])
         a = tsum - sum_eps_s
         mask = a > eps_g
         with np.errstate(invalid="ignore", divide="ignore"):

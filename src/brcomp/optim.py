@@ -1,16 +1,20 @@
 """One golden-section search and one bisection.
 
 The golden section serves ``mgf``'s lambda search (over log lambda, see
-``bounds``) and the adaptive solver's one-dimensional searches.  Both
+``bounds``) and the adaptive edge forms' one-dimensional searches.  Both
 directions track the best point ever evaluated, endpoints included, so a
 caller using the result as a certified bound can never lose value to the
-final interval midpoint.  The bisection serves every budget inversion that
-has no closed form.
+final interval midpoint.  ``golden_max_batch`` runs the same search on
+arrays of brackets in lockstep, for the adaptive solver's per-node
+refinement.  The bisection serves every budget inversion that has no
+closed form.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -38,6 +42,44 @@ def golden_max(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]:
             a, c, fc = c, d, fd
             d = a + INV_PHI * (b - a)
             fd = f(d)
+    return xb, fb
+
+
+def golden_max_batch(f, lo: np.ndarray, hi: np.ndarray,
+                     iters: int = 48) -> tuple[np.ndarray, np.ndarray]:
+    """``golden_max`` elementwise over arrays of brackets.
+
+    ``f`` maps an array of points to the array of their values.  Each
+    element takes the scalar search's steps and keeps its best-seen point,
+    so it returns the scalar search's result bit for bit.
+    """
+    swap = ~(lo <= hi)
+    a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    xb, fb = a, f(a)
+    fhi = f(b)
+    up = fhi > fb
+    xb, fb = np.where(up, b, xb), np.where(up, fhi, fb)
+    c = b - INV_PHI * (b - a)
+    d = a + INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    # the scalar loop compares c and d with the best before each step; the
+    # point it kept from the step before can no longer win, so only the
+    # points evaluated since the last comparison are compared
+    unseen = [(c, fc), (d, fd)]
+    for _ in range(iters):
+        for x, fx in unseen:
+            up = fx > fb
+            xb, fb = np.where(up, x, xb), np.where(up, fx, fb)
+        # keep [a, d], where c becomes d and the new point c; or keep [c, b],
+        # where d becomes c and the new point d
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        step = INV_PHI * (b - a)
+        new = np.where(left, b - step, a + step)
+        fnew = f(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
+        unseen = [(new, fnew)]
     return xb, fb
 
 

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brcomp.adaptive import (AdaptiveSolverConfig, StrategyTree, adaptive_edge_high,
-                             adaptive_edge_low, delta_adaptive_lb, gap_certificate)
+from brcomp.adaptive import (_MAX_SWEEPS, AdaptiveSolverConfig, StrategyTree, _lattice_dp,
+                             _refine_trees, adaptive_edge_high, adaptive_edge_low,
+                             delta_adaptive_lb, gap_certificate)
 from brcomp.bounds import mgf_delta
 from brcomp.cli import method_delta
 from brcomp.errors import CapError
 from brcomp.grr import one_minus_q, q_of_t
-from brcomp.nonadaptive import candidate_points, delta_hom_fixed_t, delta_opt_nonadaptive_hom
-from brcomp.optim import golden_max
+from brcomp.nonadaptive import (_endpoint_value, candidate_points, delta_hom_fixed_t,
+                                delta_opt_nonadaptive_hom)
+from brcomp.optim import golden_max, golden_max_batch
 
 
 def test_config_validation():
@@ -46,6 +50,177 @@ class TestStrategyTree:
             StrategyTree((1.0, 1.0), np.array([0.5]))  # wrong node count
         with pytest.raises(CapError):
             StrategyTree.constant([1.0] * 21, [0.5] * 21)
+
+
+def _oracle_subtree_value(t_nodes, eps_list, node, depth, x):
+    """The loss of one subtree by recursion over its outcome paths."""
+    if depth == len(eps_list):
+        return _endpoint_value(x)
+    eps = eps_list[depth]
+    t = float(t_nodes[node])
+    q = float(q_of_t(eps, t))
+    v1 = _oracle_subtree_value(t_nodes, eps_list, 2 * node + 1, depth + 1, x - t)
+    v0 = _oracle_subtree_value(t_nodes, eps_list, 2 * node + 2, depth + 1, x + eps - t)
+    return q * v1 + (1.0 - q) * v0
+
+
+def _oracle_refine_tree(tree, eps_g, bracket, iters):
+    """Per-node golden coordinate ascent, one tree at a time, nodes in
+    preorder.  Returns the refined offsets, the value and the sweep count."""
+    t_nodes = tree.t_nodes.copy()
+    eps_list = tree.eps_list
+    k = len(eps_list)
+
+    def walk(node, depth, x):
+        if depth == k:
+            return
+        eps = eps_list[depth]
+        left, right = 2 * node + 1, 2 * node + 2
+
+        def obj(t):
+            q = float(q_of_t(eps, t))
+            return (q * _oracle_subtree_value(t_nodes, eps_list, left, depth + 1, x - t)
+                    + (1.0 - q) * _oracle_subtree_value(t_nodes, eps_list, right, depth + 1,
+                                                        x + eps - t))
+
+        t0 = float(t_nodes[node])
+        lo = max(0.0, t0 - bracket[depth])
+        hi = min(eps, t0 + bracket[depth])
+        t_best, v_best = golden_max(obj, lo, hi, iters)
+        if v_best > obj(t0):
+            t_nodes[node] = t_best
+        t = float(t_nodes[node])
+        walk(left, depth + 1, x - t)
+        walk(right, depth + 1, x + eps - t)
+
+    value = _oracle_subtree_value(t_nodes, eps_list, 0, 0, eps_g)
+    for sweeps in range(1, _MAX_SWEEPS + 1):
+        walk(0, 0, eps_g)
+        new_value = _oracle_subtree_value(t_nodes, eps_list, 0, 0, eps_g)
+        if new_value <= value + 1e-15:
+            break
+        value = new_value
+    return t_nodes, new_value, sweeps
+
+
+def _oracle_lattice_dp(eps, k, eps_g, t_grid):
+    """The lattice dynamic program with one pass per grid offset."""
+    h = eps / (t_grid - 1)
+    span = k * (t_grid - 1)
+    v = np.array([_endpoint_value(eps_g + m * h) for m in range(-span, span + 1)])
+    q = np.asarray(q_of_t(eps, np.arange(t_grid) * h), dtype=float)
+    tables = []
+    for remaining in range(1, k + 1):
+        need = (k - remaining) * (t_grid - 1)
+        prev_span = (k - remaining + 1) * (t_grid - 1)
+        mm = np.arange(-need, need + 1)
+        best = np.full(mm.shape, -np.inf)
+        best_j = np.zeros(mm.shape, dtype=np.int64)
+        for j in range(t_grid):
+            i1 = mm - j + prev_span
+            i0 = i1 + (t_grid - 1)
+            cand = q[j] * v[i1] + (1.0 - q[j]) * v[i0]
+            upd = cand > best
+            best[upd] = cand[upd]
+            best_j[upd] = j
+        tables.append(best_j)
+        v = best
+    return float(v[0]), tables
+
+
+def _random_tree(rng, eps):
+    return StrategyTree(eps, np.concatenate([np.empty(0)] + [rng.uniform(0.0, e, 1 << d)
+                                                             for d, e in enumerate(eps)]))
+
+
+class TestBatchedRefinement:
+    """The level-by-level batch against the one-tree preorder recursion."""
+
+    def test_golden_max_batch_equals_scalar_search(self):
+        rng = np.random.default_rng(5)
+        # a multimodal quartic and a staircase of ties, made of +, * and
+        # comparisons only, so the scalar and the array evaluation round alike
+        def quartic(x):
+            return (x - 0.2) * (x - 0.45) * (0.9 - x) * (x - 0.05) - 0.01 * x
+
+        def stairs(x):
+            return (x > 0.3) * 1.0 + (x > 0.6) * 1.0 - (x > 0.8) * 1.0
+
+        lo = rng.uniform(-0.2, 1.2, 300)
+        hi = rng.uniform(-0.2, 1.2, 300)
+        hi[:20] = lo[:20]            # empty brackets
+        for f in (quartic, stairs):
+            for iters in (0, 1, 2, 7, 30):
+                xb, fb = golden_max_batch(f, lo, hi, iters)
+                want = [golden_max(f, float(a), float(b), iters) for a, b in zip(lo, hi)]
+                assert xb.tobytes() == np.array([w[0] for w in want]).tobytes()
+                assert fb.tobytes() == np.array([w[1] for w in want]).tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("equal_eps", [True, False])
+    def test_refinement_equals_recursive_oracle(self, k, equal_eps):
+        rng = np.random.default_rng(100 * k + equal_eps)
+        eps = ([float(rng.uniform(0.2, 1.5))] * k if equal_eps
+               else [float(e) for e in rng.uniform(0.2, 1.5, k)])
+        iters = 20 if k <= 6 else 6
+        bracket = [e / 8.0 for e in eps]
+        cfg = AdaptiveSolverConfig(depth_cap=8)
+        for eg in (0.3 * sum(eps), -0.2 * sum(eps)):
+            trees = [_random_tree(rng, eps) for _ in range(3 if k <= 6 else 1)]
+            trees.append(delta_adaptive_lb(eps, eg, cfg).strategy)
+            # with a positive budget every offset within a bracket of 0 loses
+            # nothing, so this tree stops after one sweep while the random
+            # ones run all of theirs
+            trees.append(StrategyTree.constant(eps, [0.0] * k))
+            got = _refine_trees(trees, eg, bracket, iters)
+            sweeps = []
+            for tree, refined in zip(trees, got):
+                t_nodes, value, n = _oracle_refine_tree(tree, eg, bracket, iters)
+                sweeps.append(n)
+                assert refined.t_nodes.tobytes() == t_nodes.tobytes()
+                assert repr(refined.value(eg)) == repr(value)
+            if eg > 0.0:
+                assert sweeps[-1] == 1 and max(sweeps) == _MAX_SWEEPS
+
+    def test_sweeps_gaining_little_go_on(self):
+        # brackets of 1e-13 gain about 5e-14 per sweep: more than the 1e-15
+        # stopping margin, so the trees run more than one sweep
+        rng = np.random.default_rng(3)
+        eps = [0.7] * 3
+        trees = [_random_tree(rng, eps) for _ in range(4)]
+        got = _refine_trees(trees, 0.3, [1e-13] * 3, 20)
+        sweeps = []
+        for tree, refined in zip(trees, got):
+            t_nodes, value, n = _oracle_refine_tree(tree, 0.3, [1e-13] * 3, 20)
+            sweeps.append(n)
+            assert refined.t_nodes.tobytes() == t_nodes.tobytes()
+            assert repr(refined.value(0.3)) == repr(value)
+        assert max(sweeps) > 1
+
+    def test_lattice_dp_equals_one_pass_per_offset(self):
+        # grids below, at and across the block size; the last budgets make
+        # every value 0, so each argmax is a tie that the smallest offset wins
+        rng = np.random.default_rng(23)
+        for t_grid in (2, 5, 16, 17, 40, 64):
+            for k in (1, 3, 6):
+                eps = float(rng.uniform(0.1, 1.5))
+                for eg in (float(rng.uniform(-k * eps, k * eps)), k * eps + 0.1):
+                    value, tables, _ = _lattice_dp(eps, k, eg, t_grid)
+                    want_value, want_tables = _oracle_lattice_dp(eps, k, eg, t_grid)
+                    assert repr(value) == repr(want_value)
+                    assert [t.tolist() for t in tables] == [t.tolist() for t in want_tables]
+
+    def test_tree_value_equals_recursive_sum(self):
+        rng = np.random.default_rng(17)
+        for k in range(0, 13):
+            for equal_eps in (True, False):
+                eps = ([float(rng.uniform(0.1, 1.5))] * k if equal_eps
+                       else [float(e) for e in rng.uniform(0.1, 1.5, k)])
+                tree = _random_tree(rng, eps)
+                # the last budget puts every leaf at 0
+                for eg in [*rng.uniform(-1.0, 1.0, 3) * max(sum(eps), 1.0), sum(eps) + 0.5]:
+                    assert repr(tree.value(eg)) == repr(_oracle_subtree_value(
+                        tree.t_nodes, eps, 0, 0, float(eg)))
 
 
 class TestDeltaAdaptiveLb:
@@ -91,6 +266,16 @@ class TestDeltaAdaptiveLb:
     def test_reported_strategy_attains_value(self):
         res = delta_adaptive_lb([1.0] * 4, 0.5)
         assert res.strategy.value(0.5) == pytest.approx(res.delta, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(k=st.integers(2, 8), eps=st.floats(0.05, 2.0), frac=st.floats(-1.0, 1.0))
+    def test_bound_ordering_chain(self, k, eps, frac):
+        # exact nonadaptive optimum <= certified adaptive lower bound <= mgf
+        eg = frac * k * eps
+        lb = delta_adaptive_lb([eps] * k, eg, AdaptiveSolverConfig(depth_cap=8)).delta
+        non = delta_opt_nonadaptive_hom(eps, k, eg).delta
+        assert non <= lb * (1.0 + 1e-9) + 1e-15
+        assert lb <= mgf_delta([eps] * k, eg).delta * (1.0 + 1e-9)
 
     def test_heterogeneous_certifies_above_constant_trees(self):
         eps = [0.5, 1.0, 0.25]

@@ -505,6 +505,17 @@ class TestHeterogeneous:
         assert delta_het_fixed_t([1.0], 0.0, [0.5]) == pytest.approx(
             p * math.expm1(0.5), abs=1e-12)
 
+    def test_offsets_on_interval_ends(self):
+        # at t = 0 or t = eps one of log p, log(1 - p) is -inf; every round is
+        # then certain and the loss is the endpoint value max(1 - e^eps_g, 0)
+        for t in ([0.0, 0.0], [0.3, 0.8], [0.0, 0.8]):
+            assert delta_het_fixed_t([0.3, 0.8], -0.5, t) == pytest.approx(
+                -math.expm1(-0.5), rel=1e-14)
+            assert delta_het_fixed_t([0.3, 0.8], 0.5, t) == 0.0
+        for t in (0.0, 0.7):
+            assert delta_het_fixed_t([0.7] * 3, -0.2, [t] * 3) == pytest.approx(
+                delta_hom_fixed_t(0.7, 3, -0.2, t), rel=1e-14)
+
     def test_size_cap(self):
         with pytest.raises(CapError):
             delta_het_fixed_t([0.1] * 26, 0.0, [0.05] * 26)
