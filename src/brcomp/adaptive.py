@@ -10,23 +10,24 @@ concrete outcome-indexed choice of offsets (a strategy tree) is feasible,
 so its exactly evaluated loss is a rigorous LOWER bound on the adaptive
 optimum.
 
-The solver restricts offsets to a uniform grid of ``t_grid`` points per
-round.  For equal per-round eps, every reachable budget then lies on an
-integer lattice ``eps_g + m * eps/(t_grid - 1)``, so the grid recursion
-collapses to an exact dynamic program over lattice offsets (identical
-values, no quantization: budgets are indexed by the integer m).  The
-realized argmax tree is then tightened by per-node golden-section
-coordinate ascent, which can only increase the certified value.
+``delta_adaptive_lb`` is one pipeline: candidate trees, then per-node
+golden-section coordinate ascent, then the first tree of greatest exactly
+evaluated loss, whose loss is the reported value.  For equal per-round eps
+the candidates are the argmax tree of a grid dynamic program and the
+interior candidate constant trees.  With offsets on a uniform grid of
+``t_grid`` points per round, every reachable budget lies on an integer
+lattice ``eps_g + m * eps/(t_grid - 1)``, so the grid recursion collapses
+to an exact dynamic program over lattice offsets (budgets are indexed by
+the integer m).  For unequal eps the candidates are nine constant trees.
 
 The ascent sweeps the depths in order.  At each depth one lockstep golden
 search (``optim.golden_max_batch``) refines every node of that depth in
-every starting tree: the grid tree and the interior candidate constant
-trees, or the nine constant starts when the eps differ.  This equals
-refining each tree alone in preorder, bit for bit: a node's objective
-depends only on its ancestors' offsets (through its budget) and on its own
-subtree, both orders refine every ancestor before a node and no descendant,
-and nodes of one depth have disjoint subtrees.  One level-wise evaluator,
-``_level_values``, serves the searches and ``StrategyTree.value``.
+every candidate tree.  This equals refining each tree alone in preorder,
+bit for bit: a node's objective depends only on its ancestors' offsets
+(through its budget) and on its own subtree, both orders refine every
+ancestor before a node and no descendant, and nodes of one depth have
+disjoint subtrees.  One level-wise evaluator, ``_level_values``, serves
+the searches and ``StrategyTree.value``.
 
 Closed-form edge regions: for eps_g beyond (k-1)*eps in either direction
 the recursion collapses to a product form whose supremum is attained at
@@ -44,8 +45,8 @@ import numpy as np
 
 from .errors import CapError
 from .grr import q_of_t
-from .nonadaptive import (_endpoint_value, _validate_hom, candidate_points,
-                          delta_opt_nonadaptive_hom)
+from .nonadaptive import (_endpoint_value, _validate_eps_list, _validate_hom,
+                          candidate_points, delta_opt_nonadaptive_hom)
 from .optim import golden_max, golden_max_batch
 
 STRATEGY_DEPTH_CAP = 20
@@ -284,57 +285,43 @@ def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
                       cfg: AdaptiveSolverConfig = AdaptiveSolverConfig()) -> AdaptiveLowerBound:
     """Certified lower bound on the adaptive-optimal loss.
 
-    Every value returned is the exactly evaluated loss of a concrete
-    feasible strategy, so it never exceeds the true adaptive optimum.  For
-    equal per-round eps the strategy comes from the exact lattice dynamic
-    program over the offset grid, then coordinate refinement; for unequal
-    eps (where no common lattice exists) it comes from multistart
-    coordinate ascent on constant-offset trees, which certifies a bound but
-    need not approach the optimum.
+    The value is the exactly evaluated loss of the returned strategy, a
+    feasible one, so it never exceeds the true adaptive optimum.  The
+    strategy is the first of greatest loss among the candidate trees after
+    one ``_refine_trees`` pass per bracket.  For equal eps the candidates
+    are the lattice-DP argmax tree and the interior candidate constant
+    trees, refined within one grid step.  For unequal eps (no common
+    lattice) they are nine constant trees, refined within each round's eps
+    and then within eps / t_grid; this certifies a bound but need not
+    approach the optimum.
     """
-    eps = [float(e) for e in eps_list]
-    k = len(eps)
+    k = len(eps_list)
     if k == 0:
         return AdaptiveLowerBound(_endpoint_value(eps_g), StrategyTree((), np.empty(0)),
                                   cfg.t_grid, cfg.refine_iters)
     if k > cfg.depth_cap:
         raise CapError(f"k={k} exceeds the adaptive solver depth cap {cfg.depth_cap}")
-    if any(e <= 0 for e in eps):
-        raise ValueError("all eps must be positive")
+    eps = _validate_eps_list(eps_list).tolist()
 
-    homogeneous = all(e == eps[0] for e in eps)
-    if homogeneous:
-        grid_value, tables, h = _lattice_dp(eps[0], k, eps_g, cfg.t_grid)
-        tree = _tree_from_dp(eps[0], k, tables, h, cfg.t_grid)
+    if all(e == eps[0] for e in eps):
+        _, tables, h = _lattice_dp(eps[0], k, eps_g, cfg.t_grid)
         # the nonadaptive optimum is itself a feasible strategy: seed every
         # interior candidate offset as a constant tree so the bound can never
         # land below it
-        consts = [StrategyTree.constant(eps, [cand.t] * k)
+        trees = [_tree_from_dp(eps[0], k, tables, h, cfg.t_grid)]
+        trees += [StrategyTree.constant(eps, [cand.t] * k)
                   for cand in candidate_points(eps[0], k, eps_g) if 0.0 < cand.t < eps[0]]
-        if cfg.refine_iters > 0:
-            refined, *consts = _refine_trees([tree, *consts], eps_g, [h] * k,
-                                             cfg.refine_iters)
-            if refined.value(eps_g) > grid_value:
-                tree = refined
-        best_value = max(grid_value, tree.value(eps_g))
-        for const in consts:
-            v = const.value(eps_g)
-            if v > best_value:
-                best_value, tree = v, const
-        return AdaptiveLowerBound(best_value, tree, cfg.t_grid, cfg.refine_iters)
-
-    trees = [StrategyTree.constant(eps, [frac * e for e in eps])
-             for frac in np.linspace(0.1, 0.9, 9)]
+        brackets = [[h] * k]
+    else:
+        trees = [StrategyTree.constant(eps, [frac * e for e in eps])
+                 for frac in np.linspace(0.1, 0.9, 9)]
+        brackets = [eps, [e / cfg.t_grid for e in eps]]
     if cfg.refine_iters > 0:
-        trees = _refine_trees(trees, eps_g, eps, cfg.refine_iters)
-        trees = _refine_trees(trees, eps_g, [e / cfg.t_grid for e in eps], cfg.refine_iters)
-    best_tree = None
-    best_value = -1.0
-    for tree in trees:
-        v = tree.value(eps_g)
-        if v > best_value:
-            best_value, best_tree = v, tree
-    return AdaptiveLowerBound(best_value, best_tree, cfg.t_grid, cfg.refine_iters)
+        for bracket in brackets:
+            trees = _refine_trees(trees, eps_g, bracket, cfg.refine_iters)
+    values = [tree.value(eps_g) for tree in trees]
+    best = values.index(max(values))
+    return AdaptiveLowerBound(values[best], trees[best], cfg.t_grid, cfg.refine_iters)
 
 
 # ---------------------------------------------------------------------------

@@ -211,12 +211,14 @@ def _as_counts(eps_list: Sequence[float]) -> Counter:
     Zero entries are dropped: a zero-parameter round is data independent and
     contributes nothing to any of the bounds (U(0, lambda) = 0 exactly).
     """
-    eps = [float(e) for e in np.atleast_1d(np.asarray(eps_list, dtype=float))]
-    if not eps:
+    counts = Counter(np.atleast_1d(np.asarray(eps_list, dtype=float)).tolist())
+    if not counts:
         raise ValueError("eps_list must be nonempty")
-    if any(e < 0 for e in eps):
-        raise ValueError("eps must be nonnegative")
-    return Counter(e for e in eps if e > 0.0)
+    # checked once per distinct value; a nan entry is never merged away
+    if not all(0.0 <= e < math.inf for e in counts):
+        raise ValueError("eps must be finite and nonnegative")
+    counts.pop(0.0, None)
+    return counts
 
 
 def generic_delta_from_u(kind: UFunctionKind, eps_list: Sequence[float],

@@ -13,9 +13,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import bounds, validation
@@ -177,7 +175,7 @@ def _bisect_epsilon(method: str, eps_list, delta_g: float, opts: Options) -> tup
 
 
 def curve_rows(methods, eps: float, k_max: int, delta_g: float,
-               opts: Options = Options(), threads: int | None = None) -> list[CurveRow]:
+               opts: Options = Options()) -> list[CurveRow]:
     """One row per (method, k): the budget at which the method certifies delta_g."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -186,19 +184,11 @@ def curve_rows(methods, eps: float, k_max: int, delta_g: float,
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
-    if threads is None:
-        threads = int(os.environ.get("BRCOMP_THREADS", "1"))
-
-    def one(method: str, k: int) -> CurveRow:
-        eg, meta = method_epsilon(method, [eps] * k, delta_g, opts)
-        return CurveRow(k, method, eps, delta_g, eg, _meta_str(meta))
-
-    jobs = [(m, k) for m in methods for k in range(1, k_max + 1)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda mk: one(*mk), jobs))
-    else:
-        rows = [one(*mk) for mk in jobs]
+    rows = []
+    for method in methods:
+        for k in range(1, k_max + 1):
+            eg, meta = method_epsilon(method, [eps] * k, delta_g, opts)
+            rows.append(CurveRow(k, method, eps, delta_g, eg, _meta_str(meta)))
     return sorted(rows, key=lambda r: (r.method, r.k))
 
 
@@ -282,10 +272,12 @@ def _load_eps(args) -> list[float]:
     else:
         if args.eps is None:
             raise ValueError("provide --eps (with --k) or --eps-file")
-        k = getattr(args, "k", None) or 1
+        k = 1 if args.k is None else args.k
+        if k < 1:
+            raise ValueError(f"--k must be at least 1, got {k}")
         eps = [args.eps] * k
-    if any(e < 0 for e in eps):
-        raise ValueError("eps must be nonnegative")
+    if not all(0.0 <= e < math.inf for e in eps):
+        raise ValueError("eps must be finite and nonnegative")
     dropped = sum(1 for e in eps if e == 0.0)
     if dropped:
         # a zero-parameter round is data independent; it composes as a no-op
@@ -364,11 +356,20 @@ def _cmd_validate(args) -> int:
     return 0 if not failed else 1
 
 
+def _require_finite(args) -> None:
+    """argparse's float accepts nan and inf; refuse them for --eps and --eps-g."""
+    for name in ("eps", "eps_g"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {"delta": _cmd_delta, "epsilon": _cmd_epsilon, "curve": _cmd_curve,
                "gap": _cmd_gap, "validate": _cmd_validate}[args.command]
     try:
+        _require_finite(args)
         return handler(args)
     except UnreachableTargetError as exc:
         print(f"error: {exc} (boundary value {exc.boundary:.12g})", file=sys.stderr)

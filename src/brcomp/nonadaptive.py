@@ -70,6 +70,19 @@ def _validate_hom(eps: float, k: int) -> None:
         raise ValueError(f"k must be a positive integer, got {k}")
 
 
+def _validate_eps_list(eps_list: Sequence[float]) -> np.ndarray:
+    """Per-round parameters as a float array: a nonempty 1-D list whose
+    entries are all finite and positive."""
+    eps = np.asarray(eps_list, dtype=float)
+    if eps.ndim != 1 or eps.size == 0:
+        raise ValueError("eps_list must be a nonempty 1-D sequence")
+    if not np.isfinite(eps).all():
+        raise ValueError("all eps must be finite")
+    if (eps <= 0).any():
+        raise ValueError("all eps must be positive")
+    return eps
+
+
 def _endpoint_value(eps_g: float) -> float:
     """max(1 - e^(eps_g), 0): the loss at t = 0 or t = eps, for every k."""
     return -math.expm1(eps_g) if eps_g < 0.0 else 0.0
@@ -400,12 +413,8 @@ def _subset_chunks(k: int):
 def delta_het_fixed_t(eps_list: Sequence[float], eps_g: float,
                       t_list: Sequence[float]) -> float:
     """Fixed-offset additive loss for heterogeneous parameters, by 2^k subset sum."""
-    eps = np.asarray(eps_list, dtype=float)
+    eps = _validate_eps_list(eps_list)
     t = np.asarray(t_list, dtype=float)
-    if eps.ndim != 1 or eps.size == 0:
-        raise ValueError("eps_list must be a nonempty 1-D sequence")
-    if (eps <= 0).any():
-        raise ValueError("all eps must be positive")
     if t.shape != eps.shape:
         raise ValueError("t_list must match eps_list in length")
     if ((t < 0) | (t > eps)).any():
@@ -450,11 +459,7 @@ def dp_optcomp_het(eps_list: Sequence[float], eps_g: float) -> float:
     Kept independent of ``delta_het_fixed_t`` so the two can cross-check
     each other.
     """
-    eps = np.asarray(eps_list, dtype=float)
-    if eps.ndim != 1 or eps.size == 0:
-        raise ValueError("eps_list must be a nonempty 1-D sequence")
-    if (eps <= 0).any():
-        raise ValueError("all eps must be positive")
+    eps = _validate_eps_list(eps_list)
     k = eps.size
     _check_subset_size(k)
     tot = float(eps.sum())

@@ -21,7 +21,8 @@ from .adaptive import (AdaptiveSolverConfig, StrategyTree, adaptive_edge_high,
 from .errors import CapError
 from .grr import (FiniteMechanismPair, counting_query_mech, cq_t_value, grr_probs,
                   one_minus_p, one_minus_q, p_of_t, q_of_t)
-from .nonadaptive import delta_het_fixed_t, delta_hom_fixed_t, delta_opt_nonadaptive_hom
+from .nonadaptive import (_validate_eps_list, delta_het_fixed_t, delta_hom_fixed_t,
+                          delta_opt_nonadaptive_hom)
 from .optim import bisect_nonincreasing, golden_max
 
 BRUTE_FORCE_CAP = 3
@@ -47,11 +48,7 @@ def brute_force_nonadaptive(eps_list: Sequence[float], eps_g: float,
     ``delta_het_fixed_t`` at the argmax, optionally after a few rounds of
     coordinate-wise golden-section refinement within one grid spacing.
     """
-    eps = np.asarray(eps_list, dtype=float)
-    if eps.ndim != 1 or eps.size == 0:
-        raise ValueError("eps_list must be a nonempty 1-D sequence")
-    if (eps <= 0).any():
-        raise ValueError("all eps must be positive")
+    eps = _validate_eps_list(eps_list)
     k = eps.size
     if k > BRUTE_FORCE_CAP:
         raise CapError(f"full grid search supports k <= {BRUTE_FORCE_CAP}, got {k}")

@@ -252,8 +252,8 @@ class TestDeltaAdaptiveLb:
             assert lb >= exact - 1e-10
 
     def test_nondecreasing_under_nested_grids(self):
-        # grid sizes 2T-1 nest the offsets of size T, so the raw grid value
-        # can only gain feasible strategies
+        # grid sizes 2T-1 nest the offsets of size T, so the unrefined
+        # lattice-DP tree can only gain feasible strategies
         vals = [delta_adaptive_lb([1.0] * 3, 0.4,
                                   AdaptiveSolverConfig(t_grid=g, refine_iters=0)).delta
                 for g in (9, 17, 33, 65)]
@@ -266,6 +266,38 @@ class TestDeltaAdaptiveLb:
     def test_reported_strategy_attains_value(self):
         res = delta_adaptive_lb([1.0] * 4, 0.5)
         assert res.strategy.value(0.5) == pytest.approx(res.delta, abs=1e-12)
+
+    def test_value_is_the_strategy_loss(self):
+        # the reported floor is the returned strategy's own evaluated loss,
+        # bit for bit: every combination of k, equal or unequal eps and
+        # refine_iters recurs in each block of 36 calls
+        rng = np.random.default_rng(31)
+        for i in range(300):
+            k = 1 + i % 6
+            eps = ([float(rng.uniform(0.05, 1.5))] * k if (i // 6) % 2 == 0
+                   else [float(e) for e in rng.uniform(0.05, 1.5, k)])
+            eg = float(rng.uniform(-1.0, 1.0)) * sum(eps)
+            cfg = AdaptiveSolverConfig(t_grid=int(rng.integers(8, 65)),
+                                       refine_iters=(0, 3, 20)[(i // 12) % 3])
+            res = delta_adaptive_lb(eps, eg, cfg)
+            assert repr(res.delta) == repr(res.strategy.value(eg)), (eps, eg, cfg)
+
+    @pytest.mark.parametrize("eps_list, eps_g, refine_iters, want", [
+        # calls whose reported floor once sat one ulp above every strategy
+        # the solver held (0.0038801737405280683 for the first)
+        ([0.9849891645002338] * 5, 3.0561687484703484, 0, 0.003880173740528063),
+        ([0.1] * 2, -0.1, 20, 0.098683208418129),
+        ([0.01] * 5, -0.049975000000000006, 20, 0.04874679446641183),
+        ([0.1] * 5, -0.49975, 20, 0.39331768866677597),
+    ])
+    def test_floor_never_above_its_strategy(self, eps_list, eps_g, refine_iters, want):
+        res = delta_adaptive_lb(eps_list, eps_g, AdaptiveSolverConfig(refine_iters=refine_iters))
+        assert res.delta == want == res.strategy.value(eps_g)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_eps_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            delta_adaptive_lb([bad, 1.0], 0.5)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(k=st.integers(2, 8), eps=st.floats(0.05, 2.0), frac=st.floats(-1.0, 1.0))

@@ -259,6 +259,14 @@ class TestBasicComposition:
     def test_epsilon_examples(self):
         assert basic_composition([0.1] * 30) == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_eps_refused(self, bad):
+        # nan must not be dropped like a zero round
+        for fn in (basic_composition, lambda e: mgf_delta(e, 0.5)):
+            for eps_list in ([bad], [bad, 1.0]):
+                with pytest.raises(ValueError, match="finite"):
+                    fn(eps_list)
+
 
 def test_lambda_search_validation():
     with pytest.raises(ValueError):

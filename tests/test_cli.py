@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -205,6 +204,42 @@ class TestHeterogeneous:
         assert code == 2
 
 
+class TestBadInput:
+    """Input the CLI must refuse with exit 2 instead of computing a number."""
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one(self, capsys, k):
+        code, out, err = run_cli(capsys, "delta", "--eps", "1", "--k", k,
+                                 "--eps-g", "0.5", "--method", "br-optcomp")
+        assert (code, out) == (2, "")
+        assert "--k must be at least 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["delta", "--eps", "nan", "--k", "2", "--eps-g", "0", "--method", "basic"],
+        ["delta", "--eps=-inf", "--k", "2", "--eps-g", "0", "--method", "mgf"],
+        ["epsilon", "--eps", "inf", "--k", "2", "--delta-g", "1e-6", "--method", "dr19"],
+        ["delta", "--eps", "1", "--k", "3", "--eps-g", "nan", "--method", "br-optcomp"],
+        ["delta", "--eps", "1", "--k", "3", "--eps-g", "inf", "--method", "adaptive-lb"],
+        ["gap", "--eps", "1", "--k", "2", "--eps-g=-inf"],
+        ["curve", "--eps", "nan", "--k-max", "2", "--delta-g", "1e-6",
+         "--methods", "basic,dr19"],
+        ["curve", "--eps", "inf", "--k-max", "2", "--delta-g", "1e-6", "--methods", "mgf"],
+    ])
+    def test_non_finite_value(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_eps_file_entry(self, tmp_path, capsys, entry):
+        f = tmp_path / "eps.txt"
+        f.write_text(f"0.5\n{entry}\n")
+        code, out, err = run_cli(capsys, "delta", "--eps-file", str(f),
+                                 "--eps-g", "0.2", "--method", "basic")
+        assert (code, out) == (2, "")
+        assert "must be finite" in err
+
+
 class TestCurve:
     def test_csv_schema_and_sorting(self, tmp_path, capsys):
         out_path = tmp_path / "curve.csv"
@@ -248,12 +283,6 @@ class TestCurve:
                                "--delta-g", "1e-6", "--methods", "basic",
                                "--out", "/nonexistent-dir/out.csv")
         assert code == 4
-
-    def test_threads_match_sequential(self):
-        seq = curve_rows(["br-optcomp", "optkl"], 0.5, 6, 1e-6, threads=1)
-        par = curve_rows(["br-optcomp", "optkl"], 0.5, 6, 1e-6, threads=4)
-        assert [(r.k, r.method, r.eps_g) for r in seq] == \
-               [(r.k, r.method, r.eps_g) for r in par]
 
     def test_ordering_small_grid(self):
         methods = ["dp-optcomp-half", "br-optcomp", "mgf", "optkl", "dr19",
@@ -325,8 +354,3 @@ def test_method_delta_rejects_unknown():
     with pytest.raises(ValueError):
         method_delta("nope", [1.0], 0.0)
 
-
-def test_env_threads(monkeypatch):
-    monkeypatch.setenv("BRCOMP_THREADS", "2")
-    rows = curve_rows(["basic"], 1.0, 3, 1e-6)
-    assert [r.k for r in rows] == [1, 2, 3]

@@ -526,6 +526,11 @@ class TestHeterogeneous:
         with pytest.raises(ValueError):
             delta_het_fixed_t([1.0, 1.0], 0.0, [0.5, 1.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_eps_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            delta_het_fixed_t([bad, 1.0], 0.5, [0.5, 0.5])
+
 
 class TestDpBaselines:
     def test_hom_matches_half_parameter_example(self):
@@ -559,3 +564,8 @@ class TestDpBaselines:
     def test_het_size_cap(self):
         with pytest.raises(CapError):
             dp_optcomp_het([0.1] * 26, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_het_non_finite_eps_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            dp_optcomp_het([bad, 1.0], 0.5)

@@ -63,6 +63,11 @@ class TestBruteForce:
         with pytest.raises(CapError):
             brute_force_nonadaptive([0.5] * 4, 0.0, 10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_eps_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_nonadaptive([bad, 1.0], 0.5, 10)
+
     def test_reported_pair_is_consistent(self):
         from brcomp.nonadaptive import delta_het_fixed_t
         res = brute_force_nonadaptive([0.8, 1.2], 0.1, 90)
