@@ -30,9 +30,9 @@ disjoint subtrees.  One level-wise evaluator, ``_level_values``, serves
 the searches and ``StrategyTree.value``.
 
 Closed-form edge regions: for eps_g beyond (k-1)*eps in either direction
-the recursion collapses to a product form whose supremum is attained at
-equal offsets (log q_t and log(1 - q_t) are both concave in t), leaving a
-one-dimensional search.
+the recursion collapses to an equal-offset product form (log q_t and
+log(1 - q_t) are both concave in t) that is stationary at a nonadaptive
+candidate offset, so adapting gains nothing and the value is a closed form.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import CapError
 from .grr import q_of_t
 from .nonadaptive import (_endpoint_value, _validate_eps_list, _validate_hom,
                           candidate_points, delta_opt_nonadaptive_hom)
-from .optim import golden_max, golden_max_batch
+from .optim import golden_max_batch
 
 STRATEGY_DEPTH_CAP = 20
 GAP_STRICT_TOL = 1e-7   # certified gap must exceed this to be reported strict
@@ -90,8 +90,8 @@ class StrategyTree:
         k = len(eps)
         if k > STRATEGY_DEPTH_CAP:
             raise CapError(f"strategy depth {k} exceeds cap {STRATEGY_DEPTH_CAP}")
-        if any(e <= 0 for e in eps):
-            raise ValueError("all eps must be positive")
+        if not all(0.0 < e < math.inf for e in eps):
+            raise ValueError("all eps must be positive and finite")
         if t.shape != ((1 << k) - 1,):
             raise ValueError(f"t_nodes must have length 2^{k} - 1")
         for depth in range(k):
@@ -329,32 +329,44 @@ def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
 # ---------------------------------------------------------------------------
 
 
+def _exact_ratio(eps: float, k: int, eps_g: float, a: int, b: int) -> float:
+    """(a eps_g + b eps)/(k+1), correctly rounded: eps_g and b eps can nearly
+    cancel, so the sum is formed exactly from the floats' integer ratios and
+    rounded once, by the integer division."""
+    ng, dg = float(eps_g).as_integer_ratio()
+    ne, de = float(eps).as_integer_ratio()
+    return (a * ng * de + b * ne * dg) / (dg * de * (k + 1))
+
+
+def _edge_offset(eps: float, k: int, eps_g: float, high: bool) -> float | None:
+    """Check an edge query and return its stationary offset (eps_g + ell eps)/(k+1),
+    ell = 1 above and k below; None where it leaves (0, eps), which the
+    1e-12 slack admits, and the value is the endpoint value."""
+    _validate_hom(eps, k)
+    if math.isnan(eps_g):
+        raise ValueError("eps_g must not be nan")
+    if (eps_g if high else -eps_g) < (k - 1) * eps - 1e-12:
+        rel = f">= (k-1)*eps = {(k - 1) * eps}" if high else f"<= -(k-1)*eps = {-(k - 1) * eps}"
+        raise ValueError(f"edge form requires eps_g {rel}")
+    if math.isinf(eps_g):
+        return None
+    t = _exact_ratio(eps, k, eps_g, 1, 1 if high else k)
+    return t if 0.0 < t < eps else None
+
+
 def adaptive_edge_high(eps: float, k: int, eps_g: float) -> float:
     """Adaptive optimum for eps_g >= (k-1)*eps:
 
-        sup over offsets of (prod_i q_{t_i}) * max(1 - e^(eps_g - sum t_i), 0),
+        sup over offsets of (prod_i q_{t_i}) * max(1 - e^(eps_g - sum t_i), 0).
 
-    reduced to equal offsets t_i = s/k (log q_t is concave in t, so the
-    product is maximized at equal offsets for a fixed sum) and solved by a
-    one-dimensional golden section over s.
+    log q_t is concave in t, so equal offsets are best for a fixed sum, and
+    the equal-offset form is stationary at t_0 = (eps_g + eps)/(k+1).  With
+    u = t_0 - eps, q_{t_0} = expm1(u)/expm1(-eps) and the bracket is 1 - e^u.
     """
-    _validate_hom(eps, k)
-    if eps_g < (k - 1) * eps - 1e-12:
-        raise ValueError(f"edge form requires eps_g >= (k-1)*eps = {(k - 1) * eps}")
-    if eps_g >= k * eps:
-        return 0.0
-
-    def obj(s):
-        if s <= eps_g:
-            return 0.0
-        logq = k * math.log(float(q_of_t(eps, s / k))) if s / k < eps else -math.inf
-        if logq == -math.inf:
-            return 0.0
-        return math.exp(logq) * -math.expm1(eps_g - s)
-
-    lo = max(eps_g, 0.0)
-    _, best = golden_max(obj, lo, k * eps, iters=64)
-    return max(best, 0.0)
+    if _edge_offset(eps, k, eps_g, high=True) is None:
+        return _endpoint_value(eps_g)
+    u = _exact_ratio(eps, k, eps_g, 1, -k)
+    return (math.expm1(u) / math.expm1(-eps)) ** k * -math.expm1(u)
 
 
 def adaptive_edge_low(eps: float, k: int, eps_g: float) -> float:
@@ -363,26 +375,16 @@ def adaptive_edge_low(eps: float, k: int, eps_g: float) -> float:
         1 - e^(eps_g) + sup over offsets of
             (prod_i (1 - q_{t_i})) * (e^(eps_g + k eps - sum t_i) - 1),
 
-    with the same equal-offset reduction (log(1 - q_t) is concave in t).
+    with the same equal-offset reduction (log(1 - q_t) is concave in t),
+    stationary at t = (eps_g + k eps)/(k+1), where 1 - q_t =
+    e^(t - eps) expm1(-t)/expm1(-eps) and the bracket is e^t - 1.
     """
-    _validate_hom(eps, k)
-    if eps_g > -(k - 1) * eps + 1e-12:
-        raise ValueError(f"edge form requires eps_g <= -(k-1)*eps = {-(k - 1) * eps}")
-    constant = -math.expm1(eps_g)
-    hi = eps_g + k * eps
-    if hi <= 0.0:
-        return constant
-
-    def obj(s):
-        if s >= hi or s <= 0.0:
-            return 0.0
-        omq = 1.0 - float(q_of_t(eps, s / k))
-        if omq <= 0.0:
-            return 0.0
-        return math.exp(k * math.log(omq)) * math.expm1(hi - s)
-
-    _, best = golden_max(obj, 0.0, hi, iters=64)
-    return constant + max(best, 0.0)
+    t = _edge_offset(eps, k, eps_g, high=False)
+    if t is None:
+        return _endpoint_value(eps_g)
+    log_scale = _exact_ratio(eps, k, eps_g, k, -k)   # k (t - eps)
+    return (-math.expm1(eps_g)
+            + math.exp(log_scale) * (math.expm1(-t) / math.expm1(-eps)) ** k * math.expm1(t))
 
 
 # ---------------------------------------------------------------------------

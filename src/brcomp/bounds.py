@@ -152,8 +152,8 @@ class LambdaSearch:
     lambda_max: float = 1e6
 
     def __post_init__(self):
-        if not self.lambda_max > 0.0:
-            raise ValueError("lambda_max must be positive")
+        if not 0.0 < self.lambda_max < math.inf:
+            raise ValueError(f"lambda_max must be positive and finite, got {self.lambda_max}")
 
 
 _DEFAULT_SEARCH = LambdaSearch()

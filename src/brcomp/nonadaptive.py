@@ -130,8 +130,10 @@ def _log_terms(eps, k, eps_g, t, lp, lomp, i, lbin_i, valid=None) -> np.ndarray:
     positive.
     """
     a = k * t - i * eps
-    # a dropped term's bracket is nonpositive and its log -inf or nan
-    lterm = lbin_i + (k - i) * lp + i * lomp + a + np.log1p(-np.exp(eps_g - a))
+    # log(1 - e^x) as log(-expm1(x)), x = eps_g - a: log1p(-exp(x)) errs by
+    # about ulp/|x| relative as x -> 0-.  A dropped term's bracket is
+    # nonpositive and its log -inf or nan
+    lterm = lbin_i + (k - i) * lp + i * lomp + a + np.log(-np.expm1(eps_g - a))
     return np.where(a > eps_g if valid is None else valid, lterm, -np.inf)
 
 

@@ -26,7 +26,7 @@ from .nonadaptive import (_validate_eps_list, delta_het_fixed_t, delta_hom_fixed
 from .optim import bisect_nonincreasing, golden_max
 
 BRUTE_FORCE_CAP = 3
-_SHARD = 1 << 19
+_SHARD = 1 << 19   # elements per block: Monte Carlo samples, brute-force grid points
 
 
 def hockey_stick(pair: FiniteMechanismPair, eps_g: float) -> float:
@@ -61,30 +61,16 @@ def brute_force_nonadaptive(eps_list: Sequence[float], eps_g: float,
     et = [np.exp(g) for g in grids]
     scale = math.exp(eps_g)
 
-    if k == 1:
-        vals = _grid_eval(eps, eps_g, scale, [p[0]], [omp[0]], [et[0]])
-        j = int(vals.argmax())
-        argt = np.array([grids[0][j]])
-    elif k == 2:
-        p2 = np.meshgrid(p[0], p[1], indexing="ij")
-        o2 = np.meshgrid(omp[0], omp[1], indexing="ij")
-        e2 = np.meshgrid(et[0], et[1], indexing="ij")
-        vals = _grid_eval(eps, eps_g, scale, p2, o2, e2)
+    # blocks of leading-axis offsets, each broadcast against the other axes
+    mesh = [np.meshgrid(*a, indexing="ij", sparse=True) for a in (p, omp, et)]
+    rows = max(1, _SHARD // grid_points ** (k - 1))
+    best, argt = -1.0, None
+    for s in range(0, grid_points, rows):
+        vals = _grid_eval(eps, eps_g, scale, *([m[0][s:s + rows], *m[1:]] for m in mesh))
         j = np.unravel_index(vals.argmax(), vals.shape)
-        argt = np.array([grids[0][j[0]], grids[1][j[1]]])
-    else:
-        best = -1.0
-        argt = None
-        p23 = np.meshgrid(p[1], p[2], indexing="ij")
-        o23 = np.meshgrid(omp[1], omp[2], indexing="ij")
-        e23 = np.meshgrid(et[1], et[2], indexing="ij")
-        for i1 in range(grid_points):  # chunk the leading axis to bound memory
-            vals = _grid_eval(eps, eps_g, scale,
-                              [p[0][i1], *p23], [omp[0][i1], *o23], [et[0][i1], *e23])
-            j = np.unravel_index(vals.argmax(), vals.shape)
-            if vals[j] > best:
-                best = float(vals[j])
-                argt = np.array([grids[0][i1], grids[1][j[0]], grids[2][j[1]]])
+        if vals[j] > best:
+            best = float(vals[j])
+            argt = np.array([g[i] for g, i in zip(grids, (s + j[0], *j[1:]))])
 
     spacing = eps / (grid_points - 1)
     argt = _coordinate_refine(eps, eps_g, argt, spacing, refine_rounds)

@@ -1,16 +1,19 @@
 """Record the golden CLI outputs that ``tests/test_golden_cli.py`` compares against.
 
-    PYTHONPATH=src python3 tests/record_golden_cli.py
+    PYTHONPATH=src python3 tests/record_golden_cli.py [--methods a,b]
 
 Every method is queried in both directions (``method_delta`` and
 ``method_epsilon``, the functions behind the ``delta`` and ``epsilon``
 commands) over a fixed grid of per-round lists.  A query the method refuses
 (exit 2 or 3 at the command line) is recorded as the exception's type name.
-Re-record only when a change of output is intended and explained.
+Re-record only when a change of output is intended and explained.  With
+``--methods`` only the named methods' entries are re-recorded and every
+other entry is written back exactly as it was read.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -82,8 +85,20 @@ def record() -> dict:
     return {key(*c): run_case(*c) for c in cases()}
 
 
-def main() -> int:
-    out = record()
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Record the golden CLI outputs.")
+    parser.add_argument("--methods", help="comma-separated methods to re-record "
+                        "(default: all); other entries are kept as recorded")
+    args = parser.parse_args(argv)
+    if args.methods is None:
+        out = record()
+    else:
+        methods = args.methods.split(",")
+        unknown = sorted(set(methods) - set(METHODS))
+        if unknown:
+            parser.error(f"unknown methods: {', '.join(unknown)}")
+        out = json.loads(GOLDEN.read_text())
+        out.update({key(*c): run_case(*c) for c in cases() if c[1] in methods})
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(out)} cases to {GOLDEN}", file=sys.stderr)
     return 0

@@ -1,7 +1,9 @@
 """Tests for the adaptive lower-bound solver, edge forms, and gap certificates."""
 
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,13 @@ class TestStrategyTree:
             StrategyTree((1.0, 1.0), np.array([0.5]))  # wrong node count
         with pytest.raises(CapError):
             StrategyTree.constant([1.0] * 21, [0.5] * 21)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_eps_refused(self, bad):
+        # NaN passed the old `e <= 0` check and gave a nan value; inf would
+        # admit any offset
+        with pytest.raises(ValueError, match="finite"):
+            StrategyTree.constant([bad], [0.5])
 
 
 def _oracle_subtree_value(t_nodes, eps_list, node, depth, x):
@@ -366,6 +375,39 @@ class TestEdgeForms:
         assert adaptive_edge_low(eps, k, eg) == pytest.approx(
             delta_adaptive_lb([eps] * k, eg, cfg).delta, abs=1e-6)
 
+    @pytest.mark.parametrize("high", [True, False])
+    def test_closed_form_matches_mpmath(self, high):
+        # a ratio of expm1s raised to the k-th power: rounding grows like k ulps
+        edge = adaptive_edge_high if high else adaptive_edge_low
+        for eps, k, eps_g, want in _edge_cases(1000, 1e-3, 1.0, high,
+                                               lambda *c: _mp_edge(*c, high)):
+            assert abs(edge(eps, k, eps_g) - want) <= 2 * (k + 1) * 2.0 ** -52 * want, \
+                (eps, k, eps_g)
+
+    @pytest.mark.parametrize("high", [True, False])
+    def test_equals_nonadaptive_optimum(self, high):
+        # adapting gains nothing beyond (k-1) eps: the edge value is the
+        # nonadaptive optimum, reached at the same candidate offset
+        edge = adaptive_edge_high if high else adaptive_edge_low
+        for eps, k, eps_g, want in _edge_cases(150, 1e-6, 0.9, high,
+                                               lambda *c: delta_opt_nonadaptive_hom(*c).delta):
+            assert edge(eps, k, eps_g) == pytest.approx(want, rel=1e-10, abs=0.0), \
+                (eps, k, eps_g)
+
+    def test_slack_clamps_the_stationary_point(self):
+        # the precondition's 1e-12 slack admits budgets whose stationary
+        # offset leaves (0, eps): past eps the loss is 0, below 0 it is the
+        # endpoint value
+        assert adaptive_edge_low(1e-13, 1, 5e-13) == 0.0
+        assert adaptive_edge_high(1e-13, 2, -9e-13) == _endpoint_value(-9e-13)
+
+    def test_infinite_and_nan_budgets(self):
+        assert adaptive_edge_high(1.0, 3, math.inf) == 0.0
+        assert adaptive_edge_low(1.0, 3, -math.inf) == 1.0
+        for edge in (adaptive_edge_high, adaptive_edge_low):
+            with pytest.raises(ValueError, match="nan"):
+                edge(1.0, 3, math.nan)
+
     def test_equal_offset_reduction_vs_full_grid(self):
         # 3-D grid + coordinate polish of the raw product objectives
         eps, k = 1.0, 3
@@ -392,6 +434,37 @@ class TestEdgeForms:
 
         assert adaptive_edge_low(eps, k, eg_lo) == pytest.approx(
             -math.expm1(eg_lo) + _grid_polish_max(lo_obj, eps, k), abs=1e-6)
+
+
+def _edge_cases(n, eps_lo, f_hi, high, value):
+    """n seeded in-region draws (eps, k, eps_g, value(eps, k, eps_g)) whose
+    value is a normal float: k log-uniform in [1, 10^4], eps log-uniform in
+    [eps_lo, 5] and |eps_g| = (k - 1 + f) eps with f uniform in [0, f_hi]."""
+    rng = np.random.default_rng(7 if high else 8)
+    out = []
+    while len(out) < n:
+        k = int(round(10.0 ** rng.uniform(0.0, 4.0)))
+        eps = float(10.0 ** rng.uniform(math.log10(eps_lo), math.log10(5.0)))
+        eps_g = (k - 1 + float(rng.uniform(0.0, f_hi))) * eps * (1 if high else -1)
+        want = value(eps, k, eps_g)
+        if want >= sys.float_info.min:
+            out.append((eps, k, eps_g, want))
+    return out
+
+
+def _mp_edge(eps, k, eps_g, high):
+    """The edge value at 60 digits: the equal-offset form at its stationary
+    offset (eps_g + eps)/(k+1) above or (eps_g + k eps)/(k+1) below, or the
+    endpoint value when that offset is not inside (0, eps)."""
+    with mp.workdps(60):
+        eps, eps_g = mp.mpf(eps), mp.mpf(eps_g)
+        t = (eps_g + (1 if high else k) * eps) / (k + 1)
+        if not 0 < t < eps:
+            return max(-mp.expm1(eps_g), 0)
+        ratio = mp.expm1(t - eps if high else -t) / mp.expm1(-eps)
+        if high:
+            return ratio ** k * -mp.expm1(t - eps)
+        return -mp.expm1(eps_g) + mp.exp(k * (t - eps)) * ratio ** k * mp.expm1(t)
 
 
 def _grid_polish_max(obj, eps, k, n=80, rounds=3):

@@ -273,6 +273,12 @@ def test_lambda_search_validation():
         LambdaSearch(lambda_max=0.0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_lambda_search_refuses_bad_windows(bad):
+    with pytest.raises(ValueError, match="lambda_max"):
+        LambdaSearch(lambda_max=bad)
+
+
 class TestLambdaWindowCeiling:
     """at_ceiling is set exactly when the minimizer sits on lambda_max: a
     window edge 1 % above the free minimizer leaves it inside and unflagged,

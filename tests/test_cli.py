@@ -230,6 +230,13 @@ class TestBadInput:
         assert (code, out) == (2, "")
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("method", ["mgf", "dr19", "optkl"])
+    def test_infinite_lambda_max(self, capsys, method):
+        code, out, err = run_cli(capsys, "epsilon", "--eps", "1", "--k", "2", "--delta-g",
+                                 "1e-6", "--method", method, "--lambda-max", "inf")
+        assert (code, out) == (2, "")
+        assert "lambda_max" in err
+
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_non_finite_eps_file_entry(self, tmp_path, capsys, entry):
         f = tmp_path / "eps.txt"

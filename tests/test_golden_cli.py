@@ -78,3 +78,17 @@ def test_outputs_match_the_golden_file():
         if why:
             bad.append(f"{name}: {why}")
     assert not bad, f"{len(bad)} of {len(cases)} outputs differ:\n" + "\n".join(bad[:20])
+
+
+def test_recorder_rewrites_only_the_named_methods(tmp_path, monkeypatch):
+    want = json.loads(golden.GOLDEN.read_text())
+    basic = next(n for n in want if n.split("|")[1] == "basic")
+    other = next(n for n in want if n.split("|")[1] == "dr19")
+    stale = {**want, basic: {"error": "stale"}, other: {"error": "stale"}}
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(stale, indent=1, sort_keys=True) + "\n")
+    monkeypatch.setattr(golden, "GOLDEN", path)
+    assert golden.main(["--methods", "basic"]) == 0
+    # basic is recorded afresh; every other entry, stale or not, is kept byte for byte
+    assert path.read_text() == json.dumps({**want, other: {"error": "stale"}},
+                                          indent=1, sort_keys=True) + "\n"

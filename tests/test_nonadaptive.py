@@ -298,7 +298,8 @@ def _mp_df_ell(eps, k, eps_g, ell, t):
 
 def _oracle_values(eps, k, eps_g, t):
     """delta_k(t_j, eps_g) by summing every one of the k+1 terms of each row:
-    the candidate scan as it stood before windowing, kept as the reference."""
+    the candidate scan as it stood before windowing, kept as the reference
+    (with the bracket's log taken through expm1, as the kernel does)."""
     t = np.asarray(t, dtype=float)
     i = np.arange(k + 1)
     lbin = _log_binom(k)
@@ -312,7 +313,7 @@ def _oracle_values(eps, k, eps_g, t):
         with np.errstate(divide="ignore", invalid="ignore"):
             lterm = (lbin[None, :] + (k - i)[None, :] * lp[:, None]
                      + i[None, :] * lomp[:, None]
-                     + a + np.log1p(-np.exp(np.minimum(eps_g - a, 0.0))))
+                     + a + np.log(-np.expm1(np.minimum(eps_g - a, 0.0))))
         lterm = np.where(mask, lterm, -np.inf)
         m = lterm.max(axis=1, keepdims=True)
         with np.errstate(invalid="ignore"):
@@ -453,6 +454,17 @@ class TestWindowedKernel:
         want = _mp_delta_fixed_t(eps, k, eps_g, res.t)
         assert res.delta == pytest.approx(float(want), rel=rel)
         assert 1e-4 < res.delta < 0.1
+
+    @pytest.mark.parametrize("eps,k,eps_g,rel", [
+        (1.955095612066733e-06, 34, 6.646324784990641e-05, 1e-10),
+        (0.01, 1, 0.009995, 1e-14)])
+    def test_bracket_near_zero_checked_in_mpmath(self, eps, k, eps_g, rel):
+        # at the maximizing offset e^a - e^eps_g is small next to e^a, where
+        # log1p(-exp(eps_g - a)) errs by about ulp/|eps_g - a| relative (it
+        # read 2.5e-7 and 1.6e-11 off here)
+        res = delta_opt_nonadaptive_hom(eps, k, eps_g)
+        want = _mp_delta_fixed_t(eps, k, eps_g, res.t)
+        assert res.delta == pytest.approx(float(want), rel=rel, abs=0.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.integers(600, 4000), eps=st.floats(1e-3, 3.0),
