@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import CapError
 from .grr import q_of_t
-from .nonadaptive import (_endpoint_value, _validate_eps_list, _validate_hom,
-                          candidate_points, delta_opt_nonadaptive_hom)
+from .nonadaptive import (_endpoint_value, _validate_budget, _validate_eps_list,
+                          _validate_hom, candidate_points, delta_opt_nonadaptive_hom)
 from .optim import golden_max_batch
 
 STRATEGY_DEPTH_CAP = 20
@@ -97,7 +97,7 @@ class StrategyTree:
         for depth in range(k):
             lo, hi = (1 << depth) - 1, (1 << (depth + 1)) - 1
             seg = t[lo:hi]
-            if ((seg < 0) | (seg > eps[depth])).any():
+            if not ((seg >= 0) & (seg <= eps[depth])).all():
                 raise ValueError(f"offsets at depth {depth} must lie in [0, {eps[depth]}]")
 
     @property
@@ -295,6 +295,7 @@ def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
     and then within eps / t_grid; this certifies a bound but need not
     approach the optimum.
     """
+    _validate_budget(eps_g)
     k = len(eps_list)
     if k == 0:
         return AdaptiveLowerBound(_endpoint_value(eps_g), StrategyTree((), np.empty(0)),
@@ -343,8 +344,7 @@ def _edge_offset(eps: float, k: int, eps_g: float, high: bool) -> float | None:
     ell = 1 above and k below; None where it leaves (0, eps), which the
     1e-12 slack admits, and the value is the endpoint value."""
     _validate_hom(eps, k)
-    if math.isnan(eps_g):
-        raise ValueError("eps_g must not be nan")
+    _validate_budget(eps_g)
     if (eps_g if high else -eps_g) < (k - 1) * eps - 1e-12:
         rel = f">= (k-1)*eps = {(k - 1) * eps}" if high else f"<= -(k-1)*eps = {-(k - 1) * eps}"
         raise ValueError(f"edge form requires eps_g {rel}")

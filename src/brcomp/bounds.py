@@ -43,6 +43,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .nonadaptive import _validate_budget
 # golden_max stays bound here for code that looks it up through this module
 # (perfbench's tracer patches every binding site)
 from .optim import golden_max, golden_min, iters_for_rel_tol  # noqa: F401
@@ -235,6 +236,7 @@ def generic_delta_from_u(kind: UFunctionKind, eps_list: Sequence[float],
     1 is returned.
     """
     counts = _as_counts(eps_list)
+    _validate_budget(eps_g)
     if not counts:  # every round was a zero-parameter no-op
         return UBoundResult(0.0 if eps_g > 0.0 else 1.0, 0.0, False)
     if kind is UFunctionKind.GENERAL_MGF:

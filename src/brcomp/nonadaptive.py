@@ -21,8 +21,8 @@ O(k^1.5) instead of O(k^2); for k up to about 150 a window would span the
 whole row, and whole rows are summed.
 
 The heterogeneous fixed-t value and the optimal composition of plain
-eps_i-DP mechanisms are evaluated by exact subset enumeration (capped at
-k = 25); an efficient heterogeneous optimum is not provided.
+eps_i-DP mechanisms are one sum over per-group counts of equal (eps, t)
+rounds (capped at 2^25 terms); no efficient heterogeneous optimum is given.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ import numpy as np
 from .errors import CapError
 from .grr import one_minus_p, p_of_t, q_of_t
 
-SUBSET_CAP = 25          # 2^k enumeration refuses above this
-_CHUNK_BITS = 20         # subset sums processed in blocks of 2^20 masks
+SUBSET_CAP = 25          # the grouped sum refuses above 2^25 terms
 # candidates whose values agree to this relative tolerance count as tied:
 # well above the kernel's rounding noise, well below the relative gap
 # between neighbouring candidates near the maximum
@@ -50,6 +49,7 @@ WINDOW_PAD = 4
 TAIL_LOG2 = -60
 _BLOCK_ELEMS = 1 << 19   # terms per evaluated block; bounds the temporaries
 _DENSE_ELEMS = 1 << 13   # below this many terms in all, whole rows beat windows
+_P_NORMAL_EPS = 600.0    # below this range p = e^-t q is a normal float for all t
 
 
 @lru_cache(maxsize=64)
@@ -83,6 +83,11 @@ def _validate_eps_list(eps_list: Sequence[float]) -> np.ndarray:
     return eps
 
 
+def _validate_budget(eps_g: float) -> None:
+    if math.isnan(eps_g):
+        raise ValueError("eps_g must not be nan")
+
+
 def _endpoint_value(eps_g: float) -> float:
     """max(1 - e^(eps_g), 0): the loss at t = 0 or t = eps, for every k."""
     return -math.expm1(eps_g) if eps_g < 0.0 else 0.0
@@ -92,6 +97,7 @@ def _stable_logs(eps, t) -> tuple[np.ndarray, np.ndarray]:
     """log(p) and log(1-p), each taken on the stably computed side.
 
     ``eps`` may be a scalar or an array matching ``t`` (one pair per round).
+    Where p leaves the normal floats (t past about 670), log p = log q - t.
     """
     t = np.asarray(t, dtype=float)
     p = p_of_t(eps, t)
@@ -99,6 +105,8 @@ def _stable_logs(eps, t) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):
         lp = np.where(p > 0.5, np.log1p(-omp), np.log(p))
         lomp = np.where(omp > 0.5, np.log1p(-p), np.log(omp))
+        if (eps.max() if isinstance(eps, np.ndarray) else eps) > _P_NORMAL_EPS:
+            lp = np.where(p < np.finfo(float).tiny, np.log(q_of_t(eps, t)) - t, lp)
     return lp, lomp
 
 
@@ -125,15 +133,17 @@ def _log_terms(eps, k, eps_g, t, lp, lomp, i, lbin_i, valid=None) -> np.ndarray:
     """log T_i at offsets t and indices i, -inf where a term is dropped.
 
     ``t``, ``lp`` and ``lomp`` broadcast against ``i`` (scalars for one row,
-    columns for a block of rows); ``lbin_i`` is log C(k, i) at the same
-    indices.  ``valid=None`` keeps exactly the terms whose bracket is
-    positive.
+    columns for a block of rows); ``lbin_i`` is log C(k, i) at the same indices.
     """
-    a = k * t - i * eps
-    # log(1 - e^x) as log(-expm1(x)), x = eps_g - a: log1p(-exp(x)) errs by
-    # about ulp/|x| relative as x -> 0-.  A dropped term's bracket is
-    # nonpositive and its log -inf or nan
-    lterm = lbin_i + (k - i) * lp + i * lomp + a + np.log(-np.expm1(eps_g - a))
+    return _log_bracketed(lbin_i + (k - i) * lp + i * lomp, k * t - i * eps, eps_g, valid)
+
+
+def _log_bracketed(log_w, a, eps_g, valid=None) -> np.ndarray:
+    """log(e^log_w (e^a - e^eps_g)), -inf where dropped (by default, a <= eps_g).
+
+    log(1 - e^x), x = eps_g - a, is log(-expm1(x)): log1p(-exp(x)) errs by about
+    ulp/|x| relative as x -> 0-.  ``log_w``, a caller's temporary, is overwritten."""
+    lterm = np.add(log_w, a, out=log_w) + np.log(-np.expm1(eps_g - a))
     return np.where(a > eps_g if valid is None else valid, lterm, -np.inf)
 
 
@@ -258,6 +268,7 @@ def delta_hom_fixed_t(eps: float, k: int, eps_g: float, t: float) -> float:
     whose bracket ``e^(kt - i eps) - e^(eps_g)`` is nonpositive are skipped.
     """
     _validate_hom(eps, k)
+    _validate_budget(eps_g)
     if not 0.0 <= t <= eps:
         raise ValueError(f"t must lie in [0, eps={eps}], got {t}")
     if t == 0.0 or t == eps:
@@ -299,6 +310,7 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
     is O(k^1.5) (O(k^2) for k up to about 150, where a window spans the row).
     """
     _validate_hom(eps, k)
+    _validate_budget(eps_g)
     if eps_g >= k * eps:
         return OptResult(0.0, 0.0, [])
     if eps_g <= -k * eps:
@@ -332,11 +344,11 @@ def _check_ell_t(eps: float, k: int, ell: int, t: float) -> None:
         raise ValueError(f"t must lie in [0, eps={eps}], got {t}")
 
 
-def _log_weights(eps: float, k: int, t: float, i, n_p) -> np.ndarray:
-    """log( C(k,i) p^n_p (1-p)^i ), with 0 * log(0) taken as 0."""
-    lp, lomp = _stable_logs(eps, t)
+def _log_weights(lbin, i, n_p, lp, lomp) -> np.ndarray:
+    """log( C p^n_p (1-p)^i ) from lbin = log C, with 0 * log(0) taken as 0:
+    at t = 0 or t = eps the weights select, never blend."""
     with np.errstate(invalid="ignore"):
-        return (_log_binom(k)[i] + np.where(n_p > 0, n_p * lp, 0.0)
+        return (lbin + np.where(n_p > 0, n_p * lp, 0.0)
                 + np.where(i > 0, i * lomp, 0.0))
 
 
@@ -353,7 +365,7 @@ def _f_ell_terms(eps: float, k: int, eps_g: float, ell: int, t: float) -> np.nda
     _check_ell_t(eps, k, ell, t)
     i = np.arange(ell + 1)
     mag, sign = _signed_log_diff(k * t - i * eps, eps_g)
-    return sign * np.exp(_log_weights(eps, k, t, i, k - i) + mag)
+    return sign * np.exp(_log_weights(_log_binom(k)[i], i, k - i, *_stable_logs(eps, t)) + mag)
 
 
 def f_ell(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
@@ -389,57 +401,71 @@ def df_ell_dt(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
     if ell == k:
         return 0.0
     mag, sign = _signed_log_diff(eps_g - t, k * t - (ell + 1) * eps)
-    log_w = _log_weights(eps, k, t, ell, k - 1 - ell)
+    log_w = _log_weights(_log_binom(k)[ell], ell, k - 1 - ell, *_stable_logs(eps, t))
     return float(sign * (k - ell) * np.exp(log_w + mag - math.log(-math.expm1(-eps))))
 
 
 # ---------------------------------------------------------------------------
-# Heterogeneous fixed-t value and DP baselines (exact subset enumeration)
+# Heterogeneous fixed-t value and DP baselines (one grouped sum)
 # ---------------------------------------------------------------------------
 
 
-def _check_subset_size(k: int) -> None:
-    if k > SUBSET_CAP:
-        raise CapError(
-            f"subset enumeration over 2^{k} terms refused (cap {SUBSET_CAP}); "
-            "no efficient heterogeneous formula is available")
+def _grouped_sum(eps: np.ndarray, t: np.ndarray, eps_g: float) -> float:
+    """delta(t, eps_g) for per-round ranges eps_i and offsets t_i, over counts.
 
-
-def _subset_chunks(k: int):
-    total = 1 << k
-    step = 1 << min(_CHUNK_BITS, k)
-    for lo in range(0, total, step):
-        yield np.arange(lo, min(lo + step, total), dtype=np.int64)
+    Rounds with equal (eps_i, t_i) form group j (in order of first appearance),
+    and a term depends only on how many i_j of its n_j rounds take the (1 - p)
+    side: weight prod_j C(n_j, i_j) p_j^(n_j - i_j) (1 - p_j)^i_j, bracket
+    e^(sum t - sum_j i_j eps_j) - e^(eps_g).  Term r has i_j = (r // stride_j)
+    % (n_j + 1), so distinct pairs keep the subsets' mask order.  The first
+    groups that fit in ``_BLOCK_ELEMS`` terms are laid out once by outer sums,
+    and each block adds the other groups' shares for a run of their counts.
+    """
+    _validate_budget(eps_g)
+    groups: dict[tuple[float, float], int] = {}
+    for pair in zip(eps.tolist(), t.tolist()):
+        groups[pair] = groups.get(pair, 0) + 1
+    sizes = [n + 1 for n in groups.values()]
+    total = math.prod(sizes)
+    if total > 1 << SUBSET_CAP:
+        raise CapError(f"grouped sum over {total} terms refused (cap 2^{SUBSET_CAP})")
+    n = np.array(list(groups.values()))[:, None]      # one row per group
+    i = np.minimum(np.arange(max(sizes)), n)          # counts 0..n_j, the last repeated
+    lf = _log_factorials(max(sizes) - 1)
+    g_eps, g_t = np.array(list(groups)).T[:, :, None]
+    # per (group, count): the log weight and the ranges taken off sum t
+    table = np.array([_log_weights(lf[n] - lf[i] - lf[n - i], i, n - i,
+                                   *_stable_logs(g_eps, g_t)), i * g_eps])
+    fast, width, inner = 0, 1, np.zeros((2, 1))
+    while fast < len(sizes) and width * sizes[fast] <= _BLOCK_ELEMS:
+        inner = (table[:, fast, :sizes[fast], None] + inner[:, None]).reshape(2, -1)
+        width *= sizes[fast]
+        fast += 1
+    n_outer, step = total // width, _BLOCK_ELEMS // width
+    tsum = sum(n_j * t_j for (_, t_j), n_j in groups.items())   # one group: exactly k t
+    parts = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, n_outer, step):
+            q = np.arange(lo, min(lo + step, n_outer))
+            outer, stride = np.zeros((2, q.size)), 1
+            for j in range(fast, len(sizes)):
+                outer += table[:, j, q // stride % sizes[j]]
+                stride *= sizes[j]
+            log_w, drop = (inner[:, None] + outer[:, :, None]).reshape(2, -1)
+            parts.append(np.exp(_log_bracketed(log_w, tsum - drop, eps_g)).sum())
+    return min(math.fsum(parts), 1.0)
 
 
 def delta_het_fixed_t(eps_list: Sequence[float], eps_g: float,
                       t_list: Sequence[float]) -> float:
-    """Fixed-offset additive loss for heterogeneous parameters, by 2^k subset sum."""
+    """Fixed-offset additive loss for heterogeneous parameters (grouped sum)."""
     eps = _validate_eps_list(eps_list)
     t = np.asarray(t_list, dtype=float)
     if t.shape != eps.shape:
         raise ValueError("t_list must match eps_list in length")
-    if ((t < 0) | (t > eps)).any():
+    if not ((t >= 0) & (t <= eps)).all():
         raise ValueError("each t must lie in [0, eps_i]")
-    k = eps.size
-    _check_subset_size(k)
-    lp, lomp = _stable_logs(eps, t)
-    tsum = float(t.sum())
-    total = 0.0
-    for masks in _subset_chunks(k):
-        sum_eps_s = np.zeros(masks.shape, dtype=float)
-        log_w = np.zeros(masks.shape, dtype=float)
-        for b in range(k):
-            inset = ((masks >> b) & 1).astype(float)
-            sum_eps_s += inset * eps[b]
-            # select, not blend: at t = 0 or t = eps one log is -inf, and 0 * -inf is nan
-            log_w += np.where(inset, lomp[b], lp[b])
-        a = tsum - sum_eps_s
-        mask = a > eps_g
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lterm = log_w + a + np.log1p(-np.exp(np.minimum(eps_g - a, 0.0)))
-        total += float(np.exp(lterm[mask & np.isfinite(lterm)]).sum())
-    return min(max(total, 0.0), 1.0)
+    return _grouped_sum(eps, t, eps_g)
 
 
 def dp_optcomp_hom(eps_dp: float, k: int, eps_g: float) -> float:
@@ -452,39 +478,10 @@ def dp_optcomp_hom(eps_dp: float, k: int, eps_g: float) -> float:
 
 
 def dp_optcomp_het(eps_list: Sequence[float], eps_g: float) -> float:
-    """Optimal composition of eps_i-DP mechanisms (exact subset-sum form).
-
-        delta = sum_S max(e^(sum_{i in S} eps_i)
-                          - e^(eps_g) e^(sum_{i not in S} eps_i), 0)
-                / prod_i (1 + e^(eps_i))
-
-    Kept independent of ``delta_het_fixed_t`` so the two can cross-check
-    each other.
-    """
+    """Optimal composition of eps_i-DP mechanisms: as in ``dp_optcomp_hom``,
+    the fixed-offset loss at ranges 2*eps_i and midpoint offsets eps_i."""
     eps = _validate_eps_list(eps_list)
-    k = eps.size
-    _check_subset_size(k)
-    tot = float(eps.sum())
-    # log prod (1 + e^eps) = sum eps + log1p(e^-eps), stable for large eps
-    log_denom = float(np.sum(eps + np.log1p(np.exp(-eps))))
-    log_total = -np.inf
-    for masks in _subset_chunks(k):
-        s = np.zeros(masks.shape, dtype=float)
-        for b in range(k):
-            s += ((masks >> b) & 1).astype(float) * eps[b]
-        # term positive iff 2 s > eps_g + tot
-        mask = 2.0 * s > eps_g + tot
-        if not mask.any():
-            continue
-        s = s[mask]
-        lterm = s + np.log1p(-np.exp(np.minimum(eps_g + tot - 2.0 * s, 0.0)))
-        m = float(lterm.max())
-        chunk = m + math.log(np.exp(lterm - m).sum())
-        log_total = chunk if log_total == -np.inf else (
-            max(log_total, chunk) + math.log1p(math.exp(-abs(log_total - chunk))))
-    if log_total == -np.inf:
-        return 0.0
-    return min(math.exp(log_total - log_denom), 1.0)
+    return _grouped_sum(2.0 * eps, eps, eps_g)
 
 
 def nonadaptive_recursion_check(eps: float, k: int, eps_g: float, t: float) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """One golden-section search and one bisection.
 
 The golden section serves ``mgf``'s lambda search (over log lambda, see
-``bounds``) and the adaptive edge forms' one-dimensional searches.  Both
+``bounds``) and the brute-force oracle's coordinate polish.  Both
 directions track the best point ever evaluated, endpoints included, so a
 caller using the result as a certified bound can never lose value to the
 final interval midpoint.  ``golden_max_batch`` runs the same search on

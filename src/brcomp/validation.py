@@ -21,8 +21,8 @@ from .adaptive import (AdaptiveSolverConfig, StrategyTree, adaptive_edge_high,
 from .errors import CapError
 from .grr import (FiniteMechanismPair, counting_query_mech, cq_t_value, grr_probs,
                   one_minus_p, one_minus_q, p_of_t, q_of_t)
-from .nonadaptive import (_validate_eps_list, delta_het_fixed_t, delta_hom_fixed_t,
-                          delta_opt_nonadaptive_hom)
+from .nonadaptive import (_validate_budget, _validate_eps_list, delta_het_fixed_t,
+                          delta_hom_fixed_t, delta_opt_nonadaptive_hom)
 from .optim import bisect_nonincreasing, golden_max
 
 BRUTE_FORCE_CAP = 3
@@ -49,6 +49,7 @@ def brute_force_nonadaptive(eps_list: Sequence[float], eps_g: float,
     coordinate-wise golden-section refinement within one grid spacing.
     """
     eps = _validate_eps_list(eps_list)
+    _validate_budget(eps_g)
     k = eps.size
     if k > BRUTE_FORCE_CAP:
         raise CapError(f"full grid search supports k <= {BRUTE_FORCE_CAP}, got {k}")

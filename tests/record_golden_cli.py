@@ -8,13 +8,16 @@ commands) over a fixed grid of per-round lists.  A query the method refuses
 (exit 2 or 3 at the command line) is recorded as the exception's type name.
 Re-record only when a change of output is intended and explained.  With
 ``--methods`` only the named methods' entries are re-recorded and every
-other entry is written back exactly as it was read.
+other entry is written back exactly as it was read.  Every re-recorded
+entry whose output changed is reported on stderr, one line each: its key,
+the old and new value (or whole entry) and the relative move.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +29,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 EPS = (0.01, 0.1, 1.0)
 KS = (1, 2, 5, 40, 1000)
 # two rounds stay within br-optcomp's grid oracle; twelve exceed every
-# solver's heterogeneous cap but dp-optcomp's subset sum
+# heterogeneous solver's cap but dp-optcomp's grouped sum
 HETEROGENEOUS = ((0.3, 0.8), (0.05, 0.3, 0.3, 0.8, 0.05, 1.2, 0.6, 0.3, 0.9, 0.2, 0.4, 0.7))
 # budgets as fractions of the summed eps; +-0.9995 reach both edge regions
 # up to k = 1000 (edge-high needs eps_g >= (k-1) eps, edge-low the mirror)
@@ -81,8 +84,33 @@ def run_case(direction, method, eps_list, target, lmax) -> dict:
     return {"value": value, "meta": meta}
 
 
-def record() -> dict:
-    return {key(*c): run_case(*c) for c in cases()}
+def record(methods=METHODS) -> dict:
+    # a JSON round trip, so tuples and floats compare as they are written
+    return json.loads(json.dumps({key(*c): run_case(*c) for c in cases() if c[1] in methods}))
+
+
+def moves(old: dict, new: dict) -> list[str]:
+    """One line per entry of ``new`` whose output differs from ``old``."""
+    def show(entry):
+        return json.dumps(entry, sort_keys=True)
+
+    lines = []
+    for name, now in sorted(new.items()):
+        was = old.get(name)
+        if was == now:
+            continue
+        if was is None or "value" not in was or "value" not in now:
+            lines.append(f"moved {name}: {show(was)} -> {show(now)}")
+            continue
+        what = []
+        if was["value"] != now["value"]:
+            step = abs(now["value"] - was["value"])
+            rel = step / abs(was["value"]) if was["value"] else math.inf
+            what.append(f"value {was['value']!r} -> {now['value']!r} (rel {rel:.2e})")
+        if was["meta"] != now["meta"]:
+            what.append(f"meta {show(was['meta'])} -> {show(now['meta'])}")
+        lines.append(f"moved {name}: " + ", ".join(what))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -90,6 +118,7 @@ def main(argv=None) -> int:
     parser.add_argument("--methods", help="comma-separated methods to re-record "
                         "(default: all); other entries are kept as recorded")
     args = parser.parse_args(argv)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     if args.methods is None:
         out = record()
     else:
@@ -97,8 +126,9 @@ def main(argv=None) -> int:
         unknown = sorted(set(methods) - set(METHODS))
         if unknown:
             parser.error(f"unknown methods: {', '.join(unknown)}")
-        out = json.loads(GOLDEN.read_text())
-        out.update({key(*c): run_case(*c) for c in cases() if c[1] in methods})
+        out = {**old, **record(methods)}
+    for line in moves(old, out):
+        print(line, file=sys.stderr)
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(out)} cases to {GOLDEN}", file=sys.stderr)
     return 0

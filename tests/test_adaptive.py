@@ -53,6 +53,11 @@ class TestStrategyTree:
         with pytest.raises(CapError):
             StrategyTree.constant([1.0] * 21, [0.5] * 21)
 
+    def test_nan_offset_refused(self):
+        # a nan offset passed the old `t < 0 or t > eps` test and gave a nan value
+        with pytest.raises(ValueError, match="offsets at depth 0"):
+            StrategyTree.constant([0.5, 0.5], [math.nan, 0.2])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_eps_refused(self, bad):
         # NaN passed the old `e <= 0` check and gave a nan value; inf would
@@ -308,6 +313,11 @@ class TestDeltaAdaptiveLb:
         with pytest.raises(ValueError, match="finite"):
             delta_adaptive_lb([bad, 1.0], 0.5)
 
+    def test_nan_budget_refused(self):
+        # it returned 0, the optimistic answer
+        with pytest.raises(ValueError, match="nan"):
+            delta_adaptive_lb([0.3, 0.3], math.nan)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(k=st.integers(2, 8), eps=st.floats(0.05, 2.0), frac=st.floats(-1.0, 1.0))
     def test_bound_ordering_chain(self, k, eps, frac):
@@ -509,6 +519,10 @@ class TestGapCertificate:
         cands = [c.t for c in candidate_points(1.0, 4, 0.5)]
         assert 0.0 < cert.t_nonadaptive < 1.0
         assert min(abs(cert.t_nonadaptive - c) for c in cands) <= 1e-12
+
+    def test_nan_budget_refused(self):
+        with pytest.raises(ValueError, match="nan"):
+            gap_certificate(0.3, 2, math.nan)
 
     def test_requires_two_rounds(self):
         with pytest.raises(ValueError):

@@ -23,14 +23,14 @@ class TestMaxkl:
 
     def test_small_eps_limit(self):
         for eps in (1e-10, 1e-8, 1e-7):
-            assert maxkl(eps) / (eps * eps) == pytest.approx(0.125, rel=1e-10)
+            assert maxkl(eps) / (eps * eps) == pytest.approx(0.125, rel=1e-10, abs=0.0)
 
     def test_series_matches_direct_form_near_cutoff(self):
         # both branches agree around the switch point
         for eps in (2e-6, 5e-6, 1e-5):
             direct = maxkl(eps)
             series = eps * eps / 8.0 - eps ** 4 / 576.0
-            assert direct == pytest.approx(series, rel=1e-6)
+            assert direct == pytest.approx(series, rel=1e-6, abs=0.0)
 
     def test_dominated_by_tanh_bound(self):
         for eps in np.linspace(0.01, 5.0, 200):
@@ -108,7 +108,7 @@ class TestGenericDelta:
         for eps, k, eps_g in ((0.1, 50, 2.0), (0.3, 20, 3.0), (1.0, 5, 6.0)):
             want = math.exp(-(eps_g - 0.5 * k * eps * eps) ** 2 / (2.0 * k * eps * eps))
             got = generic_delta_from_u(UFunctionKind.IMPROVED_DRV10, [eps] * k, eps_g)
-            assert got.delta == pytest.approx(want, rel=1e-6)
+            assert got.delta == pytest.approx(want, rel=1e-6, abs=0.0)
 
     def test_vacuous_bound_is_one(self):
         res = generic_delta_from_u(UFunctionKind.IMPROVED_DRV10, [1.0] * 5, -3.0)
@@ -125,6 +125,12 @@ class TestGenericDelta:
             generic_delta_from_u(UFunctionKind.DR19, [], 1.0)
         with pytest.raises(ValueError):
             generic_delta_from_u(UFunctionKind.DR19, [-0.5, 1.0], 1.0)
+
+    @pytest.mark.parametrize("kind", list(UFunctionKind))
+    def test_nan_budget_refused(self, kind):
+        # it returned 1, a vacuous bound for a budget that answers nothing
+        with pytest.raises(ValueError, match="nan"):
+            generic_delta_from_u(kind, [0.3, 0.8], math.nan)
 
     def test_zero_rounds_are_skipped(self):
         # a zero-parameter round is a data-independent no-op
@@ -145,12 +151,12 @@ class TestOptkl:
         got = optkl_epsilon([0.01] * 10 ** 4, 1e-6)
         assert got < 100.0  # beats basic composition
         want = 1e4 * maxkl(0.01) + math.sqrt(0.5 * 1e4 * 1e-4 * math.log(1e6))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_delta_near_one_drops_tail_term(self):
         eps = [0.5, 0.7]
         got = optkl_epsilon(eps, 1.0 - 1e-12)
-        assert got == pytest.approx(min(sum(eps), maxkl(0.5) + maxkl(0.7)), rel=1e-4)
+        assert got == pytest.approx(min(sum(eps), maxkl(0.5) + maxkl(0.7)), rel=1e-4, abs=0.0)
 
     def test_matches_inverted_generic_bound(self):
         # the numerically inverted KL bound reproduces its closed-form branch
@@ -164,9 +170,9 @@ class TestOptkl:
             branch = (sum(maxkl(e) for e in eps)
                       + math.sqrt(0.5 * float(np.sum(eps * eps)) * math.log(1.0 / dg)))
             inverted = _invert_generic(UFunctionKind.KL_IMPROVED_DR19, eps, dg)
-            assert branch == pytest.approx(inverted, rel=1e-6)
+            assert branch == pytest.approx(inverted, rel=1e-6, abs=0.0)
             assert optkl_epsilon(eps, dg) == pytest.approx(
-                min(float(np.sum(eps)), branch), rel=1e-12)
+                min(float(np.sum(eps)), branch), rel=1e-12, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -239,12 +245,14 @@ class TestMgf:
             lams = np.linspace(res.lam / 20.0, res.lam * 20.0, 10 ** 4)
             grid_min = min(math.exp(-lam * eps_g + k * h_eps(eps, float(lam)))
                            for lam in lams)
-            assert res.delta == pytest.approx(grid_min, rel=1e-6)
+            assert res.delta == pytest.approx(grid_min, rel=1e-6, abs=0.0)
             assert res.delta <= grid_min + 1e-18
 
     def test_domain(self):
         with pytest.raises(ValueError):
             mgf_epsilon([1.0], 2.0)
+        with pytest.raises(ValueError, match="nan"):
+            mgf_delta([1.0], math.nan)
 
 
 class TestBasicComposition:
@@ -290,8 +298,8 @@ class TestLambdaWindowCeiling:
             free = mgf_delta(eps_list, eps_g)
             assert not free.at_ceiling
             above = mgf_delta(eps_list, eps_g, LambdaSearch(lambda_max=1.01 * free.lam))
-            assert not above.at_ceiling and above.lam == pytest.approx(free.lam, rel=1e-6)
-            assert above.delta == pytest.approx(free.delta, rel=1e-12)
+            assert not above.at_ceiling and above.lam == pytest.approx(free.lam, rel=1e-6, abs=0.0)
+            assert above.delta == pytest.approx(free.delta, rel=1e-12, abs=0.0)
             edge = free.lam / 1.01
             below = mgf_delta(eps_list, eps_g, LambdaSearch(lambda_max=edge))
             assert below.at_ceiling and below.lam == edge
@@ -303,8 +311,8 @@ class TestLambdaWindowCeiling:
             free = mgf_epsilon(eps_list, delta_g)
             assert not free.at_ceiling and not free.capped_at_basic
             above = mgf_epsilon(eps_list, delta_g, LambdaSearch(lambda_max=1.01 * free.lam))
-            assert not above.at_ceiling and above.lam == pytest.approx(free.lam, rel=1e-6)
-            assert above.eps_g == pytest.approx(free.eps_g, rel=1e-12)
+            assert not above.at_ceiling and above.lam == pytest.approx(free.lam, rel=1e-6, abs=0.0)
+            assert above.eps_g == pytest.approx(free.eps_g, rel=1e-12, abs=0.0)
             edge = free.lam / 1.01
             below = mgf_epsilon(eps_list, delta_g, LambdaSearch(lambda_max=edge))
             assert below.at_ceiling and below.lam == edge
@@ -423,7 +431,7 @@ class TestQuadraticClosedForms:
             for eps_g in (centre * float(rng.uniform(0.3, 2.0)), -centre):
                 got = generic_delta_from_u(kind, eps_list, eps_g, search)
                 old = _numeric_delta(kind, eps_list, eps_g, search)
-                assert got.delta == pytest.approx(old, rel=1e-9), (kind, eps_g)
+                assert got.delta == pytest.approx(old, rel=1e-9, abs=0.0), (kind, eps_g)
                 assert got.lam <= search.lambda_max
 
     def test_ceiling_flag_when_window_binds(self):
@@ -431,7 +439,8 @@ class TestQuadraticClosedForms:
                                    LambdaSearch(lambda_max=100.0))
         assert res.at_ceiling and res.lam == 100.0
         a, b = 0.125e-4, 0.5e-4
-        assert res.delta == pytest.approx(math.exp(100.0 * (100.0 * a + b - 1.0)), rel=1e-14)
+        assert res.delta == pytest.approx(math.exp(100.0 * (100.0 * a + b - 1.0)),
+                                          rel=1e-14, abs=0.0)
         free = generic_delta_from_u(UFunctionKind.DR19, [0.01], 1.0)
         assert not free.at_ceiling and free.delta < res.delta
 
@@ -451,5 +460,6 @@ class TestQuadraticClosedForms:
     def test_underflowing_quadratic_coefficient(self):
         # eps^2 underflows to 0 below eps ~ 1e-162: the lambda window's edge binds
         res = quadratic_epsilon(UFunctionKind.DR19, [1e-170], 1e-6)
-        assert res.at_ceiling and res.eps_g == pytest.approx(math.log(1e6) / 1e6, rel=1e-12)
+        assert res.at_ceiling
+        assert res.eps_g == pytest.approx(math.log(1e6) / 1e6, rel=1e-12, abs=0.0)
         assert generic_delta_from_u(UFunctionKind.DR19, [1e-170], 1e-5).at_ceiling

@@ -73,7 +73,7 @@ class TestEpsilon:
         assert code == 0
         want = 1e4 * (0.01 / math.expm1(0.01) - 1 - math.log(0.01 / math.expm1(0.01)))
         want += math.sqrt(0.5 * 1e4 * 1e-4 * math.log(1e6))
-        assert float(out) == pytest.approx(min(100.0, want), rel=1e-9)
+        assert float(out) == pytest.approx(min(100.0, want), rel=1e-9, abs=0.0)
 
     def test_round_trip_br(self, capsys):
         code, out, _ = run_cli(capsys, "epsilon", "--eps", "1", "--k", "3",
@@ -83,7 +83,19 @@ class TestEpsilon:
         code, out2, _ = run_cli(capsys, "delta", "--eps", "1", "--k", "3",
                                 "--eps-g", repr(eg), "--method", "br-optcomp")
         assert code == 0
-        assert float(out2) == pytest.approx(1e-4, rel=1e-8)
+        assert float(out2) == pytest.approx(1e-4, rel=1e-8, abs=0.0)
+
+    # delta is 1 - e^(eps_g - 800) for dp-optcomp and, at the best offset,
+    # (1 - e^((eps_g - 800) / 2))^2 for br-optcomp, up to terms of e^-800
+    @pytest.mark.parametrize("method,want", [("dp-optcomp", 800.0 + math.log1p(-1e-6)),
+                                             ("br-optcomp", 800.0 + 2 * math.log1p(-1e-3))])
+    def test_budget_past_p_underflow(self, capsys, method, want):
+        # one round of eps = 800: p = e^-t q underflowed to 0 past t ~ 745, so
+        # dp-optcomp read delta = 0 everywhere and refused the target
+        code, out, _ = run_cli(capsys, "epsilon", "--eps", "800", "--k", "1",
+                               "--delta-g", "1e-6", "--method", method)
+        assert code == 0
+        assert float(out) == pytest.approx(want, abs=1e-6)
 
     def test_budget_nonincreasing_in_delta_target(self):
         for m in ("br-optcomp", "mgf", "optkl", "dp-optcomp", "dr19"):
@@ -124,7 +136,8 @@ class TestEpsilon:
                                  "--delta-g", "1e-6", "--method", "dr19")
         assert code == 0
         a, b = 50 * 0.01 / 8, 50 * 0.01 / 2
-        assert float(out) == pytest.approx(b + 2 * math.sqrt(a * math.log(1e6)), rel=1e-11)
+        assert float(out) == pytest.approx(b + 2 * math.sqrt(a * math.log(1e6)),
+                                           rel=1e-11, abs=0.0)
         assert "closed_form=True" in err and "at_ceiling=False" in err
 
     def test_lambda_max_binds_quadratic_budget(self, capsys):
@@ -133,7 +146,7 @@ class TestEpsilon:
                                  "--lambda-max", "10")
         assert code == 0
         a = b = 0.5e-6
-        assert float(out) == pytest.approx(10 * a + b + math.log(1e6) / 10, rel=1e-11)
+        assert float(out) == pytest.approx(10 * a + b + math.log(1e6) / 10, rel=1e-11, abs=0.0)
         assert "at_ceiling=True" in err
 
     def test_zero_eps_rounds_return(self):

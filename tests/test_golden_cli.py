@@ -80,11 +80,14 @@ def test_outputs_match_the_golden_file():
     assert not bad, f"{len(bad)} of {len(cases)} outputs differ:\n" + "\n".join(bad[:20])
 
 
-def test_recorder_rewrites_only_the_named_methods(tmp_path, monkeypatch):
+def test_recorder_rewrites_only_the_named_methods(tmp_path, monkeypatch, capsys):
     want = json.loads(golden.GOLDEN.read_text())
     basic = next(n for n in want if n.split("|")[1] == "basic")
+    moved = next(n for n in want if n.split("|")[1] == "basic" and n != basic
+                 and want[n].get("value") == 1.0)
     other = next(n for n in want if n.split("|")[1] == "dr19")
-    stale = {**want, basic: {"error": "stale"}, other: {"error": "stale"}}
+    stale = {**want, basic: {"error": "stale"}, other: {"error": "stale"},
+             moved: {**want[moved], "value": 0.8}}
     path = tmp_path / "golden.json"
     path.write_text(json.dumps(stale, indent=1, sort_keys=True) + "\n")
     monkeypatch.setattr(golden, "GOLDEN", path)
@@ -92,3 +95,8 @@ def test_recorder_rewrites_only_the_named_methods(tmp_path, monkeypatch):
     # basic is recorded afresh; every other entry, stale or not, is kept byte for byte
     assert path.read_text() == json.dumps({**want, other: {"error": "stale"}},
                                           indent=1, sort_keys=True) + "\n"
+    # each re-recorded entry that changed, and only those, is reported
+    report = [line for line in capsys.readouterr().err.splitlines() if line.startswith("moved")]
+    assert sorted(report) == sorted([
+        f"moved {basic}: {{\"error\": \"stale\"}} -> {json.dumps(want[basic], sort_keys=True)}",
+        f"moved {moved}: value 0.8 -> 1.0 (rel 2.50e-01)"])

@@ -146,7 +146,7 @@ class TestDeltaOpt:
         best = max(band, key=exact.get)
         assert res.t == best
         assert res.maximizers == [best]
-        assert float(exact[best]) == pytest.approx(res.delta, rel=1e-9)
+        assert float(exact[best]) == pytest.approx(res.delta, rel=1e-9, abs=0.0)
 
     def test_sandwich_between_dp_baselines(self):
         rng = np.random.default_rng(4)
@@ -212,7 +212,7 @@ class TestFEllDerivative:
             assert df_ell_dt(1.0, 4, 0.2, ell, 0.0) == 0.0
         # ell = 0 keeps the pure-p expression alive
         expect = 4 * (math.exp(0.2) - math.exp(-1.0)) / -math.expm1(-1.0)
-        assert df_ell_dt(1.0, 4, 0.2, 0, 0.0) == pytest.approx(expect, rel=1e-12)
+        assert df_ell_dt(1.0, 4, 0.2, 0, 0.0) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     def test_matches_finite_differences(self):
         from brcomp.nonadaptive import f_ell_magnitude
@@ -251,9 +251,10 @@ class TestFEllDerivative:
             want = _mp_f_ell(eps, k, eps_g, ell, t)
             assert abs(got - float(want)) <= 1e-10 * f_ell_magnitude(eps, k, eps_g, ell, t)
             d_want = _mp_df_ell(eps, k, eps_g, ell, t)
-            assert df_ell_dt(eps, k, eps_g, ell, t) == pytest.approx(float(d_want), rel=1e-10)
+            assert df_ell_dt(eps, k, eps_g, ell, t) == pytest.approx(float(d_want), rel=1e-10,
+                                                                     abs=0.0)
         # the full sum is E_q[1] - e^eps_g E_p[1]
-        assert f_ell(eps, k, eps_g, k, t) == pytest.approx(-math.expm1(eps_g), rel=1e-10)
+        assert f_ell(eps, k, eps_g, k, t) == pytest.approx(-math.expm1(eps_g), rel=1e-10, abs=0.0)
 
 
 def _mp_probs(eps, t):
@@ -449,10 +450,10 @@ class TestWindowedKernel:
         rel = 1e-13 * k
         t = 0.37 * eps
         want = _mp_delta_fixed_t(eps, k, eps_g, t)
-        assert delta_hom_fixed_t(eps, k, eps_g, t) == pytest.approx(float(want), rel=rel)
+        assert delta_hom_fixed_t(eps, k, eps_g, t) == pytest.approx(float(want), rel=rel, abs=0.0)
         res = delta_opt_nonadaptive_hom(eps, k, eps_g)
         want = _mp_delta_fixed_t(eps, k, eps_g, res.t)
-        assert res.delta == pytest.approx(float(want), rel=rel)
+        assert res.delta == pytest.approx(float(want), rel=rel, abs=0.0)
         assert 1e-4 < res.delta < 0.1
 
     @pytest.mark.parametrize("eps,k,eps_g,rel", [
@@ -522,15 +523,17 @@ class TestHeterogeneous:
         # then certain and the loss is the endpoint value max(1 - e^eps_g, 0)
         for t in ([0.0, 0.0], [0.3, 0.8], [0.0, 0.8]):
             assert delta_het_fixed_t([0.3, 0.8], -0.5, t) == pytest.approx(
-                -math.expm1(-0.5), rel=1e-14)
+                -math.expm1(-0.5), rel=1e-14, abs=0.0)
             assert delta_het_fixed_t([0.3, 0.8], 0.5, t) == 0.0
         for t in (0.0, 0.7):
             assert delta_het_fixed_t([0.7] * 3, -0.2, [t] * 3) == pytest.approx(
-                delta_hom_fixed_t(0.7, 3, -0.2, t), rel=1e-14)
+                delta_hom_fixed_t(0.7, 3, -0.2, t), rel=1e-14, abs=0.0)
 
     def test_size_cap(self):
+        # 26 distinct rounds need 2^26 terms; repeats of one value are one group
+        eps = 0.1 + 0.01 * np.arange(26)
         with pytest.raises(CapError):
-            delta_het_fixed_t([0.1] * 26, 0.0, [0.05] * 26)
+            delta_het_fixed_t(eps, 0.0, eps / 2.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -575,9 +578,219 @@ class TestDpBaselines:
 
     def test_het_size_cap(self):
         with pytest.raises(CapError):
-            dp_optcomp_het([0.1] * 26, 0.0)
+            dp_optcomp_het(0.1 + 0.01 * np.arange(26), 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_het_non_finite_eps_refused(self, bad):
         with pytest.raises(ValueError, match="finite"):
             dp_optcomp_het([bad, 1.0], 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The grouped sum against the 2^k subset enumerators it replaced
+# ---------------------------------------------------------------------------
+
+
+def _subset_chunks(k: int):
+    total = 1 << k
+    step = 1 << min(20, k)
+    for lo in range(0, total, step):
+        yield np.arange(lo, min(lo + step, total), dtype=np.int64)
+
+
+def _subset_delta_het_fixed_t(eps_list, eps_g, t_list):
+    """The 2^k mask loop that ``delta_het_fixed_t`` ran before the grouped sum."""
+    eps = np.asarray(eps_list, dtype=float)
+    t = np.asarray(t_list, dtype=float)
+    k = eps.size
+    lp, lomp = _stable_logs(eps, t)
+    tsum = float(t.sum())
+    total = 0.0
+    for masks in _subset_chunks(k):
+        sum_eps_s = np.zeros(masks.shape, dtype=float)
+        log_w = np.zeros(masks.shape, dtype=float)
+        for b in range(k):
+            inset = ((masks >> b) & 1).astype(float)
+            sum_eps_s += inset * eps[b]
+            # select, not blend: at t = 0 or t = eps one log is -inf, and 0 * -inf is nan
+            log_w += np.where(inset, lomp[b], lp[b])
+        a = tsum - sum_eps_s
+        mask = a > eps_g
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lterm = log_w + a + np.log1p(-np.exp(np.minimum(eps_g - a, 0.0)))
+        total += float(np.exp(lterm[mask & np.isfinite(lterm)]).sum())
+    return min(max(total, 0.0), 1.0)
+
+
+def _subset_dp_optcomp_het(eps_list, eps_g):
+    """The 2^k subset-sum form that ``dp_optcomp_het`` ran before the grouped sum."""
+    eps = np.asarray(eps_list, dtype=float)
+    k = eps.size
+    tot = float(eps.sum())
+    # log prod (1 + e^eps) = sum eps + log1p(e^-eps), stable for large eps
+    log_denom = float(np.sum(eps + np.log1p(np.exp(-eps))))
+    log_total = -np.inf
+    for masks in _subset_chunks(k):
+        s = np.zeros(masks.shape, dtype=float)
+        for b in range(k):
+            s += ((masks >> b) & 1).astype(float) * eps[b]
+        # term positive iff 2 s > eps_g + tot
+        mask = 2.0 * s > eps_g + tot
+        if not mask.any():
+            continue
+        s = s[mask]
+        lterm = s + np.log1p(-np.exp(np.minimum(eps_g + tot - 2.0 * s, 0.0)))
+        m = float(lterm.max())
+        chunk = m + math.log(np.exp(lterm - m).sum())
+        log_total = chunk if log_total == -np.inf else (
+            max(log_total, chunk) + math.log1p(math.exp(-abs(log_total - chunk))))
+    if log_total == -np.inf:
+        return 0.0
+    return min(math.exp(log_total - log_denom), 1.0)
+
+
+def _mp_grouped(eps_list, eps_g, t_list, dps=40):
+    """The fixed-offset loss as a sum over per-group counts, at ``dps`` digits."""
+    groups = {}
+    for pair in zip(map(float, eps_list), map(float, t_list)):
+        groups[pair] = groups.get(pair, 0) + 1
+    with mp.workdps(dps):
+        tsum, eg = mp.fsum(mp.mpf(x) for x in t_list), mp.exp(mp.mpf(eps_g))
+        # one (log weight, range taken off sum t) list per group, over its counts
+        rows = []
+        for (e, t), n in groups.items():
+            p, _ = _mp_probs(e, t)
+            rows.append([(mp.binomial(n, i) * p ** (n - i) * (1 - p) ** i, i * mp.mpf(e))
+                         for i in range(n + 1)])
+        terms = [(mp.mpf(1), mp.mpf(0))]
+        for row in rows:
+            terms = [(w * v, d + e) for w, d in terms for v, e in row]
+        return mp.fsum(w * (mp.exp(tsum - d) - eg) for w, d in terms
+                       if w and tsum - d > mp.mpf(eps_g))
+
+
+def _random_list(rng, k_max=14):
+    """k <= k_max rounds drawn from 1..k distinct values log-uniform on
+    [1e-9, 3], offsets at 0, eps or interior fractions of each value."""
+    k = int(rng.integers(1, k_max + 1))
+    m = int(rng.integers(1, k + 1))
+    vals = 10.0 ** rng.uniform(-9.0, math.log10(3.0), m)
+    fracs = rng.choice([0.0, 1.0, 0.5, 0.3, 0.9], m)
+    pick = np.concatenate([np.arange(m), rng.integers(0, m, k - m)])
+    rng.shuffle(pick)
+    return vals[pick], (vals * fracs)[pick]
+
+
+class TestGroupedSum:
+    def test_matches_subset_oracles(self):
+        # the oracles form log(1 - e^x) as log1p(-exp(x)), which errs by about
+        # ulp/|x| relative; a list whose every eps is tiny puts every bracket
+        # near x = 0, so here each list holds one round of eps >= 0.01 (the
+        # tiny lists are checked in mpmath below)
+        rng = np.random.default_rng(211)
+        zeros = 0
+        for _ in range(600):
+            eps, t = _random_list(rng)
+            eps[0] = 10.0 ** rng.uniform(-2.0, math.log10(3.0))
+            t[0] = eps[0] * rng.choice([0.0, 1.0, 0.4])
+            eps_g = float(eps.sum() * rng.uniform(-1.0, 1.0))
+            for got, want in ((delta_het_fixed_t(eps, eps_g, t),
+                               _subset_delta_het_fixed_t(eps, eps_g, t)),
+                              (dp_optcomp_het(eps, eps_g), _subset_dp_optcomp_het(eps, eps_g))):
+                assert (got == 0.0) == (want == 0.0), (eps, t, eps_g)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (eps, t, eps_g)
+                zeros += got == 0.0
+        assert zeros >= 50
+
+    def test_tiny_eps_lists_in_mpmath(self):
+        rng = np.random.default_rng(223)
+        for _ in range(40):
+            eps, t = _random_list(rng, k_max=6)
+            eps, t = eps * 1e-6, t * 1e-6
+            eps_g = float(eps.sum() * rng.uniform(-1.0, 1.0))
+            want = _mp_grouped(eps, eps_g, t)
+            assert delta_het_fixed_t(eps, eps_g, t) == pytest.approx(float(want), rel=1e-13,
+                                                                      abs=0.0)
+
+    def test_tiny_eps_dp_in_mpmath(self):
+        # the subset-sum form read 2.8e-8 relative off here; the one positive
+        # term's log is about -21, whose rounding alone is a few 1e-15 relative
+        want = _mp_grouped([2e-9, 4e-9], 1e-9, [1e-9, 2e-9], dps=50)
+        assert dp_optcomp_het([1e-9, 2e-9], 1e-9) == pytest.approx(float(want), rel=5e-15,
+                                                                   abs=0.0)
+
+    def test_two_groups_of_200_in_mpmath(self):
+        # log C(200, i) from the running-sum table is off by up to 3.7e-13
+        # (see test_mpmath_references_at_scale), and every term inherits it
+        eps = [0.05] * 200 + [0.12] * 200
+        t = [0.02] * 200 + [0.07] * 200
+        for eps_g in (2.0, 6.0):
+            want = _mp_grouped(eps, eps_g, t)
+            assert 1e-12 < want < 0.5
+            assert delta_het_fixed_t(eps, eps_g, t) == pytest.approx(float(want), rel=1e-12,
+                                                                      abs=0.0)
+        want = _mp_grouped([0.1] * 200 + [0.24] * 200, 6.0, eps)
+        assert dp_optcomp_het(eps, 6.0) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [26, 200, 1000])
+    def test_one_group_matches_homogeneous_kernel(self, k):
+        # one group forms every log term as the homogeneous kernel does (its
+        # correctly rounded sum of offsets is k t), so the two differ only in
+        # how the terms are added up
+        for eps, frac in ((0.1, 0.37), (1.3, 0.5), (0.01, 0.8)):
+            for eps_g in np.linspace(-0.6, 0.8, 5) * k * eps:
+                hom = delta_hom_fixed_t(eps, k, eps_g, frac * eps)
+                het = delta_het_fixed_t([eps] * k, eps_g, [frac * eps] * k)
+                assert het == pytest.approx(hom, rel=2e-15, abs=0.0)
+                assert dp_optcomp_het([eps] * k, eps_g) == pytest.approx(
+                    dp_optcomp_hom(eps, k, eps_g), rel=2e-15, abs=0.0)
+
+    def test_blocks_reproduce_one_pass(self, monkeypatch):
+        # with blocks of 16 terms the groups past the first few are laid out
+        # by the outer, per-block path
+        rng = np.random.default_rng(227)
+        cases = [_random_list(rng) for _ in range(30)]
+        cases.append((np.array([0.3] * 40 + [0.7] * 3), np.array([0.1] * 40 + [0.2] * 3)))
+        want = [delta_het_fixed_t(e, 0.2 * e.sum(), t) for e, t in cases]
+        monkeypatch.setattr(nonadaptive, "_BLOCK_ELEMS", 16)
+        for (e, t), w in zip(cases, want):
+            assert delta_het_fixed_t(e, 0.2 * e.sum(), t) == pytest.approx(w, rel=1e-14, abs=0.0)
+
+    def test_repeats_lift_the_cap(self):
+        # one group of 26, and two groups of 1000 rounds (1001^2 terms)
+        assert dp_optcomp_het([0.1] * 26, 0.5) == pytest.approx(
+            dp_optcomp_hom(0.1, 26, 0.5), rel=1e-14, abs=0.0)
+        assert 0.0 < dp_optcomp_het([0.1] * 1000 + [0.05] * 1000, 3.0) < 1.0
+        with pytest.raises(CapError):   # 6001^2 > 2^25 terms
+            dp_optcomp_het([0.1] * 6000 + [0.2] * 6000, 0.0)
+
+
+class TestUnderflowingP:
+    # past t ~ 745, p = e^-t q is 0 in floats; log p is then -t + log q
+    @pytest.mark.parametrize("fn,args,want", [
+        (dp_optcomp_hom, (800.0, 1, 100.0), [(1600.0, 800.0)]),
+        (delta_hom_fixed_t, (800.0, 1, 100.0, 760.0), [(800.0, 760.0)]),
+        (dp_optcomp_het, ([800.0, 0.3], 100.0), [(1600.0, 800.0), (0.6, 0.3)])])
+    def test_large_offsets_in_mpmath(self, fn, args, want):
+        eps, t = zip(*want)
+        ref = _mp_grouped(eps, 100.0, t, dps=50)
+        assert fn(*args) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+        assert float(ref) == 1.0
+
+
+class TestNanRefused:
+    @pytest.mark.parametrize("call", [
+        lambda: delta_hom_fixed_t(1.0, 2, math.nan, 0.5),
+        lambda: delta_opt_nonadaptive_hom(1.0, 2, math.nan),
+        lambda: delta_het_fixed_t([0.3, 0.8], math.nan, [0.1, 0.4]),
+        lambda: dp_optcomp_hom(0.5, 2, math.nan),
+        lambda: dp_optcomp_het([0.3, 0.8], math.nan)],
+        ids=["delta_hom_fixed_t", "delta_opt_nonadaptive_hom", "delta_het_fixed_t",
+             "dp_optcomp_hom", "dp_optcomp_het"])
+    def test_nan_budget(self, call):
+        with pytest.raises(ValueError, match="nan"):
+            call()
+
+    def test_nan_offset(self):
+        with pytest.raises(ValueError):
+            delta_het_fixed_t([0.3, 0.8], 0.0, [math.nan, 0.1])

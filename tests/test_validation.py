@@ -68,6 +68,11 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="finite"):
             brute_force_nonadaptive([bad, 1.0], 0.5, 10)
 
+    def test_nan_budget_refused(self):
+        # it raised IndexError from an empty argmax
+        with pytest.raises(ValueError, match="nan"):
+            brute_force_nonadaptive([0.3, 0.8], math.nan, 10)
+
     def test_reported_pair_is_consistent(self):
         from brcomp.nonadaptive import delta_het_fixed_t
         res = brute_force_nonadaptive([0.8, 1.2], 0.1, 90)
