@@ -308,15 +308,16 @@ def run_checks(level: str = "fast", seed: int = 0) -> list[CheckResult]:
             f_noise=lambda t: 4e-14 * nonadaptive.f_ell_magnitude(eps, k, eg, ell, t)))
     out.append(_leq("derivative-closed-form", {"tuples": 100}, worst, 1e-6))
 
-    # midpoint offset reproduces DP optimal composition at half the parameter
+    # both midpoint forms against DP optimal composition at e (Kairouz et al. 2015's sum)
     worst = 0.0
     for _ in range(20):
-        eps = float(rng.uniform(0.1, 2.0))
+        e = float(rng.uniform(0.1, 2.0)) / 2.0
         k = int(rng.integers(1, 11))
-        eg = float(rng.uniform(-0.9 * k * eps, 0.9 * k * eps))
-        lhs = delta_hom_fixed_t(eps, k, eg, eps / 2.0)
-        rhs = nonadaptive.dp_optcomp_het([eps / 2.0] * k, eg)
-        worst = max(worst, abs(lhs - rhs))
+        eg = float(rng.uniform(-1.8 * k * e, 1.8 * k * e))
+        rhs = math.fsum(math.comb(k, l) * (math.exp((k - l) * e) - math.exp(eg + l * e))
+                        for l in range(k + 1) if (k - 2 * l) * e > eg) / (1.0 + math.exp(e)) ** k
+        worst = max(worst, abs(delta_hom_fixed_t(2.0 * e, k, eg, e) - rhs),
+                    abs(nonadaptive.dp_optcomp_het([e] * k, eg) - rhs))
     out.append(_leq("midpoint-vs-dp-optimal", {"cases": 20}, worst, 1e-10))
 
     # pointwise ordering of the per-step bounds

@@ -8,6 +8,7 @@ lines and timings.  The long pole is the budget-curve ordering sweep
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ from brcomp.bounds import UFunctionKind, maxkl
 from brcomp.cli import curve_rows, method_delta
 from brcomp.grr import counting_query_mech, cq_t_value, one_minus_q, q_of_t
 from brcomp.nonadaptive import (delta_hom_fixed_t, delta_opt_nonadaptive_hom,
-                                df_ell_dt, dp_optcomp_het, f_ell, f_ell_magnitude)
+                                df_ell_dt, f_ell, f_ell_magnitude)
 from brcomp.optim import golden_max
 from brcomp.validation import (_invert_generic, brute_force_nonadaptive,
                                finite_diff_check, simulate_adaptive_game)
@@ -53,10 +54,15 @@ def test_criterion_2_dp_correspondence():
         k = int(rng.integers(1, 11))
         eps_g = float(rng.uniform(-0.9 * k * eps, 0.9 * k * eps))
         lhs = delta_hom_fixed_t(eps, k, eps_g, eps / 2.0)
-        rhs = dp_optcomp_het([eps / 2.0] * k, eps_g)
-        worst = max(worst, abs(lhs - rhs))
+        # the DP optimum as the randomized-response sum over l of C(k, l)
+        # max(e^((k-l) e) - e^(eps_g + l e), 0) / (1 + e^e)^k at e = eps / 2
+        with mp.workdps(40):
+            e, eg = mp.mpf(eps) / 2, mp.mpf(eps_g)
+            rhs = mp.fsum(mp.binomial(k, l) * (mp.exp((k - l) * e) - mp.exp(eg + l * e))
+                          for l in range(k + 1) if (k - 2 * l) * e > eg) / (1 + mp.exp(e)) ** k
+        worst = max(worst, abs(lhs - float(rhs)))
     report("criterion-2 DP correspondence", worst <= 1e-10,
-           f"max |midpoint fixed-t - DP subset-sum| = {worst:.3e} (tol 1e-10)")
+           f"max |midpoint fixed-t - DP closed form| = {worst:.3e} (tol 1e-10)")
 
 
 def test_criterion_3_derivative_identity():

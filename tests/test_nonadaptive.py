@@ -509,8 +509,9 @@ class TestHeterogeneous:
             k = int(rng.integers(1, 8))
             eps = rng.uniform(0.2, 1.5, size=k)
             eps_g = float(rng.uniform(-eps.sum(), eps.sum()))
+            # both sides share the grouped sum, so the DP side is the old subset form
             lhs = delta_het_fixed_t(eps, eps_g, eps / 2.0)
-            rhs = dp_optcomp_het(eps / 2.0, eps_g)
+            rhs = _subset_dp_optcomp_het(eps / 2.0, eps_g)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_single_round_value(self):
@@ -564,13 +565,16 @@ class TestDpBaselines:
                 hockey_stick(pair, 0.0), abs=1e-12)
 
     def test_het_matches_hom(self):
+        # both are midpoint forms of the fixed-offset kernel; the reference is
+        # the randomized-response sum, which shares no code with them
         rng = np.random.default_rng(47)
         for _ in range(20):
             eps = float(rng.uniform(0.1, 1.5))
             k = int(rng.integers(1, 10))
             eps_g = float(rng.uniform(-k * eps, k * eps))
-            assert dp_optcomp_het([eps] * k, eps_g) == pytest.approx(
-                dp_optcomp_hom(eps, k, eps_g), abs=1e-10)
+            want = float(_mp_dp_closed(eps, k, eps_g))
+            assert dp_optcomp_het([eps] * k, eps_g) == pytest.approx(want, abs=1e-10)
+            assert dp_optcomp_hom(eps, k, eps_g) == pytest.approx(want, abs=1e-10)
 
     def test_het_pair(self):
         assert dp_optcomp_het([0.5, 0.5], 0.0) == pytest.approx(
@@ -667,6 +671,15 @@ def _mp_grouped(eps_list, eps_g, t_list, dps=40):
             terms = [(w * v, d + e) for w, d in terms for v, e in row]
         return mp.fsum(w * (mp.exp(tsum - d) - eg) for w, d in terms
                        if w and tsum - d > mp.mpf(eps_g))
+
+
+def _mp_dp_closed(eps_dp, k, eps_g, dps=40):
+    """Optimal composition of k eps_dp-DP rounds as the randomized-response sum
+    sum_l C(k, l) max(e^((k-l) eps_dp) - e^(eps_g + l eps_dp), 0) / (1 + e^eps_dp)^k."""
+    with mp.workdps(dps):
+        e, eg = mp.mpf(eps_dp), mp.mpf(eps_g)
+        return mp.fsum(mp.binomial(k, l) * (mp.exp((k - l) * e) - mp.exp(eg + l * e))
+                       for l in range(k + 1) if (k - 2 * l) * e > eg) / (1 + mp.exp(e)) ** k
 
 
 def _random_list(rng, k_max=14):
