@@ -38,14 +38,14 @@ candidate offset, so adapting gains nothing and the value is a closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapError
 from .grr import q_of_t
-from .nonadaptive import (_endpoint_value, _validate_budget, _validate_eps_list,
+from .nonadaptive import (_endpoint_value, _equal_eps, _validate_budget, _validate_eps_list,
                           _validate_hom, candidate_points, delta_opt_nonadaptive_hom)
 from .optim import golden_max_batch
 
@@ -304,7 +304,7 @@ def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
         raise CapError(f"k={k} exceeds the adaptive solver depth cap {cfg.depth_cap}")
     eps = _validate_eps_list(eps_list).tolist()
 
-    if all(e == eps[0] for e in eps):
+    if _equal_eps(eps):
         _, tables, h = _lattice_dp(eps[0], k, eps_g, cfg.t_grid)
         # the nonadaptive optimum is itself a feasible strategy: seed every
         # interior candidate offset as a constant tree so the bound can never
@@ -403,15 +403,7 @@ class GapCertificate:
     refine_iters: int
 
     def as_dict(self) -> dict:
-        return {
-            "delta_nonadaptive": self.delta_nonadaptive,
-            "t_nonadaptive": self.t_nonadaptive,
-            "delta_adaptive_lb": self.delta_adaptive_lb,
-            "gap": self.gap,
-            "strict": self.strict,
-            "t_grid": self.t_grid,
-            "refine_iters": self.refine_iters,
-        }
+        return asdict(self)
 
 
 def gap_certificate(eps: float, k: int, eps_g: float,

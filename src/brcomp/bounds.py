@@ -68,18 +68,19 @@ def maxkl(eps: float) -> float:
     form ``x - log1p(x)``, ``x = r - 1``, cancels as x -> 0 (1e-9 relative
     at eps = 1e-6) and fails as x -> -1 (eps > 37), so below the series
     cutoff the expansion ``eps^2/8 - eps^4/576 + eps^6/25920`` is used, and
-    above 2 ``-log r`` is formed as ``eps + log1p(-e^-eps) - log(eps)``.
-    Against 50 digits it is within 2e-13 relative from eps = 1e-9 to 50.
+    above 2 ``-log r`` is formed as ``eps + log1p(-e^-eps) - log(eps)`` and r
+    as ``eps e^-eps / (1 - e^-eps)``.  Against 50 digits it is within 2e-13
+    relative from eps = 1e-9 to 10^4.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if eps < _MAXKL_SERIES_CUTOFF:
         e2 = eps * eps
         return e2 / 8.0 - e2 * e2 / 576.0 + e2 * e2 * e2 / 25920.0
-    r = eps / math.expm1(eps)
     if eps > _MAXKL_LOG_FORM:
+        r = eps * math.exp(-eps) / -math.expm1(-eps)   # e^eps overflows past 709.78
         return (r - 1.0) + eps + math.log1p(-math.exp(-eps)) - math.log(eps)
-    x = r - 1.0
+    x = eps / math.expm1(eps) - 1.0
     return x - math.log1p(x)
 
 

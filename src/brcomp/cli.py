@@ -20,7 +20,8 @@ from . import bounds, validation
 from .adaptive import (AdaptiveSolverConfig, adaptive_edge_high, adaptive_edge_low,
                        delta_adaptive_lb, gap_certificate)
 from .errors import CapError, UnreachableTargetError
-from .nonadaptive import TIE_RTOL, delta_opt_nonadaptive_hom, dp_optcomp_het, dp_optcomp_hom
+from .nonadaptive import (TIE_RTOL, _equal_eps, delta_het_fixed_t, delta_opt_nonadaptive_hom,
+                          dp_optcomp_het, dp_optcomp_hom)
 from .optim import bisect_nonincreasing
 from .validation import brute_force_nonadaptive
 
@@ -58,10 +59,6 @@ class Options:
         return bounds.LambdaSearch(lambda_max=self.lambda_max)
 
 
-def _is_homogeneous(eps_list) -> bool:
-    return all(e == eps_list[0] for e in eps_list)
-
-
 def method_delta(method: str, eps_list, eps_g: float,
                  opts: Options = Options(), *, describe: bool = True) -> tuple[float, dict]:
     """Additive loss of the named method at budget eps_g, plus solver metadata.
@@ -71,7 +68,7 @@ def method_delta(method: str, eps_list, eps_g: float,
     """
     k = len(eps_list)
     eps0 = eps_list[0]
-    hom = _is_homogeneous(eps_list)
+    hom = _equal_eps(eps_list)
     if method == "basic":
         ok = eps_g >= bounds.basic_composition(eps_list) - 1e-15
         return (0.0 if ok else 1.0), {"note": "no guarantee below the summed budget"}
@@ -92,8 +89,8 @@ def method_delta(method: str, eps_list, eps_g: float,
                 meta["coincides_with_half_dp"] = True
             return res.delta, meta
         if k <= validation.BRUTE_FORCE_CAP:
-            res = brute_force_nonadaptive(eps_list, eps_g, 400)
-            return res.delta, {"form": "grid-oracle", "t": [float(x) for x in res.t]}
+            t = brute_force_nonadaptive(eps_list, eps_g, 400).t   # valued by the finer kernel
+            return delta_het_fixed_t(eps_list, eps_g, t), {"form": "grid-oracle", "t": t.tolist()}
         raise CapError("heterogeneous optimal composition has no known efficient "
                        f"algorithm; grid oracle supports k <= {validation.BRUTE_FORCE_CAP}")
     if method == "adaptive-lb":
@@ -334,7 +331,7 @@ def _cmd_curve(args) -> int:
 
 def _cmd_gap(args) -> int:
     eps_list = _load_eps(args)
-    if not _is_homogeneous(eps_list):
+    if not _equal_eps(eps_list):
         raise CapError("gap certification supports equal per-round eps only")
     cert = gap_certificate(eps_list[0], len(eps_list), args.eps_g,
                            _opts(args).solver_cfg())

@@ -83,6 +83,14 @@ def _validate_eps_list(eps_list: Sequence[float]) -> np.ndarray:
     return eps
 
 
+def _equal_eps(eps_list: Sequence[float]) -> bool:
+    """Whether every entry equals the first, at C speed (``list.count`` matches
+    by identity first, so a list of one repeated NaN counts as equal)."""
+    if isinstance(eps_list, np.ndarray):
+        return bool((eps_list == eps_list[0]).all())
+    return eps_list.count(eps_list[0]) == len(eps_list)
+
+
 def _validate_budget(eps_g: float) -> None:
     if math.isnan(eps_g):
         raise ValueError("eps_g must not be nan")
@@ -365,7 +373,20 @@ def _f_ell_terms(eps: float, k: int, eps_g: float, ell: int, t: float) -> np.nda
     _check_ell_t(eps, k, ell, t)
     i = np.arange(ell + 1)
     mag, sign = _signed_log_diff(k * t - i * eps, eps_g)
-    return sign * np.exp(_log_weights(_log_binom(k)[i], i, k - i, *_stable_logs(eps, t)) + mag)
+    log_w = _log_weights(_log_binom(k)[i], i, k - i, *_stable_logs(eps, t))
+    with np.errstate(over="ignore"):
+        return sign * np.exp(log_w + mag)
+
+
+def _finite_sum(terms, eps_g: float) -> float:
+    """The exactly rounded sum of ``terms``; ``ValueError`` where it is not a finite float."""
+    try:
+        value = math.fsum(np.atleast_1d(terms).tolist())
+    except (OverflowError, ValueError):   # a finite sum past the floats, or inf - inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the value at eps_g={eps_g!r} is past the float range")
+    return value
 
 
 def f_ell(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
@@ -374,9 +395,9 @@ def f_ell(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
     Unlike ``delta_hom_fixed_t`` the brackets are kept signed, which makes
     the sum differentiable in t.  Each term is formed in log space, so large
     k neither overflows the binomial nor underflows the powers; the signed
-    sum is exactly rounded.
+    sum is exactly rounded, and refused where it leaves the floats (eps_g past ~709).
     """
-    return math.fsum(_f_ell_terms(eps, k, eps_g, ell, t).tolist())
+    return _finite_sum(_f_ell_terms(eps, k, eps_g, ell, t), eps_g)
 
 
 def f_ell_magnitude(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
@@ -386,7 +407,7 @@ def f_ell_magnitude(eps: float, k: int, eps_g: float, ell: int, t: float) -> flo
     quantity (roughly 1e-14 of it) rather than with the value itself;
     derivative oracles use it as a resolution floor.
     """
-    return math.fsum(np.abs(_f_ell_terms(eps, k, eps_g, ell, t)).tolist())
+    return _finite_sum(np.abs(_f_ell_terms(eps, k, eps_g, ell, t)), eps_g)
 
 
 def df_ell_dt(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
@@ -395,14 +416,16 @@ def df_ell_dt(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
         (k - ell) C(k, ell) p^(k-1-ell) (1-p)^ell
         * (e^(eps_g - t) - e^(kt - (ell+1) eps)) / (1 - e^(-eps))
 
-    formed in log space like ``f_ell``.
+    formed in log space like ``f_ell``, and refused like it past the floats.
     """
     _check_ell_t(eps, k, ell, t)
     if ell == k:
         return 0.0
     mag, sign = _signed_log_diff(eps_g - t, k * t - (ell + 1) * eps)
     log_w = _log_weights(_log_binom(k)[ell], ell, k - 1 - ell, *_stable_logs(eps, t))
-    return float(sign * (k - ell) * np.exp(log_w + mag - math.log(-math.expm1(-eps))))
+    with np.errstate(over="ignore"):
+        return _finite_sum(sign * (k - ell) * np.exp(log_w + mag - math.log(-math.expm1(-eps))),
+                           eps_g)
 
 
 # ---------------------------------------------------------------------------

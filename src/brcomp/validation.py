@@ -3,8 +3,9 @@ Monte Carlo play of the adaptive composition game, and the check suite
 behind the ``validate`` command.
 
 Everything here is deliberately independent of the closed-form machinery it
-cross-checks: the brute force maximizes the fixed-offset formula over a
-product grid, the simulator just plays the game and counts tail events.
+cross-checks: the brute force maximizes its own subset sum of the fixed-offset
+loss over a product grid, sharing only ``p_of_t`` and ``one_minus_p`` with the
+kernels; the simulator just plays the game and counts tail events.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from .adaptive import (AdaptiveSolverConfig, StrategyTree, adaptive_edge_high,
 from .errors import CapError
 from .grr import (FiniteMechanismPair, counting_query_mech, cq_t_value, grr_probs,
                   one_minus_p, one_minus_q, p_of_t, q_of_t)
-from .nonadaptive import (_validate_budget, _validate_eps_list, delta_het_fixed_t,
-                          delta_hom_fixed_t, delta_opt_nonadaptive_hom)
+from .nonadaptive import (_validate_budget, _validate_eps_list, delta_hom_fixed_t,
+                          delta_opt_nonadaptive_hom)
 from .optim import bisect_nonincreasing, golden_max
 
 BRUTE_FORCE_CAP = 3
 _SHARD = 1 << 19   # elements per block: Monte Carlo samples, brute-force grid points
+_EXP_CAP = 700.0   # the brute force refuses sum(eps) past this: e^x stays a finite float
 
 
 def hockey_stick(pair: FiniteMechanismPair, eps_g: float) -> float:
@@ -44,74 +46,59 @@ def brute_force_nonadaptive(eps_list: Sequence[float], eps_g: float,
                             grid_points: int, refine_rounds: int = 2) -> BruteForceResult:
     """Maximize the fixed-offset loss over a full product grid (k <= 3).
 
-    The grid scan is vectorized; the reported value is re-evaluated through
-    ``delta_het_fixed_t`` at the argmax, optionally after a few rounds of
-    coordinate-wise golden-section refinement within one grid spacing.
+    The vectorized grid scan's argmax is polished by ``refine_rounds`` rounds
+    of coordinate-wise golden search within one grid spacing; ``delta`` is
+    the best value ``_grid_eval`` saw.  A list with sum(eps) above
+    ``_EXP_CAP`` raises ``CapError``: e^(sum t) must stay a finite float.
     """
     eps = _validate_eps_list(eps_list)
     _validate_budget(eps_g)
-    k = eps.size
-    if k > BRUTE_FORCE_CAP:
-        raise CapError(f"full grid search supports k <= {BRUTE_FORCE_CAP}, got {k}")
+    if eps.size > BRUTE_FORCE_CAP:
+        raise CapError(f"full grid search supports k <= {BRUTE_FORCE_CAP}, got {eps.size}")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
+    if eps.sum() > _EXP_CAP:
+        raise CapError(f"the grid oracle supports sum(eps) <= {_EXP_CAP:g}, got {eps.sum():g}")
+    # every bracket is <= 0 past the cap, so clamping e^(eps_g) there is exact
+    scale = math.exp(min(eps_g, _EXP_CAP))
 
     grids = [np.linspace(0.0, e, grid_points) for e in eps]
-    p = [p_of_t(e, g) for e, g in zip(eps, grids)]
-    omp = [one_minus_p(e, g) for e, g in zip(eps, grids)]
-    et = [np.exp(g) for g in grids]
-    scale = math.exp(eps_g)
-
     # blocks of leading-axis offsets, each broadcast against the other axes
-    mesh = [np.meshgrid(*a, indexing="ij", sparse=True) for a in (p, omp, et)]
-    rows = max(1, _SHARD // grid_points ** (k - 1))
-    best, argt = -1.0, None
+    axes = np.meshgrid(*grids, indexing="ij", sparse=True)
+    rows = max(1, _SHARD // grid_points ** (eps.size - 1))
+    best, t = -1.0, None
     for s in range(0, grid_points, rows):
-        vals = _grid_eval(eps, eps_g, scale, *([m[0][s:s + rows], *m[1:]] for m in mesh))
+        vals = _grid_eval(eps, scale, [axes[0][s:s + rows], *axes[1:]])
         j = np.unravel_index(vals.argmax(), vals.shape)
         if vals[j] > best:
             best = float(vals[j])
-            argt = np.array([g[i] for g, i in zip(grids, (s + j[0], *j[1:]))])
+            t = np.array([g[i] for g, i in zip(grids, (s + j[0], *j[1:]))])
 
     spacing = eps / (grid_points - 1)
-    argt = _coordinate_refine(eps, eps_g, argt, spacing, refine_rounds)
-    return BruteForceResult(delta_het_fixed_t(eps, eps_g, argt), argt)
-
-
-def _grid_eval(eps, eps_g, scale, p, omp, et):
-    """Subset-sum loss on broadcast grids: sum over S of
-    prod_{i not in S} p_i prod_{i in S} (1-p_i) * max(e^(sum t - sum_S eps) - e^(eps_g), 0)."""
-    k = eps.size
-    exp_t = p[0] * 0.0 + 1.0  # broadcast ones
-    for e in et:
-        exp_t = exp_t * e
-    total = 0.0
-    for mask in range(1 << k):
-        w = None
-        drop = 0.0
-        for i in range(k):
-            f = omp[i] if (mask >> i) & 1 else p[i]
-            w = f if w is None else w * f
-            if (mask >> i) & 1:
-                drop += eps[i]
-        total = total + w * np.maximum(exp_t * math.exp(-drop) - scale, 0.0)
-    return total
-
-
-def _coordinate_refine(eps, eps_g, t0, spacing, rounds):
-    t = np.array(t0, dtype=float)
-    for _ in range(rounds):
+    for _ in range(refine_rounds):
         for i in range(eps.size):
             def obj(x):
-                trial = t.copy()
-                trial[i] = x
-                return delta_het_fixed_t(eps, eps_g, trial)
-            lo = max(0.0, t[i] - spacing[i])
-            hi = min(eps[i], t[i] + spacing[i])
-            x, v = golden_max(obj, lo, hi, iters=40)
-            if v > delta_het_fixed_t(eps, eps_g, t):
-                t[i] = x
-    return t
+                return float(_grid_eval(eps, scale, [*t[:i], x, *t[i + 1:]]))
+            x, v = golden_max(obj, max(0.0, t[i] - spacing[i]),
+                              min(eps[i], t[i] + spacing[i]), iters=40)
+            if v > best:
+                t[i], best = x, v
+    return BruteForceResult(best, t)
+
+
+def _grid_eval(eps, scale, t):
+    """Subset-sum loss at per-round offsets ``t`` that broadcast (sparse grid
+    axes or one vector): sum over S of
+    prod_{i not in S} p_i prod_{i in S} (1-p_i) * max(e^(sum t - sum_S eps) - scale, 0)."""
+    p, omp = ([f(e, x) for e, x in zip(eps, t)] for f in (p_of_t, one_minus_p))
+    exp_t = math.prod(np.exp(x) for x in t)
+    total = 0.0
+    for mask in range(1 << eps.size):
+        w, drop = 1.0, 0.0
+        for i, (e, q, o) in enumerate(zip(eps, p, omp)):
+            w, drop = (w * o, drop + e) if (mask >> i) & 1 else (w * q, drop)
+        total = total + w * np.maximum(exp_t * math.exp(-drop) - scale, 0.0)
+    return total
 
 
 # ---------------------------------------------------------------------------

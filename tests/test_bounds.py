@@ -54,6 +54,15 @@ class TestMaxkl:
                 want = r - 1 - mp.log(r)
                 assert abs(mp.mpf(maxkl(eps)) - want) <= 2e-13 * want, eps
 
+    def test_past_exp_overflow(self):
+        # eps / expm1(eps) overflowed above eps = 709.78
+        assert maxkl(800.0) == pytest.approx(792.3153882723320727, rel=2e-13, abs=0.0)
+        with mp.workdps(50):
+            for eps in (710.0, 800.0, 1e4):
+                r = mp.mpf(eps) / mp.expm1(mp.mpf(eps))
+                want = r - 1 - mp.log(r)
+                assert abs(mp.mpf(maxkl(eps)) - want) <= 2e-13 * want, eps
+
 
 class TestUFunction:
     def test_vanish_at_zero_lambda(self):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from brcomp.cli import (EPS_BISECT_TOL, METHODS, Options, curve_rows, main, method_delta,
                         method_epsilon)
+from brcomp.nonadaptive import delta_het_fixed_t
 
 INVERTIBLE = tuple(m for m in METHODS if not m.startswith("edge-"))
 
@@ -96,6 +97,15 @@ class TestEpsilon:
                                "--delta-g", "1e-6", "--method", method)
         assert code == 0
         assert float(out) == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ["epsilon", "--eps", "800", "--k", "2", "--delta-g", "1e-6", "--method", "optkl"],
+        ["delta", "--eps", "800", "--k", "2", "--eps-g", "100", "--method", "optkl"]])
+    def test_optkl_past_exp_overflow(self, capsys, argv):
+        # maxkl raised OverflowError above eps = 709.78 (exit 1)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert math.isfinite(float(out))
 
     def test_budget_nonincreasing_in_delta_target(self):
         for m in ("br-optcomp", "mgf", "optkl", "dp-optcomp", "dr19"):
@@ -211,6 +221,25 @@ class TestHeterogeneous:
         assert code == 3
         assert "open problem" in err or "no known efficient" in err
 
+    def test_br_heterogeneous_value_is_kernel_at_oracle_t(self):
+        for eps_g in (-0.55, 0.0, 0.275):
+            value, meta = method_delta("br-optcomp", [0.3, 0.8], eps_g)
+            assert value == delta_het_fixed_t([0.3, 0.8], eps_g, meta["t"])
+
+    @pytest.mark.parametrize("command, target", [("delta", ["--eps-g", "100"]),
+                                                 ("epsilon", ["--delta-g", "1e-6"])])
+    def test_br_heterogeneous_past_float_range_exit_3(self, tmp_path, capsys, command, target):
+        # the grid oracle raised IndexError (exit 1) once sum(eps) passed ~709
+        f = tmp_path / "eps.txt"
+        f.write_text("800\n300\n")
+        code, _, err = run_cli(capsys, command, "--eps-file", str(f), *target,
+                               "--method", "br-optcomp")
+        assert code == 3
+        assert "sum(eps)" in err
+
+    def test_br_heterogeneous_budget_past_float_range(self):
+        assert method_delta("br-optcomp", [0.3, 0.8], 800.0)[0] == 0.0
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "delta", "--eps-file", "/nonexistent/x.txt",
                              "--eps-g", "0.2", "--method", "basic")
@@ -249,6 +278,12 @@ class TestBadInput:
                                  "1e-6", "--method", method, "--lambda-max", "inf")
         assert (code, out) == (2, "")
         assert "lambda_max" in err
+
+    def test_repeated_nan_list_refused(self):
+        # list.count matches one repeated NaN object by identity, so this list
+        # counts as equal eps; the equal-eps solver must still refuse it
+        with pytest.raises(ValueError):
+            method_delta("dp-optcomp", [math.nan] * 3, 0.1)
 
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_non_finite_eps_file_entry(self, tmp_path, capsys, entry):
@@ -335,6 +370,15 @@ class TestGap:
     def test_depth_cap_exit_3(self, capsys):
         code, _, _ = run_cli(capsys, "gap", "--eps", "1", "--k", "7", "--eps-g", "0")
         assert code == 3
+
+    def test_json_bytes(self, capsys):
+        # the certificate's JSON line, keys in field order
+        code, out, _ = run_cli(capsys, "gap", "--eps", "1", "--k", "2", "--eps-g", "0")
+        assert code == 0
+        assert out == ('{"delta_nonadaptive": 0.2883172623686342, "t_nonadaptive": '
+                       '0.3333333333333333, "delta_adaptive_lb": 0.30336526732673813, '
+                       '"gap": 0.015048004958103933, "strict": true, "t_grid": 64, '
+                       '"refine_iters": 20}\n')
 
     def test_custom_solver_flags(self, capsys):
         code, out, _ = run_cli(capsys, "gap", "--eps", "1", "--k", "2",

@@ -1,0 +1,17 @@
+"""Every demo script runs to the end without raising or warning."""
+
+import runpy
+import warnings
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

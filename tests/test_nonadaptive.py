@@ -231,6 +231,23 @@ class TestFEllDerivative:
                 f_noise=lambda t: 4e-14 * f_ell_magnitude(eps, k, eps_g, ell, t)))
         assert worst < 1e-6
 
+    def test_f_ell_past_float_range_refused(self):
+        # the first case's signed terms are finite but their sum, 1 - e^735, is
+        # not (fsum raised OverflowError); the second returned -inf with a warning
+        with pytest.raises(ValueError, match="eps_g=734.99"):
+            f_ell(0.9192464006818158, 300, 734.9924001188303, 300, 0.168082123786025)
+        with pytest.raises(ValueError, match="eps_g=800.0"):
+            f_ell(1.0, 3, 800.0, 1, 0.5)
+
+    def test_f_ell_magnitude_past_float_range_refused(self):
+        with pytest.raises(ValueError, match="eps_g=800.0"):
+            f_ell_magnitude(1.0, 3, 800.0, 1, 0.5)
+
+    def test_df_ell_past_float_range_refused(self):
+        # it returned inf with a numpy overflow warning
+        with pytest.raises(ValueError, match="eps_g=800.0"):
+            df_ell_dt(1.0, 3, 800.0, 1, 0.5)
+
     def test_f_ell_touches_delta(self):
         # wherever at least one bracket is positive, some partial sum equals
         # the clamped value

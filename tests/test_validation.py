@@ -8,7 +8,8 @@ import pytest
 from brcomp.adaptive import StrategyTree, delta_adaptive_lb
 from brcomp.errors import CapError
 from brcomp.grr import FiniteMechanismPair, grr_probs
-from brcomp.nonadaptive import delta_hom_fixed_t, delta_opt_nonadaptive_hom
+from brcomp import nonadaptive
+from brcomp.nonadaptive import delta_het_fixed_t, delta_hom_fixed_t, delta_opt_nonadaptive_hom
 from brcomp.validation import (brute_force_nonadaptive, finite_diff_check,
                                hockey_stick, run_checks, simulate_adaptive_game)
 
@@ -74,9 +75,36 @@ class TestBruteForce:
             brute_force_nonadaptive([0.3, 0.8], math.nan, 10)
 
     def test_reported_pair_is_consistent(self):
-        from brcomp.nonadaptive import delta_het_fixed_t
+        # the oracle values t itself; the kernel agrees there to rounding
+        for eps, eg in (([0.8, 1.2], 0.1), ([0.3, 0.8], -0.55), ([0.3, 0.8], 0.275)):
+            res = brute_force_nonadaptive(eps, eg, 90)
+            assert abs(res.delta - delta_het_fixed_t(eps, eg, res.t)) <= 1e-15
+
+    def test_independent_of_the_kernel(self, monkeypatch):
+        # a perturbed kernel bracket moves the kernel but not the oracle
+        base = brute_force_nonadaptive([0.8, 1.2], 0.1, 90)
+        kernel = delta_het_fixed_t([0.8, 1.2], 0.1, base.t)
+        real = nonadaptive._log_bracketed
+
+        def perturbed(log_w, a, eps_g, valid=None):
+            return real(log_w, 1.001 * a, eps_g, valid)
+
+        monkeypatch.setattr(nonadaptive, "_log_bracketed", perturbed)
+        assert delta_het_fixed_t([0.8, 1.2], 0.1, base.t) != kernel
         res = brute_force_nonadaptive([0.8, 1.2], 0.1, 90)
-        assert res.delta == delta_het_fixed_t([0.8, 1.2], 0.1, res.t)
+        assert res.delta == base.delta
+        assert np.array_equal(res.t, base.t)
+
+    @pytest.mark.parametrize("eps, eps_g", [([800.0], 100.0), ([250.0] * 3, -100.0)])
+    def test_sum_past_float_range_refused(self, eps, eps_g):
+        # [800.0] raised IndexError: every grid value was nan
+        with pytest.raises(CapError, match="sum"):
+            brute_force_nonadaptive(eps, eps_g, 50)
+
+    def test_budget_past_float_range_is_zero(self):
+        # math.exp(800) raised OverflowError
+        res = brute_force_nonadaptive([0.3, 0.8], 800.0, 50)
+        assert res.delta == 0.0
 
 
 class TestSimulator:
