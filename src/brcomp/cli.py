@@ -1,6 +1,10 @@
 """Command-line accountant: delta/epsilon queries, budget curves, gap
 certificates, and the validation suite.
 
+An ``epsilon`` answer with no closed form is the smallest point of a fixed
+budget lattice at which the method's own delta is at most delta_g, checked
+there and one step below (``_bisect_epsilon``).
+
 Exit codes: 0 success, 2 domain error (bad arguments, unreachable target),
 3 size/depth-cap refusal, 4 unwritable output path.  Stdout carries data
 only; diagnostics go to stderr.
@@ -21,15 +25,15 @@ from .adaptive import (AdaptiveSolverConfig, adaptive_edge_high, adaptive_edge_l
                        delta_adaptive_lb, gap_certificate)
 from .errors import CapError, UnreachableTargetError
 from .nonadaptive import (TIE_RTOL, _equal_eps, delta_het_fixed_t, delta_opt_nonadaptive_hom,
-                          dp_optcomp_het, dp_optcomp_hom)
-from .optim import bisect_nonincreasing
+                          dp_optcomp_het, dp_optcomp_hom, fixed_t_inverse)
+from .optim import budget_step, lattice_search
 from .validation import brute_force_nonadaptive
 
 METHODS = ("basic", "dp-optcomp", "dp-optcomp-half", "br-optcomp", "adaptive-lb",
            "dr19", "drv10", "optkl", "mgf", "edge-high", "edge-low")
 
 CURVE_K_CAP = 10 ** 5
-EPS_BISECT_TOL = 1e-9
+EPS_BISECT_TOL = 1e-9   # budget tolerance; the lattice step (optim.BUDGET_STEP) is finer
 TINY_PRINT = 1e-300
 
 _U_KIND = {"dr19": bounds.UFunctionKind.DR19,
@@ -145,30 +149,45 @@ def method_epsilon(method: str, eps_list, delta_g: float,
 
 
 def _bisect_epsilon(method: str, eps_list, delta_g: float, opts: Options) -> tuple[float, dict]:
-    """Monotone bisection of the method's delta over a symmetric budget bracket.
+    """The method's budget: the smallest point of the budget lattice
+    (``optim.budget_step``, 2^-30 below a summed eps of 2^20) at which its
+    own delta is <= delta_g, confirmed there and one step below.
 
-    All exact methods share the same deterministic midpoint sequence for a
-    given (eps_list), so pointwise delta orderings between methods carry
-    over to the inverted budgets with no tolerance slop.
+    Equal-eps ``dp-optcomp`` and ``dp-optcomp-half`` seed the search with
+    the closed form ``fixed_t_inverse`` at the midpoint offset (path
+    ``closed-form``); the other methods bisect the lattice over
+    [-sum eps, sum eps].  Where delta is nonincreasing on the lattice the
+    answer does not depend on the path.  The methods share the lattice for
+    a given eps_list, so a pointwise delta ordering between two such
+    methods (half-DP <= br-optcomp <= DP) carries over to their budgets.
+    Were the lower delta's budget x above the other's, then at x - step,
+    at or above the other's budget, the other delta would be <= delta_g
+    (it is nonincreasing) yet at least the lower one, which exceeds delta_g.
     """
     span = bounds.basic_composition(eps_list)
     if not span > 0.0:
         raise ValueError("zero-width budget bracket: every round has eps = 0")
-    lo, hi = -span, span
 
     def delta(eps_g: float) -> float:
         return method_delta(method, eps_list, eps_g, opts, describe=False)[0]
 
-    d_lo = delta(lo)
+    d_lo = delta(-span)
     if delta_g > d_lo:
         raise UnreachableTargetError(
             f"delta_g={delta_g} exceeds the largest achievable value {d_lo}", d_lo)
-    while delta(hi) > delta_g:
-        hi *= 2.0  # loose bounds can need budgets beyond the basic sum
-        if hi > 1e9:
-            raise UnreachableTargetError("no finite budget reaches the target", 0.0)
-    iters = max(1, math.ceil(math.log2(max(hi - lo, 1e-12) / EPS_BISECT_TOL)))
-    return bisect_nonincreasing(delta, delta_g, lo, hi, iters), {"bisection_tol": EPS_BISECT_TOL}
+    step = budget_step(span)
+    eps_g, path = lattice_search(delta, delta_g, -span, span, step,
+                                 _closed_form_budget(method, eps_list, delta_g))
+    return eps_g, {"budget_step": step, "path": path}
+
+
+def _closed_form_budget(method: str, eps_list, delta_g: float) -> float | None:
+    """The DP baselines' budget at equal eps: their loss is the fixed-offset
+    sum at the midpoint, which ``fixed_t_inverse`` inverts.  None otherwise."""
+    if method not in ("dp-optcomp", "dp-optcomp-half") or not _equal_eps(eps_list):
+        return None
+    e = eps_list[0] if method == "dp-optcomp" else eps_list[0] / 2.0
+    return fixed_t_inverse(2.0 * e, len(eps_list), e, delta_g)
 
 
 def curve_rows(methods, eps: float, k_max: int, delta_g: float,

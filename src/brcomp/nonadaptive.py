@@ -18,7 +18,9 @@ O(sqrt k) terms around that distribution's mode and certifies the rest: a
 geometric tail bound at each window edge must stay below 2^-60 of the
 window's sum, or the window is widened.  Scanning every candidate so costs
 O(k^1.5) instead of O(k^2); for k up to about 150 a window would span the
-whole row, and whole rows are summed.
+whole row, and whole rows are summed.  At a fixed offset the sum is
+piecewise linear in e^(eps_g), so ``fixed_t_inverse`` gives the budget for
+a target delta in closed form.
 
 The heterogeneous fixed-t value and the optimal composition of plain
 eps_i-DP mechanisms are one sum over per-group counts of equal (eps, t)
@@ -208,6 +210,36 @@ def fixed_t_sums(eps: float, k: int, eps_g: float, t) -> FixedTSums:
         res = _window_sums(eps, k, eps_g, t.reshape(-1), lp.reshape(-1), lomp.reshape(-1))
     return res._replace(values=res.values.reshape(t.shape),
                         omitted=res.omitted.reshape(t.shape))
+
+
+def fixed_t_inverse(eps: float, k: int, t: float, delta_g: float) -> float:
+    """The budget eps_g at which delta_k(t, eps_g) = delta_g, in closed form.
+
+    With u = e^(eps_g) the sum is piecewise linear: where the positive terms
+    are exactly i <= m it is A_m - u B_m, with A_m = sum_{i<=m} w_i e^(a_i),
+    B_m = sum_{i<=m} w_i, w_i the binomial weights and a_i = k t - i eps.
+    Both are prefix log-sums (``np.logaddexp.accumulate``) over the kernel's
+    own log weights.  Piece m's root, log(A_m - delta_g) - log B_m, is the
+    answer on the first piece where it is at least the piece's lower end
+    a_(m+1): one O(k) pass.  -inf when delta_g is not below A_k, the sum's
+    limit as eps_g -> -inf.
+    """
+    _validate_hom(eps, k)
+    if not 0.0 < t < eps:
+        raise ValueError(f"t must lie in (0, eps={eps}), got {t}")
+    if not 0.0 < delta_g < 1.0:
+        raise ValueError(f"delta_g must lie in (0, 1), got {delta_g}")
+    i = np.arange(k + 1)
+    a = k * t - i * eps
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lp, lomp = _stable_logs(eps, t)
+        log_w = _log_binom(k) + (k - i) * lp + i * lomp
+        log_a = np.logaddexp.accumulate(log_w + a)
+        # nan where A_m < delta_g, -inf where they are equal
+        root = (log_a + np.log(-np.expm1(math.log(delta_g) - log_a))
+                - np.logaddexp.accumulate(log_w))
+        hit = np.flatnonzero(root >= np.append(a[1:], -np.inf))
+    return float(root[hit[0]]) if hit.size else -math.inf
 
 
 def _row_sums(eps, k, eps_g, t, lp, lomp) -> FixedTSums:

@@ -1,4 +1,4 @@
-"""One golden-section search and one bisection.
+"""One golden-section search and one budget-lattice search.
 
 The golden section serves ``mgf``'s lambda search (over log lambda, see
 ``bounds``) and the brute-force oracle's coordinate polish.  Both
@@ -6,8 +6,8 @@ directions track the best point ever evaluated, endpoints included, so a
 caller using the result as a certified bound can never lose value to the
 final interval midpoint.  ``golden_max_batch`` runs the same search on
 arrays of brackets in lockstep, for the adaptive solver's per-node
-refinement.  The bisection serves every budget inversion that has no
-closed form.
+refinement.  ``lattice_search`` serves every budget inversion that has no
+closed form, and confirms the ones that do.
 """
 
 from __future__ import annotations
@@ -16,7 +16,11 @@ import math
 
 import numpy as np
 
+from .errors import UnreachableTargetError
+
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+BUDGET_STEP = 2.0 ** -30   # the budget lattice's step, below the 1e-9 budget tolerance
+_LATTICE_INDEX_CAP = 1 << 53   # past this index j * step is no longer exactly a float
 
 
 def golden_max(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]:
@@ -94,17 +98,49 @@ def iters_for_rel_tol(rel_tol: float) -> int:
     return max(1, math.ceil(math.log(rel_tol) / math.log(INV_PHI)))
 
 
-def bisect_nonincreasing(f, level: float, lo: float, hi: float, iters: int) -> float:
-    """Where a nonincreasing f falls to ``level``: halve [lo, hi] ``iters``
-    times, keeping f(lo) > level >= f(hi), and return the final midpoint.
+def budget_step(bound: float) -> float:
+    """The lattice step for budgets within +-``bound``: ``BUDGET_STEP``, or the
+    power of two that keeps every lattice point up to 8 ``bound`` a float."""
+    return max(BUDGET_STEP, math.ldexp(1.0, math.frexp(bound)[1] - 50))
 
-    The midpoints depend only on (lo, hi) and the comparisons, so callers
-    that share a bracket share the midpoint sequence.
+
+def lattice_search(f, level: float, lo: float, hi: float, step: float,
+                   seed: float | None = None) -> tuple[float, str]:
+    """The smallest lattice point x = j * step above ``lo`` with f(x) <= level.
+
+    ``f`` must be nonincreasing on the lattice, and f(lo) > level is the
+    caller's check.  The answer is confirmed by f(x) <= level < f(x - step),
+    both evaluated here (where x - step is at or below ``lo``, the caller's
+    f(lo) > level stands in).  So it does not depend on the search path, and
+    two functions ordered pointwise on the lattice give answers ordered the
+    same way.
+
+    A ``seed`` estimates the crossing.  Its lattice point and the one below
+    are evaluated first, and when they confirm it the path is
+    ``"closed-form"``.  Otherwise their values narrow the bracket, and j is
+    bisected (path ``"bisection"``).  The upper end ``hi`` is evaluated only
+    when a bisection needs it; while f(hi) > level the bracket moves up and
+    doubles.  Returns (x, path).
     """
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > level:
-            lo = mid
+    lo_j, hi_j = math.floor(lo / step), None   # f > level at lo_j; f <= level at hi_j
+    if seed is not None and math.isfinite(seed):
+        j = max(lo_j + 1, math.ceil(min(seed, hi) / step))
+        if f(j * step) > level:
+            lo_j = j
+        elif j - 1 == lo_j or f((j - 1) * step) > level:
+            return j * step, "closed-form"
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi_j = j - 1
+    if hi_j is None:
+        hi_j = max(lo_j + 1, math.ceil(hi / step))
+        while f(hi_j * step) > level:
+            lo_j, hi_j = hi_j, 3 * hi_j - 2 * lo_j
+            if abs(hi_j) >= _LATTICE_INDEX_CAP:
+                raise UnreachableTargetError("no budget on the lattice reaches the target", 0.0)
+    while hi_j - lo_j > 1:
+        mid = (lo_j + hi_j) // 2
+        if f(mid * step) > level:
+            lo_j = mid
+        else:
+            hi_j = mid
+    return hi_j * step, "bisection"

@@ -24,7 +24,7 @@ from .grr import (FiniteMechanismPair, counting_query_mech, cq_t_value, grr_prob
                   one_minus_p, one_minus_q, p_of_t, q_of_t)
 from .nonadaptive import (_validate_budget, _validate_eps_list, delta_hom_fixed_t,
                           delta_opt_nonadaptive_hom)
-from .optim import bisect_nonincreasing, golden_max
+from .optim import budget_step, golden_max, lattice_search
 
 BRUTE_FORCE_CAP = 3
 _SHARD = 1 << 19   # elements per block: Monte Carlo samples, brute-force grid points
@@ -427,9 +427,9 @@ def run_checks(level: str = "fast", seed: int = 0) -> list[CheckResult]:
 
 
 def _invert_generic(kind, eps_list, delta_g: float) -> float:
-    """Bisection inversion of the generic bound, for cross-checking closed forms."""
+    """Lattice inversion of the generic bound, for cross-checking closed forms."""
     def delta(eps_g: float) -> float:
         return bounds.generic_delta_from_u(kind, eps_list, eps_g).delta
 
     hi = bounds.basic_composition(eps_list) + 10.0
-    return bisect_nonincreasing(delta, delta_g, 0.0, hi, 80)
+    return lattice_search(delta, delta_g, 0.0, hi, budget_step(hi))[0]

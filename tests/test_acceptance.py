@@ -1,8 +1,9 @@
 """Acceptance suite: every release gate in one module, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings.  The long pole is the budget-curve ordering sweep
-(criterion 5), a few minutes of bisection work; everything else is seconds.
+lines and timings.  The long poles are the budget-curve ordering sweep
+(criterion 5), about a minute of budget inversions, and the brute force
+(criterion 1); everything else is seconds.
 """
 
 import math

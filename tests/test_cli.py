@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from brcomp.cli import (EPS_BISECT_TOL, METHODS, Options, curve_rows, main, method_delta,
                         method_epsilon)
+from brcomp.errors import UnreachableTargetError
 from brcomp.nonadaptive import delta_het_fixed_t
+from brcomp.optim import budget_step, lattice_search
 
 INVERTIBLE = tuple(m for m in METHODS if not m.startswith("edge-"))
 
@@ -187,13 +189,104 @@ class TestEpsilon:
         monkeypatch.setattr(cli, "dp_optcomp_hom",
                             lambda *a: calls.append(a) or real(*a))
         eps_g, meta = method_epsilon("br-optcomp", [0.1] * 5, 1e-6)
-        assert calls == [] and meta == {"bisection_tol": EPS_BISECT_TOL}
+        assert calls == [] and meta == {"budget_step": 2.0 ** -30, "path": "bisection"}
         _, meta = method_delta("br-optcomp", [1.0], 0.0)
         assert len(calls) == 1 and meta["coincides_with_half_dp"] is True
         value, meta = method_delta("br-optcomp", [0.1] * 5, eps_g + EPS_BISECT_TOL,
                                    describe=False)
         assert len(calls) == 1 and set(meta) == {"t"}
         assert value <= 1e-6
+
+
+class TestBudgetLattice:
+    STEP = 2.0 ** -30
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(method=st.sampled_from(["dp-optcomp", "dp-optcomp-half", "br-optcomp"]),
+           eps=st.floats(1e-3, 3.0), k=st.integers(1, 60),
+           log_delta_g=st.floats(-12.0, -1.0))
+    def test_budget_is_on_the_safe_side(self, method, eps, k, log_delta_g):
+        # delta(x) <= delta_g < delta(x - step), both through method_delta
+        delta_g = 10.0 ** log_delta_g
+        try:
+            x, meta = method_epsilon(method, [eps] * k, delta_g)
+        except UnreachableTargetError as exc:
+            assert delta_g > exc.boundary
+            return
+        assert meta["budget_step"] == self.STEP
+        assert method_delta(method, [eps] * k, x, describe=False)[0] <= delta_g
+        assert method_delta(method, [eps] * k, x - self.STEP, describe=False)[0] > delta_g
+
+    @pytest.mark.parametrize("method", ["dp-optcomp", "dp-optcomp-half"])
+    @pytest.mark.parametrize("eps,k", [(0.5, 1), (0.1, 40), (1.0, 2), (0.01, 10 ** 5),
+                                       (10.0, 100), (1.0, 1000), (3.0, 500)])
+    @pytest.mark.parametrize("delta_g", [1e-9, 1e-3])
+    def test_seed_never_changes_the_answer(self, monkeypatch, method, eps, k, delta_g):
+        # the closed form only seeds the search: plain lattice bisection finds
+        # the same budget bit for bit, including k = 1e5 and k eps > 700
+        import brcomp.cli as cli
+        seeded, meta = method_epsilon(method, [eps] * k, delta_g)
+        assert meta["path"] == "closed-form"
+        monkeypatch.setattr(cli, "_closed_form_budget", lambda *a: None)
+        plain, meta = method_epsilon(method, [eps] * k, delta_g)
+        assert meta["path"] == "bisection"
+        assert seeded == plain
+
+    def test_evaluations_per_budget(self, monkeypatch):
+        # a closed-form budget costs 3 kernel calls: the reachability check,
+        # the seed's lattice point and the one below; bisecting [-0.5, 0.5]
+        # on 2^30 lattice steps costs 32
+        import brcomp.cli as cli
+        calls = []
+        real = cli.method_delta
+        monkeypatch.setattr(cli, "method_delta", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        method_epsilon("dp-optcomp", [0.1] * 5, 1e-6)
+        assert len(calls) == 3
+        calls.clear()
+        method_epsilon("br-optcomp", [0.1] * 5, 1e-6)
+        assert len(calls) == 32
+
+    @pytest.mark.parametrize("seed", [None, 0.3, 0.3 + 2.0 ** -30, 0.3 - 2.0 ** -30, -5.0,
+                                      50.0, math.inf, -math.inf, math.nan])
+    def test_search_confirms_or_falls_back(self, seed):
+        # f crosses the level between lattice points 0.3 - step and 0.3 (a
+        # lattice point); any seed, good or bad, gives that answer
+        step, x0 = self.STEP, round(0.3 / self.STEP) * self.STEP
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1.0 if x < x0 else 0.0
+
+        x, path = lattice_search(f, 0.5, -1.0, 1.0, step, seed)
+        assert x == x0 and f(x) <= 0.5 < f(x - step)
+        assert path == ("closed-form" if seed is not None and x0 - step < seed <= x0 else
+                        "bisection")
+        assert len(set(seen)) == len(seen) - 2   # each point evaluated once, then checked
+        assert all(v == round(v / step) * step for v in seen)   # only lattice points
+
+    def test_search_moves_a_low_upper_end(self):
+        # f(hi) > level: the bracket moves up and doubles until it holds
+        x, path = lattice_search(lambda x: float(x < 3.25), 0.5, -1.0, 1.0, self.STEP)
+        assert (x, path) == (3.25, "bisection")
+        calls = []
+        with pytest.raises(UnreachableTargetError):
+            lattice_search(lambda x: calls.append(x) or 1.0, 0.5, -1.0, 1.0, self.STEP)
+        assert len(calls) < 30   # until lattice points stop being floats, past 2^23
+
+    def test_budget_past_the_summed_eps(self):
+        # delta at the summed eps is 1.4e-16 here, the grouped sum's rounding,
+        # so the bracket moves up: the budget is the first lattice point above
+        eps_list = [0.875, 0.455, 1.011]
+        span = math.fsum(eps_list)   # the bracket end, as basic composition forms it
+        assert method_delta("dp-optcomp", eps_list, span)[0] > 1e-17
+        x, meta = method_epsilon("dp-optcomp", eps_list, 1e-17)
+        assert x - self.STEP < span < x and meta["path"] == "bisection"
+
+    def test_step_keeps_lattice_points_floats(self):
+        assert budget_step(1.0) == budget_step(1e5) == self.STEP
+        big = budget_step(1e9)
+        assert big > self.STEP and 8e9 / big < 2.0 ** 53
 
 
 class TestHeterogeneous:

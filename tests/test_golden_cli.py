@@ -21,8 +21,10 @@ import mpmath as mp
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import record_golden_cli as golden  # noqa: E402
+from brcomp.cli import method_delta  # noqa: E402
 
 MGF_VALUE_RTOL = 1e-9
+BISECTED = ("dp-optcomp", "dp-optcomp-half", "br-optcomp", "adaptive-lb")
 MGF_LAMBDA_RTOL = 1e-6
 
 
@@ -78,6 +80,24 @@ def test_outputs_match_the_golden_file():
         if why:
             bad.append(f"{name}: {why}")
     assert not bad, f"{len(bad)} of {len(cases)} outputs differ:\n" + "\n".join(bad[:20])
+
+
+def test_bisected_budgets_are_on_the_safe_side():
+    # each lattice budget x certifies its target, and one step below does not:
+    # delta(x) <= delta_g < delta(x - 2^-30), both through method_delta
+    want = json.loads(golden.GOLDEN.read_text())
+    checked = 0
+    for case in golden.cases():
+        direction, method, eps_list, delta_g, _ = case
+        entry = want[golden.key(*case)]
+        if direction != "epsilon" or method not in BISECTED or "error" in entry:
+            continue
+        x, step = entry["value"], 2.0 ** -30
+        assert method_delta(method, eps_list, x, describe=False)[0] <= delta_g, case
+        assert method_delta(method, eps_list, x - step, describe=False)[0] > delta_g, case
+        assert entry["meta"]["budget_step"] == step
+        checked += 1
+    assert checked == 104
 
 
 def test_recorder_rewrites_only_the_named_methods(tmp_path, monkeypatch, capsys):

@@ -14,8 +14,8 @@ from brcomp.grr import grr_probs
 from brcomp.nonadaptive import (TAIL_LOG2, TIE_RTOL, _log_binom, _stable_logs,
                                 candidate_points, delta_het_fixed_t, delta_hom_fixed_t,
                                 delta_opt_nonadaptive_hom, df_ell_dt, dp_optcomp_het,
-                                dp_optcomp_hom, f_ell, f_ell_magnitude, fixed_t_sums,
-                                nonadaptive_recursion_check)
+                                dp_optcomp_hom, f_ell, f_ell_magnitude, fixed_t_inverse,
+                                fixed_t_sums, nonadaptive_recursion_check)
 from brcomp.validation import finite_diff_check, hockey_stick
 from brcomp.grr import FiniteMechanismPair
 
@@ -605,6 +605,57 @@ class TestDpBaselines:
     def test_het_non_finite_eps_refused(self, bad):
         with pytest.raises(ValueError, match="finite"):
             dp_optcomp_het([bad, 1.0], 0.5)
+
+
+def _mp_fixed_t_root(eps, k, t, delta_g, start):
+    """The eps_g at which delta_k(t, eps_g) = delta_g, at 40 digits.
+
+    In u = e^(eps_g) the sum is convex, decreasing and piecewise linear, so
+    Newton steps in u from ``start`` land on the root's piece and then on the
+    root; the sum is formed from mp.binomial and the mp probabilities."""
+    with mp.workdps(40):
+        p, _ = _mp_probs(eps, t)
+        w = [mp.binomial(k, i) * p ** (k - i) * (1 - p) ** i for i in range(k + 1)]
+        ea = [mp.exp(k * mp.mpf(t) - i * mp.mpf(eps)) for i in range(k + 1)]
+        u = mp.exp(mp.mpf(start))
+        for _ in range(50):
+            pos = [(wi, e) for wi, e in zip(w, ea) if e > u]
+            u_next = (mp.fsum(wi * e for wi, e in pos) - delta_g) / mp.fsum(wi for wi, _ in pos)
+            if u_next == u:
+                return mp.log(u)
+            u = u_next
+        raise AssertionError("Newton steps did not settle")
+
+
+class TestFixedTInverse:
+    @pytest.mark.parametrize("eps,k,t_frac,delta_g", [
+        (0.2, 1, 0.5, 1e-6), (1.0, 1, 0.37, 0.05), (1.0, 10, 0.37, 1e-3),
+        (0.1, 1000, 0.37, 1e-9), (0.02, 10 ** 4, 0.5, 1e-6)])
+    def test_against_40_digit_root(self, eps, k, t_frac, delta_g):
+        # the root is a log-ratio of two sums of the kernel's log weights, and
+        # log C(k, i) is a running sum of logs whose rounding grows with k
+        # (see test_mpmath_references_at_scale): 2e-14 k absolute, against a
+        # measured 1.4e-16 at k = 10, 6.7e-13 at 1e3 and 6.6e-11 at 1e4
+        t = t_frac * eps
+        got = fixed_t_inverse(eps, k, t, delta_g)
+        want = _mp_fixed_t_root(eps, k, t, delta_g, got)
+        assert got == pytest.approx(float(want), rel=0.0, abs=2e-14 * k)
+
+    def test_is_the_kernels_root(self):
+        # on either side of the answer the kernel's sum brackets the target
+        for eps, k, t, delta_g in ((2.0, 3, 1.0, 1e-9), (0.02, 50000, 0.01, 1e-6),
+                                   (20.0, 100, 10.0, 1e-3)):
+            x = fixed_t_inverse(eps, k, t, delta_g)
+            gap = 1e-12 * max(1.0, abs(x))
+            assert delta_hom_fixed_t(eps, k, x + gap, t) < delta_g < \
+                delta_hom_fixed_t(eps, k, x - gap, t)
+
+    @pytest.mark.parametrize("args", [(0.0, 2, 0.1, 1e-6), (1.0, 2, 0.0, 1e-6),
+                                      (1.0, 2, 1.0, 1e-6), (1.0, 2, 0.5, 0.0),
+                                      (1.0, 2, 0.5, 1.0)])
+    def test_domain(self, args):
+        with pytest.raises(ValueError):
+            fixed_t_inverse(*args)
 
 
 # ---------------------------------------------------------------------------
