@@ -213,7 +213,12 @@ def _as_counts(eps_list: Sequence[float]) -> Counter:
     Zero entries are dropped: a zero-parameter round is data independent and
     contributes nothing to any of the bounds (U(0, lambda) = 0 exactly).
     """
-    counts = Counter(np.atleast_1d(np.asarray(eps_list, dtype=float)).tolist())
+    if isinstance(eps_list, np.ndarray):
+        eps_list = eps_list.tolist()   # iterating an array boxes each entry twice
+    try:
+        counts = Counter(map(float, eps_list))
+    except TypeError:                  # a scalar is one round
+        counts = Counter([float(eps_list)])
     if not counts:
         raise ValueError("eps_list must be nonempty")
     # checked once per distinct value; a nan entry is never merged away

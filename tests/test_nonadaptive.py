@@ -1,6 +1,7 @@
 """Tests for the exact nonadaptive optimum and the DP baselines."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brcomp import nonadaptive
+from brcomp.cli import method_epsilon
 from brcomp.errors import CapError
 from brcomp.grr import grr_probs
 from brcomp.nonadaptive import (TAIL_LOG2, TIE_RTOL, _log_binom, _stable_logs,
@@ -378,6 +380,20 @@ def _draw_case(rng, k_max=10 ** 4):
     return eps, k, float(k * eps * rng.uniform(-1.0, 1.0) ** 3)
 
 
+def _candidate_offsets(eps, k, eps_g):
+    t = np.unique(np.clip((eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1), 0.0, eps))
+    return t[(t > 0.0) & (t < eps)]
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestWindowedKernel:
     def test_optimum_matches_whole_row_oracle(self):
         rng = np.random.default_rng(101)
@@ -447,13 +463,37 @@ class TestWindowedKernel:
             assert (opt.t, opt.maximizers) == (t_star, maximizers)
 
     def test_block_size_caps_the_temporaries(self):
-        # many offsets at large k are evaluated in several blocks
+        # many offsets at large k are evaluated in several blocks, whose
+        # buffers are allocated once per pass
         eps, k, eps_g = 0.01, 30000, 2.0
         t = np.linspace(0.0, eps, 601)[1:-1]
-        res = fixed_t_sums(eps, k, eps_g, t)
+        res, peak = _traced_peak(fixed_t_sums, eps, k, eps_g, t)
         assert t.size * 2 * math.ceil(11 * math.sqrt(k) / 2) > nonadaptive._BLOCK_ELEMS
         _assert_close(res.values, _oracle_values(eps, k, eps_g, t))
         _assert_certified(res)
+        assert peak < 8e6
+        # a whole candidate scan: 10^4 windows of about 1100 terms each
+        assert _traced_peak(delta_opt_nonadaptive_hom, 0.01, 10 ** 4, 1.5)[1] < 8e6
+
+    def test_block_size_changes_no_bit(self, monkeypatch):
+        # a row's terms and sum do not depend on the block that holds it: one
+        # row per block (2^8 terms), the default, and the old 2^19-term blocks
+        cases = [(3.0, 300, -100.0, np.linspace(0.0, 3.0, 401)[1:-1]),   # widens
+                 (0.0586, 445, 1.0, None), (0.0063, 783, 0.1, None),
+                 (0.0108, 3163, 1.666, None), (0.01, 10 ** 4, 1.5, None),
+                 (0.3, 140, 3.0, np.linspace(0.0, 0.3, 2002)[1:-1]),     # whole rows
+                 (1.0, 40, 0.5, np.linspace(0.0, 1.0, 5002)[1:-1])]
+        results = []
+        for block in (1 << 8, 1 << 15, 1 << 19):
+            monkeypatch.setattr(nonadaptive, "_BLOCK_ELEMS", block)
+            results.append([])
+            for eps, k, eps_g, t in cases:
+                res = fixed_t_sums(eps, k, eps_g, _candidate_offsets(eps, k, eps_g)
+                                   if t is None else t)
+                assert nonadaptive._windowed(k, res.values.size) == (k > 150)
+                results[-1].append((res.values.tobytes(), res.omitted.tobytes(), res.passes))
+        assert results[0][0][2] >= 2
+        assert results[0] == results[1] == results[2]
 
     def test_no_positive_term_is_zero(self):
         res = fixed_t_sums(0.1, 1000, 50.0, np.array([0.01, 0.05]))
@@ -506,6 +546,32 @@ class TestWindowedKernel:
         opt_lo = delta_opt_nonadaptive_hom(eps, k, eps_g).delta
         opt_hi = delta_opt_nonadaptive_hom(eps, k, higher).delta
         assert opt_hi <= opt_lo * slack
+
+
+class TestLargeKPinned:
+    """Outputs past the golden CLI table's largest k (1000), as float.hex,
+    recorded before the windowed kernel moved to cache-sized blocks: the
+    delta sizes and the br-optcomp budget sizes of perfbench's large-k batch."""
+
+    @pytest.mark.parametrize("args,want", [
+        ((0.01, 10 ** 4, 1.5),
+         ("0x1.9cd6cd412ace7p-12", "0x1.4afd3ea41aaa9p-8", ["0x1.4afd3ea41aaa9p-8"])),
+        ((0.023981130017311256, 6950, 5.109616377129443),
+         ("0x1.6631a9fcb8240p-22", "0x1.90e2754162ba7p-7", ["0x1.90e2754162ba7p-7"])),
+        ((0.010795228945202708, 3163, 1.6663714160370844),
+         ("0x1.46d86cd1157b8p-29", "0x1.6d39006c010fcp-8", ["0x1.6d39006c010fcp-8"])),
+        ((0.0022787643503527264, 1419, 0.2584064120363239),
+         ("0x1.cdc6d5760eaedp-38", "0x1.3a6a22bace72cp-10", ["0x1.3a6a22bace72cp-10"]))])
+    def test_optimum(self, args, want):
+        res = delta_opt_nonadaptive_hom(*args)
+        assert (res.delta.hex(), res.t.hex(), [x.hex() for x in res.maximizers]) == want
+
+    @pytest.mark.parametrize("eps,k,delta_g,want", [
+        (0.0018346359799883717, 256, 7.338195220043259e-06, "0x1.603aff0000000p-5"),
+        (0.05860183814522001, 445, 3.713554841240882e-08, "0x1.a02ee9cc00000p+1"),
+        (0.006320696739302674, 783, 5.031145762475223e-07, "0x1.725e974000000p-2")])
+    def test_br_optcomp_budget(self, eps, k, delta_g, want):
+        assert method_epsilon("br-optcomp", [eps] * k, delta_g)[0].hex() == want
 
 
 class TestHeterogeneous:
@@ -833,7 +899,7 @@ class TestGroupedSum:
         cases = [_random_list(rng) for _ in range(30)]
         cases.append((np.array([0.3] * 40 + [0.7] * 3), np.array([0.1] * 40 + [0.2] * 3)))
         want = [delta_het_fixed_t(e, 0.2 * e.sum(), t) for e, t in cases]
-        monkeypatch.setattr(nonadaptive, "_BLOCK_ELEMS", 16)
+        monkeypatch.setattr(nonadaptive, "_GROUP_BLOCK_ELEMS", 16)
         for (e, t), w in zip(cases, want):
             assert delta_het_fixed_t(e, 0.2 * e.sum(), t) == pytest.approx(w, rel=1e-14, abs=0.0)
 
