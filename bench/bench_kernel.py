@@ -6,7 +6,8 @@ the results land in one JSON file keyed by label:
     python3 bench/bench_kernel.py                                  # this checkout's src/
     python3 bench/bench_kernel.py --src OLD/src:parent --src src:change --out BENCH_kernel.json
 
-It records, per tree:
+It records, per tree (each must define ``nonadaptive._window_pass``, whose
+calls give the term counts):
 
 - ``fixed_t_sums`` over every candidate offset at k = 445, 783, 3163 and
   6950 (the br-optcomp sizes of perfbench's large-k batch at seed 0): median
@@ -54,24 +55,16 @@ def _median_s(fn, repeats: int) -> float:
 
 
 def _count_terms(nonadaptive) -> list[int]:
-    """Wrap the kernel's per-pass evaluator so that each call adds the terms
-    it evaluates to the returned one-element list."""
+    """Wrap the kernel's per-pass evaluator, ``_window_pass``, so that each
+    call adds the terms it evaluates to the returned one-element list."""
     terms = [0]
-    if hasattr(nonadaptive, "_window_pass"):      # one call per pass
-        inner = nonadaptive._window_pass
+    inner = nonadaptive._window_pass
 
-        def counted(*args):
-            lo, span = args[-2], args[-1]
-            terms[0] += lo.size * (int(span.max()) + 1)
-            return inner(*args)
-        nonadaptive._window_pass = counted
-    else:                                          # one call per block of rows
-        inner = nonadaptive._log_terms
-
-        def counted(*args, **kwargs):
-            terms[0] += args[6].size
-            return inner(*args, **kwargs)
-        nonadaptive._log_terms = counted
+    def counted(*args):
+        lo, span = args[-2], args[-1]
+        terms[0] += lo.size * (int(span.max()) + 1)
+        return inner(*args)
+    nonadaptive._window_pass = counted
     return terms
 
 

@@ -13,9 +13,9 @@ from .bounds import (EpsilonResult, LambdaSearch, UBoundResult, UFunctionKind,
                      mgf_delta, mgf_epsilon, optkl_epsilon, quadratic_epsilon,
                      u_function)
 from .errors import CapError, UnreachableTargetError
-from .grr import (ExpMechResult, FiniteMechanismPair, GrrMechanism,
-                  QualityScoreTable, br_witness, counting_query_mech, cq_t_value,
-                  exp_mech_probs, grr_probs, quality_range, quality_sensitivity)
+from .grr import (ExpMechResult, FiniteMechanismPair, QualityScoreTable, br_witness,
+                  counting_query_mech, cq_t_value, exp_mech_probs, grr_probs,
+                  quality_range, quality_sensitivity)
 from .nonadaptive import (Candidate, OptResult, candidate_points, delta_het_fixed_t,
                           delta_hom_fixed_t, delta_opt_nonadaptive_hom, df_ell_dt,
                           dp_optcomp_het, dp_optcomp_hom, f_ell)
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveLowerBound", "AdaptiveSolverConfig", "BruteForceResult", "Candidate",
     "CapError", "CheckResult", "EpsilonResult", "ExpMechResult",
-    "FiniteMechanismPair", "GapCertificate", "GrrMechanism", "LambdaSearch",
+    "FiniteMechanismPair", "GapCertificate", "LambdaSearch",
     "OptResult", "QualityScoreTable", "SimulationReport", "StrategyTree",
     "UBoundResult", "UFunctionKind", "UnreachableTargetError",
     "adaptive_edge_high", "adaptive_edge_low", "basic_composition", "br_witness",

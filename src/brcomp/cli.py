@@ -33,7 +33,9 @@ METHODS = ("basic", "dp-optcomp", "dp-optcomp-half", "br-optcomp", "adaptive-lb"
            "dr19", "drv10", "optkl", "mgf", "edge-high", "edge-low")
 
 CURVE_K_CAP = 10 ** 5
-EPS_BISECT_TOL = 1e-9   # budget tolerance; the lattice step (optim.BUDGET_STEP) is finer
+# the budget tolerance that perfbench's BUDGET_ABS_TOL and the tests allow; no
+# solver reads it, and budgets move on the finer lattice (optim.BUDGET_STEP)
+EPS_BISECT_TOL = 1e-9
 TINY_PRINT = 1e-300
 
 _U_KIND = {"dr19": bounds.UFunctionKind.DR19,
@@ -71,6 +73,8 @@ def method_delta(method: str, eps_list, eps_g: float,
     ``br-optcomp`` comparison with half-DP); bisection only needs the value.
     """
     k = len(eps_list)
+    if k == 0:
+        raise ValueError("eps_list must be nonempty")
     eps0 = eps_list[0]
     hom = _equal_eps(eps_list)
     if method == "basic":
@@ -237,14 +241,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="Composition accountant for bounded-range mechanisms")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_k=True):
+    # only flags the handler reads: curve sweeps k over equal rounds (no
+    # --eps-file, --k), and gap runs no lambda search (no --lambda-max)
+    def common(p, rounds=True, lambda_max=True):
         p.add_argument("--eps", type=float, help="per-round parameter (equal rounds)")
-        p.add_argument("--eps-file", help="newline-separated per-round parameters")
-        if with_k:
+        if rounds:
+            p.add_argument("--eps-file", help="newline-separated per-round parameters")
             p.add_argument("--k", type=int, help="number of rounds (with --eps)")
         p.add_argument("--t-grid", type=int, default=Options.t_grid)
         p.add_argument("--depth-cap", type=int, default=Options.depth_cap)
-        p.add_argument("--lambda-max", type=float, default=Options.lambda_max)
+        if lambda_max:
+            p.add_argument("--lambda-max", type=float, default=Options.lambda_max)
 
     p = sub.add_parser("delta", help="loss at a fixed budget")
     common(p)
@@ -257,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=METHODS)
 
     p = sub.add_parser("curve", help="budget-vs-k table for several methods")
-    common(p, with_k=False)
+    common(p, rounds=False)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--delta-g", type=float, required=True)
     p.add_argument("--methods", required=True,
@@ -266,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (stdout when omitted)")
 
     p = sub.add_parser("gap", help="certify the adaptivity gap")
-    common(p)
+    common(p, lambda_max=False)
     p.add_argument("--eps-g", type=float, required=True)
 
     p = sub.add_parser("validate", help="run the oracle validation suite")
@@ -353,7 +360,7 @@ def _cmd_gap(args) -> int:
     if not _equal_eps(eps_list):
         raise CapError("gap certification supports equal per-round eps only")
     cert = gap_certificate(eps_list[0], len(eps_list), args.eps_g,
-                           _opts(args).solver_cfg())
+                           AdaptiveSolverConfig(t_grid=args.t_grid, depth_cap=args.depth_cap))
     print(json.dumps(cert.as_dict()))
     return 0
 

@@ -65,25 +65,6 @@ def grr_probs(eps: float, t: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class GrrMechanism:
-    """A (eps, t) pair with derived response probabilities."""
-
-    eps: float
-    t: float
-
-    def __post_init__(self):
-        grr_probs(self.eps, self.t)  # validates
-
-    @property
-    def p(self) -> float:
-        return grr_probs(self.eps, self.t)[0]
-
-    @property
-    def q(self) -> float:
-        return grr_probs(self.eps, self.t)[1]
-
-
-@dataclass(frozen=True)
 class FiniteMechanismPair:
     """Output distributions of one mechanism on two neighboring datasets."""
 

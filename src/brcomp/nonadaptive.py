@@ -77,10 +77,16 @@ def _log_factorials(n: int) -> np.ndarray:
     return _log_fact_table[:n + 1]
 
 
+def _log_choose(n, i):
+    """log C(n, i) for integers (or integer arrays that broadcast) 0 <= i <= n:
+    the one place the binomial weights are formed."""
+    lf = _log_factorials(n.max() if isinstance(n, np.ndarray) else n)
+    return lf[n] - lf[i] - lf[n - i]
+
+
 def _log_binom(k: int) -> np.ndarray:
-    lf = _log_factorials(k)
-    i = np.arange(k + 1)
-    return lf[k] - lf[i] - lf[k - i]
+    """log C(k, i) for i = 0..k."""
+    return _log_choose(k, np.arange(k + 1))
 
 
 def _validate_hom(eps: float, k: int) -> None:
@@ -157,30 +163,13 @@ def _last_positive(eps: float, k: int, eps_g: float, t: np.ndarray) -> np.ndarra
     return m
 
 
-def _log_terms(eps, k, eps_g, t, lp, lomp, i, lbin_i, valid=None) -> np.ndarray:
-    """log T_i at offsets t and indices i, -inf where a term is dropped.
-
-    ``t``, ``lp`` and ``lomp`` broadcast against ``i`` (scalars for one row,
-    columns for a block of rows); ``lbin_i`` is log C(k, i) at the same indices.
-    """
-    return _log_bracketed(lbin_i + (k - i) * lp + i * lomp, k * t - i * eps, eps_g, valid)
-
-
-def _log_bracketed(log_w, a, eps_g, valid=None) -> np.ndarray:
-    """log(e^log_w (e^a - e^eps_g)), -inf where dropped (by default, a <= eps_g).
+def _log_bracketed(log_w, a, eps_g) -> np.ndarray:
+    """log(e^log_w (e^a - e^eps_g)), -inf where dropped (a <= eps_g).
 
     log(1 - e^x), x = eps_g - a, is log(-expm1(x)): log1p(-exp(x)) errs by about
     ulp/|x| relative as x -> 0-.  ``log_w``, a caller's temporary, is overwritten."""
     lterm = np.add(log_w, a, out=log_w) + np.log(-np.expm1(eps_g - a))
-    return np.where(a > eps_g if valid is None else valid, lterm, -np.inf)
-
-
-def _row_logsums(lterm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: the largest log term and the sum of exp(term - largest), so
-    that a row's sum is ``exp(top) * tot`` (0 for a row with no term)."""
-    top = lterm.max(axis=-1)
-    tot = np.exp(lterm - top[..., None]).sum(axis=-1)
-    return top, np.where(np.isfinite(top), tot, 0.0)
+    return np.where(a > eps_g, lterm, -np.inf)
 
 
 def _log_tail(k: int, lbin, lq, l1mq, edge, step: int) -> np.ndarray:
@@ -199,7 +188,10 @@ def _log_tail(k: int, lbin, lq, l1mq, edge, step: int) -> np.ndarray:
 def _windowed(k: int, n_offsets: int) -> bool:
     """Whether fixed_t_sums windows the rows.  Not when even the widest first
     window would span the row (k up to about 150), nor when all the rows
-    together hold fewer terms than the window bookkeeping costs."""
+    together hold fewer terms than the window bookkeeping costs.  Whole rows
+    are their own path because of that cost: at k <= 100 a windowed scan
+    took 60-200 us more per call than ``_row_sums`` (2-core Xeon, numpy 2.4),
+    and a perfbench ``curve`` batch (k <= 40) makes about 8000 such calls."""
     widest = 2 * (math.ceil(WINDOW_SDS * math.sqrt(k) / 2.0) + WINDOW_PAD) + 1
     return widest <= k and n_offsets * (k + 1) > _DENSE_ELEMS
 
@@ -220,9 +212,9 @@ def fixed_t_sums(eps: float, k: int, eps_g: float, t) -> FixedTSums:
     summed whole in one pass (see ``_windowed``).  Work runs in blocks of at
     most ``_BLOCK_ELEMS`` terms (or one row).  The block is sized so that its
     buffers fit a core's L2 cache: a windowed pass allocates them once and
-    refills them in place for each block, with the operations in the order
-    ``_log_terms`` and ``_row_logsums`` use, so every value, bound and pass
-    count is the same bit for bit at any block size.
+    refills them in place for each block, with the operations in
+    ``_row_sums``' order, so every value, bound and pass count is the same
+    bit for bit at any block size.
     """
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -265,12 +257,16 @@ def fixed_t_inverse(eps: float, k: int, t: float, delta_g: float) -> float:
 
 
 def _row_sums(eps, k, eps_g, t, lp, lomp) -> FixedTSums:
-    """fixed_t_sums over whole rows, in blocks of offsets.  A scalar offset
-    runs as one 1-D row on numpy scalars, the cheapest form for the many
-    single evaluations of a bisection."""
+    """fixed_t_sums over whole rows, in blocks of offsets.  A row's log terms
+    are ``(lbin_i + (k - i) lp) + i lomp`` bracketed by ``_log_bracketed``,
+    and its sum is ``exp(top)`` times the sum of ``exp(term - top)``, top the
+    largest log term (0 for a row with no term).  A scalar offset runs as one
+    1-D row on numpy scalars, the cheapest form for the many single
+    evaluations of a bisection: as a 2-D block of one row it cost 15-25 us
+    more per call at k <= 100 (2-core Xeon, numpy 2.4)."""
     i, lbin = np.arange(k + 1), _log_binom(k)
     if t.ndim == 0:
-        lterm = _log_terms(eps, k, eps_g, float(t), lp, lomp, i, lbin)
+        lterm = _log_bracketed(lbin + (k - i) * lp + i * lomp, k * float(t) - i * eps, eps_g)
         top = lterm.max()
         value = math.exp(top) * np.exp(lterm - top).sum() if top > -np.inf else 0.0
         return FixedTSums(np.float64(value), np.float64(0.0), 1)
@@ -278,9 +274,11 @@ def _row_sums(eps, k, eps_g, t, lp, lomp) -> FixedTSums:
     step = max(1, _BLOCK_ELEMS // (k + 1))
     for s in range(0, t.size, step):
         b = slice(s, s + step)
-        top, tot = _row_logsums(_log_terms(eps, k, eps_g, t[b, None], lp[b, None],
-                                           lomp[b, None], i, lbin))
-        values[b] = np.exp(top) * tot
+        lterm = _log_bracketed(lbin + (k - i) * lp[b, None] + i * lomp[b, None],
+                               k * t[b, None] - i * eps, eps_g)
+        top = lterm.max(axis=1)
+        tot = np.exp(lterm - top[:, None]).sum(axis=1)
+        values[b] = np.exp(top) * np.where(np.isfinite(top), tot, 0.0)
     return FixedTSums(values, np.zeros(t.size), 1)
 
 
@@ -324,11 +322,12 @@ def _sliding_rows(x: np.ndarray, width: int) -> np.ndarray:
 
 
 def _window_pass(eps, k, eps_g, kt, lp, lomp, lbin, lo, span):
-    """``_row_logsums`` of each row's terms lo..lo+span, in ``_log_terms``'s
-    operation order.  Every row is padded to the pass's widest window (numpy's
-    pairwise row sum depends on the row length).  Blocks of rows are computed
-    in place in buffers allocated once per pass; only the gathers of log C(k, i)
-    and i, one contiguous copy per row, make a block-sized temporary."""
+    """Per row of terms lo..lo+span: the largest log term and the sum of
+    exp(term - largest), in ``_row_sums``' operation order.  Every row is
+    padded to the pass's widest window (numpy's pairwise row sum depends on
+    the row length).  Blocks of rows are computed in place in buffers
+    allocated once per pass; only the gathers of log C(k, i) and i, one
+    contiguous copy per row, make a block-sized temporary."""
     width = int(span.max()) + 1
     offs = np.arange(width)
     n = min(max(1, _BLOCK_ELEMS // width), lo.size)
@@ -472,7 +471,7 @@ def _f_ell_terms(eps: float, k: int, eps_g: float, ell: int, t: float) -> np.nda
     _check_ell_t(eps, k, ell, t)
     i = np.arange(ell + 1)
     mag, sign = _signed_log_diff(k * t - i * eps, eps_g)
-    log_w = _log_weights(_log_binom(k)[i], i, k - i, *_stable_logs(eps, t))
+    log_w = _log_weights(_log_choose(k, i), i, k - i, *_stable_logs(eps, t))
     with np.errstate(over="ignore"):
         return sign * np.exp(log_w + mag)
 
@@ -521,7 +520,7 @@ def df_ell_dt(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
     if ell == k:
         return 0.0
     mag, sign = _signed_log_diff(eps_g - t, k * t - (ell + 1) * eps)
-    log_w = _log_weights(_log_binom(k)[ell], ell, k - 1 - ell, *_stable_logs(eps, t))
+    log_w = _log_weights(_log_choose(k, ell), ell, k - 1 - ell, *_stable_logs(eps, t))
     with np.errstate(over="ignore"):
         return _finite_sum(sign * (k - ell) * np.exp(log_w + mag - math.log(-math.expm1(-eps))),
                            eps_g)
@@ -553,17 +552,18 @@ def _grouped_sum(eps: np.ndarray, t: np.ndarray, eps_g: float) -> float:
         raise CapError(f"grouped sum over {total} terms refused (cap 2^{SUBSET_CAP})")
     n = np.array(list(groups.values()))[:, None]      # one row per group
     i = np.minimum(np.arange(max(sizes)), n)          # counts 0..n_j, the last repeated
-    lf = _log_factorials(max(sizes) - 1)
     g_eps, g_t = np.array(list(groups)).T[:, :, None]
     # per (group, count): the log weight and the ranges taken off sum t
-    table = np.array([_log_weights(lf[n] - lf[i] - lf[n - i], i, n - i,
+    table = np.array([_log_weights(_log_choose(n, i), i, n - i,
                                    *_stable_logs(g_eps, g_t)), i * g_eps])
     fast, inner = 0, np.zeros((2, 1))
     while fast < len(sizes) and inner.shape[1] * sizes[fast] <= _GROUP_BLOCK_ELEMS:
         inner = (table[:, fast, :sizes[fast], None] + inner[:, None]).reshape(2, -1)
         fast += 1
     n_outer, step = total // inner.shape[1], _GROUP_BLOCK_ELEMS // inner.shape[1]
-    tsum = sum(n_j * t_j for (_, t_j), n_j in groups.items())   # one group: exactly k t
+    # one group: exactly k t.  Not math.fsum: it moved 8 of the 9 golden heterogeneous
+    # entries it changed farther from their 50-digit values
+    tsum = sum(n_j * t_j for (_, t_j), n_j in groups.items())
     parts = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, n_outer, step):

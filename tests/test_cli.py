@@ -1,15 +1,18 @@
 """End-to-end tests of the command-line surface."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brcomp import cli
 from brcomp.cli import (EPS_BISECT_TOL, METHODS, Options, curve_rows, main, method_delta,
                         method_epsilon)
 from brcomp.errors import UnreachableTargetError
@@ -511,3 +514,92 @@ def test_method_delta_rejects_unknown():
     with pytest.raises(ValueError):
         method_delta("nope", [1.0], 0.0)
 
+
+@pytest.mark.parametrize("method", METHODS)
+def test_method_delta_rejects_empty_list(method):
+    # it raised IndexError from eps_list[0]; method_epsilon refuses the same way
+    with pytest.raises(ValueError, match="eps_list must be nonempty"):
+        method_delta(method, [], 0.0)
+
+
+# a value and an alternative for every flag without choices (a flag with
+# choices takes its first two); a flag missing here fails the test below
+FLAG_VALUES = {
+    "--eps": ("0.5", "0.6"), "--k": ("3", "4"), "--eps-file": ("a.txt", "b.txt"),
+    "--t-grid": ("48", "40"), "--depth-cap": ("5", "4"), "--lambda-max": ("100", "50"),
+    "--eps-g": ("0.2", "0.3"), "--delta-g": ("1e-6", "1e-5"), "--k-max": ("3", "4"),
+    "--methods": ("basic,mgf", "basic"), "--out": ("a.out", "b.out"), "--seed": ("0", "1"),
+}
+
+
+def _subcommands() -> dict:
+    parser = cli._build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flag_lines(sub) -> list[list[str]]:
+    """Flag lists that between them give every flag of a subcommand; --eps-file
+    replaces --eps and --k, so it goes on a line of its own."""
+    flags = [a.option_strings[-1] for a in sub._actions if a.dest != "help"]
+    if "--eps-file" not in flags:
+        return [flags]
+    return [[f for f in flags if f != "--eps-file"],
+            [f for f in flags if f not in ("--eps", "--k")]]
+
+
+class TestEveryFlagIsRead:
+    """Every flag a subcommand parses changes what its handler does: the
+    arguments it hands the solver, what it prints or what it writes.  A read
+    of the attribute is not enough, since a handler can read a flag into an
+    object that drops it."""
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def stub(name, result):
+            def record(*args, **kwargs):
+                calls.append((name, repr(args), repr(kwargs)))
+                return result
+            return record
+
+        for name, result in {"method_delta": (0.5, {}), "method_epsilon": (0.5, {}),
+                             "curve_rows": [cli.CurveRow(1, "basic", 0.5, 1e-6, 0.5, "")],
+                             "gap_certificate": types.SimpleNamespace(as_dict=dict)}.items():
+            monkeypatch.setattr(cli, name, stub(name, result))
+        monkeypatch.setattr(cli.validation, "run_checks", stub(
+            "run_checks", [cli.validation.CheckResult("c", {}, "", 0.0, 1.0, True)]))
+        (tmp_path / "a.txt").write_text("0.5\n0.5\n")   # equal rounds, as gap needs
+        (tmp_path / "b.txt").write_text("0.6\n0.6\n0.6\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        dirs = {"--eps-file": tmp_path, "--out": out_dir}
+
+        def effect(command, flags, changed=None):
+            actions = {a.option_strings[-1]: a for a in _subcommands()[command]._actions}
+            argv = [command]
+            for flag in flags:
+                choices = actions[flag].choices
+                value = (choices[0], choices[1]) if choices else FLAG_VALUES[flag]
+                value = value[flag == changed]
+                argv += [flag, str(dirs[flag] / value) if flag in dirs else value]
+            calls.clear()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            written = {}
+            for path in out_dir.iterdir():
+                written[path.name] = path.read_text()
+                path.unlink()
+            return code, list(calls), out, err, written
+        return effect
+
+    @pytest.mark.parametrize("command", list(_subcommands()))
+    def test_every_flag_changes_the_handler(self, command, run):
+        given, read = set(), set()
+        for flags in _flag_lines(_subcommands()[command]):
+            base = run(command, flags)
+            assert base[0] == 0, (flags, base)
+            given |= set(flags)
+            read |= {f for f in flags if run(command, flags, changed=f) != base}
+        assert given == read, f"{command} parses but does not read {sorted(given - read)}"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from brcomp.grr import (FiniteMechanismPair, GrrMechanism, QualityScoreTable,
+from brcomp.grr import (FiniteMechanismPair, QualityScoreTable,
                         br_witness, counting_query_mech, cq_t_value, exp_mech_probs,
                         grr_probs, one_minus_p, one_minus_q, p_of_t, q_of_t,
                         quality_range, quality_sensitivity)
@@ -55,13 +55,6 @@ def test_grr_probs_rejects_bad_domain():
         grr_probs(1.0, 1.5)
     with pytest.raises(ValueError):
         grr_probs(1.0, -0.1)
-
-
-def test_grr_mechanism_dataclass():
-    m = GrrMechanism(1.0, 0.3)
-    assert m.q == pytest.approx(math.exp(0.3) * m.p, abs=1e-12)
-    with pytest.raises(ValueError):
-        GrrMechanism(1.0, 2.0)
 
 
 class TestBrWitness:

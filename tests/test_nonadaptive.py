@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brcomp import nonadaptive
-from brcomp.cli import method_epsilon
+from brcomp.cli import method_delta, method_epsilon
 from brcomp.errors import CapError
 from brcomp.grr import grr_probs
 from brcomp.nonadaptive import (TAIL_LOG2, TIE_RTOL, _log_binom, _stable_logs,
@@ -902,6 +902,19 @@ class TestGroupedSum:
         monkeypatch.setattr(nonadaptive, "_GROUP_BLOCK_ELEMS", 16)
         for (e, t), w in zip(cases, want):
             assert delta_het_fixed_t(e, 0.2 * e.sum(), t) == pytest.approx(w, rel=1e-14, abs=0.0)
+
+    def test_summed_budget_reads_the_exact_tail(self):
+        # math.fsum of these rounds lies 1.67e-16 below their exact sum, so the
+        # loss at that budget is positive: 5.27e-17 and 1.76e-17 at 60 digits.
+        # The kernel reads 1.41e-16 and 4.68e-17
+        eps_list = [0.875, 0.455, 1.011]
+        for method, half in (("dp-optcomp", 1.0), ("dp-optcomp-half", 0.5)):
+            eps = [e * half for e in eps_list]
+            budget = math.fsum(eps)
+            want = float(_mp_grouped([2.0 * e for e in eps], budget, eps, dps=60))
+            got = method_delta(method, eps_list, budget)[0]
+            assert want > 0.0 and got > 0.0
+            assert abs(got - want) <= 1e-16, (method, got, want)
 
     def test_repeats_lift_the_cap(self):
         # one group of 26, and two groups of 1000 rounds (1001^2 terms)

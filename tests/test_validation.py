@@ -86,8 +86,8 @@ class TestBruteForce:
         kernel = delta_het_fixed_t([0.8, 1.2], 0.1, base.t)
         real = nonadaptive._log_bracketed
 
-        def perturbed(log_w, a, eps_g, valid=None):
-            return real(log_w, 1.001 * a, eps_g, valid)
+        def perturbed(log_w, a, eps_g):
+            return real(log_w, 1.001 * a, eps_g)
 
         monkeypatch.setattr(nonadaptive, "_log_bracketed", perturbed)
         assert delta_het_fixed_t([0.8, 1.2], 0.1, base.t) != kernel
