@@ -15,6 +15,11 @@ calls give the term counts):
   passes) and the passes;
 - ``delta_opt_nonadaptive_hom(0.01, k, 1.5)`` at k = 10^4 and 10^5: median
   time, the ``tracemalloc`` peak of one more call, and the value as float.hex;
+- ``delta_opt_nonadaptive_hom`` over 400 seeded curve-like inputs (eps near
+  0.01, 0.1 and 1, k <= 40, eps_g within +-k eps), the small-k candidate
+  scan that ``curve`` repeats: best per-call time over 7 sweeps, and a
+  sha256 digest of every delta and t as float.hex, so that two trees
+  compare bit for bit;
 - ``bounds._as_counts`` on lists of 5, 40 and 56 000 entries: best time.
 
 Times are wall-clock medians over ``--repeats`` runs on a host that may be
@@ -24,6 +29,7 @@ shared, so compare trees measured in the same invocation.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -42,6 +48,7 @@ KERNEL_CASES = [(0.05860183814522001, 445, 3.251431679353118),
                 (0.010795228945202708, 3163, 1.6663714160370844),
                 (0.023981130017311256, 6950, 5.109616377129443)]
 DELTA_CASES = [(0.01, 10 ** 4, 1.5), (0.01, 10 ** 5, 1.5)]
+SCAN_INPUTS, SCAN_SWEEPS = 400, 7
 COUNT_SIZES = (5, 40, 56_000)
 
 
@@ -73,10 +80,11 @@ def measure(repeats: int) -> dict:
     import numpy as np
     from brcomp import bounds, nonadaptive
 
-    out = {"numpy": np.__version__, "fixed_t_sums": [], "delta_opt": [], "as_counts": []}
+    out = {"numpy": np.__version__, "fixed_t_sums": [], "delta_opt": [], "candidate_scan": {},
+           "as_counts": []}
     terms = _count_terms(nonadaptive)
     for eps, k, eps_g in KERNEL_CASES:
-        t = np.unique(np.clip((eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1), 0.0, eps))
+        t = (eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1)
         t = t[(t > 0.0) & (t < eps)]
         terms[0] = 0
         res = nonadaptive.fixed_t_sums(eps, k, eps_g, t)
@@ -96,6 +104,20 @@ def measure(repeats: int) -> dict:
         out["delta_opt"].append({"eps": eps, "k": k, "eps_g": eps_g, "s": seconds,
                                  "tracemalloc_peak_mb": peak / 1e6,
                                  "delta": res.delta.hex(), "t": res.t.hex()})
+    rng = np.random.default_rng(1)
+    scan = []
+    for _ in range(SCAN_INPUTS):
+        eps = float(10.0 ** (rng.integers(-2, 1) + rng.uniform(-0.3, 0.3)))
+        k = int(rng.integers(1, 41))
+        scan.append((eps, k, float(k * eps * rng.uniform(-1.0, 1.0))))
+
+    def sweep():
+        return [nonadaptive.delta_opt_nonadaptive_hom(*args) for args in scan]
+    best = min(timeit.repeat(sweep, number=1, repeat=SCAN_SWEEPS))
+    digest = hashlib.sha256(
+        "\n".join(f"{r.delta.hex()} {r.t.hex()}" for r in sweep()).encode()).hexdigest()
+    out["candidate_scan"] = {"inputs": SCAN_INPUTS, "us_per_call": 1e6 * best / SCAN_INPUTS,
+                             "sha256": digest}
     rng = np.random.default_rng(0)
     for n in COUNT_SIZES:
         values = 10.0 ** rng.uniform(-3.0, -1.0, 7)

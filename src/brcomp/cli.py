@@ -299,6 +299,12 @@ def _load_eps(args) -> list[float]:
         if k < 1:
             raise ValueError(f"--k must be at least 1, got {k}")
         eps = [args.eps] * k
+    return _checked_eps(eps)
+
+
+def _checked_eps(eps: list[float]) -> list[float]:
+    """The rounds to compose: every eps finite and nonnegative, the zero ones
+    dropped, and at least one left."""
     if not all(0.0 <= e < math.inf for e in eps):
         raise ValueError("eps must be finite and nonnegative")
     dropped = sum(1 for e in eps if e == 0.0)
@@ -331,8 +337,9 @@ def _cmd_epsilon(args) -> int:
 def _cmd_curve(args) -> int:
     if args.eps is None:
         raise ValueError("curve requires --eps (equal per-round parameters)")
+    eps = _checked_eps([args.eps])[0]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    rows = curve_rows(methods, args.eps, args.k_max, args.delta_g, _opts(args))
+    rows = curve_rows(methods, eps, args.k_max, args.delta_g, _opts(args))
     if args.format == "json":
         text = json.dumps([row.__dict__ for row in rows], indent=2) + "\n"
     else:

@@ -15,7 +15,6 @@ per-outcome log-ratios land exactly on the two interval endpoints.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -140,19 +139,6 @@ class QualityScoreTable:
         for a, b in nb:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"neighbor pair ({a}, {b}) out of range for {n} datasets")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QualityScoreTable":
-        return cls(np.asarray(d["scores"], dtype=float),
-                   [tuple(p) for p in d.get("neighbors", [])])
-
-    @classmethod
-    def from_json(cls, text: str) -> "QualityScoreTable":
-        return cls.from_dict(json.loads(text))
-
-    def to_dict(self) -> dict:
-        return {"scores": self.scores.tolist(),
-                "neighbors": [list(p) for p in self.neighbors]}
 
 
 def quality_sensitivity(table: QualityScoreTable) -> float:

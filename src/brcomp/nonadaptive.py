@@ -423,8 +423,9 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
         return OptResult(-math.expm1(eps_g), 0.0, [])
     endpoint_value = _endpoint_value(eps_g)
 
-    t_all = (eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1)
-    t = np.unique(np.clip(t_all, 0.0, eps))
+    # the offsets rise by eps/(k+1), far above their rounding, so those
+    # inside (0, eps) are already sorted and distinct
+    t = (eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1)
     t = t[(t > 0.0) & (t < eps)]
     if t.size == 0:
         return OptResult(endpoint_value, 0.0, [])

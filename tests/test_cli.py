@@ -368,6 +368,16 @@ class TestBadInput:
         assert (code, out) == (2, "")
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("eps, why", [("0", "nothing to compose"),
+                                          ("-0.5", "must be finite and nonnegative")])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_curve_checks_eps_like_delta(self, capsys, method, eps, why):
+        # curve printed a table of zero budgets at --eps 0 for most methods
+        code, out, err = run_cli(capsys, "curve", f"--eps={eps}", "--k-max", "2",
+                                 "--delta-g", "1e-6", "--methods", method)
+        assert (code, out) == (2, "")
+        assert why in err
+
     @pytest.mark.parametrize("method", ["mgf", "dr19", "optkl"])
     def test_infinite_lambda_max(self, capsys, method):
         code, out, err = run_cli(capsys, "epsilon", "--eps", "1", "--k", "2", "--delta-g",

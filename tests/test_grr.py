@@ -162,13 +162,6 @@ class TestQualityScores:
         with pytest.raises(ValueError):
             quality_range(QualityScoreTable(np.array([[1.0]]), []))
 
-    def test_json_round_trip(self):
-        table = self.table_xy(2.0)
-        again = QualityScoreTable.from_json(
-            '{"scores": [[0.0, 1.0], [2.0, 3.0]], "neighbors": [[0, 1]]}')
-        assert np.array_equal(again.scores, table.scores)
-        assert again.neighbors == table.neighbors
-
 
 class TestExpMech:
     def test_equal_scores_degenerate_uniform(self):

@@ -150,6 +150,42 @@ class TestDeltaOpt:
         assert res.maximizers == [best]
         assert float(exact[best]) == pytest.approx(res.delta, rel=1e-9, abs=0.0)
 
+    def test_scan_masks_the_clipped_distinct_candidates(self, monkeypatch):
+        # the scan keeps the interior offsets with one mask, unclipped and
+        # unsorted; they must equal the sorted, distinct interior offsets of
+        # the clipped candidates
+        class Scanned(Exception):
+            pass
+
+        def capture(eps, k, eps_g, t):
+            raise Scanned(t)
+        monkeypatch.setattr(nonadaptive, "fixed_t_sums", capture)
+
+        def scanned(eps, k, eps_g):
+            try:
+                delta_opt_nonadaptive_hom(eps, k, eps_g)
+            except Scanned as exc:
+                return exc.args[0]
+            return np.empty(0)
+
+        rng = np.random.default_rng(9)
+        cases = []
+        for _ in range(3000):
+            k = int(round(10.0 ** rng.uniform(0.0, 5.0)))
+            eps = float(10.0 ** rng.uniform(-4.0, 1.0))
+            cases.append((eps, k, float(rng.uniform(-k * eps, k * eps))))
+        for eps in (1e-4, 0.1, 1.0, 7.3):
+            for k in (1, 2, 40, 10 ** 5):
+                edge = k * eps
+                cases += [(eps, k, float(rng.uniform(-edge, edge))),
+                          (eps, k, math.nextafter(edge, 0.0)),
+                          (eps, k, math.nextafter(-edge, 0.0))]
+        # eps_g on a multiple of eps puts an offset exactly on 0 or on eps
+        cases += [(0.5, k, j * 0.5) for k in (1, 4, 7) for j in range(1 - k, k)]
+        for eps, k, eps_g in cases:
+            want = _candidate_offsets(eps, k, eps_g)
+            assert np.array_equal(scanned(eps, k, eps_g), want), (eps, k, eps_g)
+
     def test_sandwich_between_dp_baselines(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
