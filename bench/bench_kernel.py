@@ -20,7 +20,10 @@ calls give the term counts):
   scan that ``curve`` repeats: best per-call time over 7 sweeps, and a
   sha256 digest of every delta and t as float.hex, so that two trees
   compare bit for bit;
-- ``bounds._as_counts`` on lists of 5, 40 and 56 000 entries: best time.
+- ``bounds._as_counts`` on lists of 5, 40 and 56 000 entries, each once
+  mixed (seven values, fresh float objects) and once equal: best time;
+- the ``_as_counts`` calls that one ``method_epsilon`` and one
+  ``method_delta`` query make, for each bound method.
 
 Times are wall-clock medians over ``--repeats`` runs on a host that may be
 shared, so compare trees measured in the same invocation.
@@ -50,6 +53,7 @@ KERNEL_CASES = [(0.05860183814522001, 445, 3.251431679353118),
 DELTA_CASES = [(0.01, 10 ** 4, 1.5), (0.01, 10 ** 5, 1.5)]
 SCAN_INPUTS, SCAN_SWEEPS = 400, 7
 COUNT_SIZES = (5, 40, 56_000)
+BOUND_METHODS = ("basic", "optkl", "dr19", "drv10", "mgf")
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -78,10 +82,10 @@ def _count_terms(nonadaptive) -> list[int]:
 def measure(repeats: int) -> dict:
     """Every measurement for the brcomp importable in this interpreter."""
     import numpy as np
-    from brcomp import bounds, nonadaptive
+    from brcomp import bounds, cli, nonadaptive
 
     out = {"numpy": np.__version__, "fixed_t_sums": [], "delta_opt": [], "candidate_scan": {},
-           "as_counts": []}
+           "as_counts": [], "as_counts_calls": {}}
     terms = _count_terms(nonadaptive)
     for eps, k, eps_g in KERNEL_CASES:
         t = (eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1)
@@ -121,10 +125,37 @@ def measure(repeats: int) -> dict:
     rng = np.random.default_rng(0)
     for n in COUNT_SIZES:
         values = 10.0 ** rng.uniform(-3.0, -1.0, 7)
-        eps_list = values[rng.integers(0, 7, n)].tolist()
+        lists = {"mixed": values[rng.integers(0, 7, n)].tolist(), "equal": [values[0]] * n}
         number = max(1, 200_000 // n)
-        best = min(timeit.repeat(lambda: bounds._as_counts(eps_list), number=number, repeat=5))
-        out["as_counts"].append({"entries": n, "us": 1e6 * best / number})
+        for kind, eps_list in lists.items():
+            best = min(timeit.repeat(lambda: bounds._as_counts(eps_list), number=number,
+                                     repeat=5))
+            out["as_counts"].append({"entries": n, "list": kind, "us": 1e6 * best / number})
+    out["as_counts_calls"] = _count_calls(bounds, cli, lists["mixed"][:40])
+    return out
+
+
+def _count_calls(bounds, cli, eps_list: list[float]) -> dict:
+    """``bounds._as_counts`` calls per query: one epsilon query at delta_g =
+    1e-6 and one delta query at half the summed eps, per bound method."""
+    calls = [0]
+    inner = bounds._as_counts
+
+    def counted(eps):
+        calls[0] += 1
+        return inner(eps)
+    bounds._as_counts = counted
+    out = {}
+    try:
+        for method in BOUND_METHODS:
+            for name, query in (("epsilon", lambda: cli.method_epsilon(method, eps_list, 1e-6)),
+                                ("delta", lambda: cli.method_delta(method, eps_list,
+                                                                   0.5 * sum(eps_list)))):
+                calls[0] = 0
+                query()
+                out[f"{method}|{name}"] = calls[0]
+    finally:
+        bounds._as_counts = inner
     return out
 
 

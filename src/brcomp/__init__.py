@@ -10,8 +10,8 @@ from .adaptive import (AdaptiveLowerBound, AdaptiveSolverConfig, GapCertificate,
                        delta_adaptive_lb, gap_certificate)
 from .bounds import (EpsilonResult, LambdaSearch, UBoundResult, UFunctionKind,
                      basic_composition, generic_delta_from_u, h_eps, maxkl,
-                     mgf_delta, mgf_epsilon, optkl_epsilon, quadratic_epsilon,
-                     u_function)
+                     mgf_delta, mgf_epsilon, optkl_delta, optkl_epsilon,
+                     quadratic_epsilon, u_function)
 from .errors import CapError, UnreachableTargetError
 from .grr import (ExpMechResult, FiniteMechanismPair, QualityScoreTable, br_witness,
                   counting_query_mech, cq_t_value, exp_mech_probs, grr_probs,
@@ -37,6 +37,7 @@ __all__ = [
     "delta_opt_nonadaptive_hom", "df_ell_dt", "dp_optcomp_het", "dp_optcomp_hom",
     "exp_mech_probs", "f_ell", "finite_diff_check", "gap_certificate",
     "generic_delta_from_u", "grr_probs", "h_eps", "hockey_stick", "maxkl",
-    "mgf_delta", "mgf_epsilon", "optkl_epsilon", "quadratic_epsilon", "quality_range",
-    "quality_sensitivity", "run_checks", "simulate_adaptive_game", "u_function",
+    "mgf_delta", "mgf_epsilon", "optkl_delta", "optkl_epsilon", "quadratic_epsilon",
+    "quality_range", "quality_sensitivity", "run_checks", "simulate_adaptive_game",
+    "u_function",
 ]

@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .nonadaptive import _validate_budget
+from .nonadaptive import _equal_eps, _validate_budget
 # golden_max stays bound here for code that looks it up through this module
 # (perfbench's tracer patches every binding site)
 from .optim import golden_max, golden_min, iters_for_rel_tol  # noqa: F401
@@ -165,6 +165,7 @@ class UBoundResult(NamedTuple):
     delta: float
     lam: float           # minimizing lambda
     at_ceiling: bool     # True when the minimum sits on lambda_max
+    capped_at_basic: bool = False  # True when basic composition gave delta = 0
 
 
 class EpsilonResult(NamedTuple):
@@ -208,17 +209,26 @@ def _minimize_over_lambda(obj, search: LambdaSearch) -> tuple[float, float, bool
 
 
 def _as_counts(eps_list: Sequence[float]) -> Counter:
-    """Multiplicities of the per-round parameters.
+    """Multiplicities of the per-round parameters: ``Counter(map(float, eps_list))``.
 
+    A list, tuple or 1-D array whose entries all equal the first is
+    recognised at C speed (``nonadaptive._equal_eps``), so an equal list of
+    any length costs no per-entry hashing.
     Zero entries are dropped: a zero-parameter round is data independent and
     contributes nothing to any of the bounds (U(0, lambda) = 0 exactly).
     """
-    if isinstance(eps_list, np.ndarray):
-        eps_list = eps_list.tolist()   # iterating an array boxes each entry twice
-    try:
-        counts = Counter(map(float, eps_list))
-    except TypeError:                  # a scalar is one round
-        counts = Counter([float(eps_list)])
+    array = isinstance(eps_list, np.ndarray)
+    # the last entry spares most unequal lists the full test
+    if ((isinstance(eps_list, (list, tuple)) or array and eps_list.ndim == 1)
+            and len(eps_list) > 0 and eps_list[-1] == eps_list[0] and _equal_eps(eps_list)):
+        counts = Counter({float(eps_list[0]): len(eps_list)})
+    else:
+        if array:
+            eps_list = eps_list.tolist()   # iterating an array boxes each entry twice
+        try:
+            counts = Counter(map(float, eps_list))
+        except TypeError:              # a scalar is one round
+            counts = Counter([float(eps_list)])
     if not counts:
         raise ValueError("eps_list must be nonempty")
     # checked once per distinct value; a nan entry is never merged away
@@ -226,6 +236,11 @@ def _as_counts(eps_list: Sequence[float]) -> Counter:
         raise ValueError("eps must be finite and nonnegative")
     counts.pop(0.0, None)
     return counts
+
+
+def _sum_counts(eps_counts: Counter) -> float:
+    """sum eps_i over the rounds: the ``math.fsum`` of each value times its count."""
+    return math.fsum(e * n for e, n in eps_counts.items())
 
 
 def generic_delta_from_u(kind: UFunctionKind, eps_list: Sequence[float],
@@ -241,7 +256,11 @@ def generic_delta_from_u(kind: UFunctionKind, eps_list: Sequence[float],
     When the exponent is positive for every lambda the bound is vacuous and
     1 is returned.
     """
-    counts = _as_counts(eps_list)
+    return _generic_delta(kind, _as_counts(eps_list), eps_g, search)
+
+
+def _generic_delta(kind: UFunctionKind, counts: Counter, eps_g: float,
+                   search: LambdaSearch) -> UBoundResult:
     _validate_budget(eps_g)
     if not counts:  # every round was a zero-parameter no-op
         return UBoundResult(0.0 if eps_g > 0.0 else 1.0, 0.0, False)
@@ -262,8 +281,7 @@ def generic_delta_from_u(kind: UFunctionKind, eps_list: Sequence[float],
 
 def basic_composition(eps_list: Sequence[float]) -> float:
     """Budget under plain summation: eps_g = sum eps_i, with delta = 0."""
-    counts = _as_counts(eps_list)
-    return math.fsum(e * n for e, n in counts.items())
+    return _sum_counts(_as_counts(eps_list))
 
 
 def _log_inv_delta(delta_g: float) -> float:
@@ -283,7 +301,11 @@ def quadratic_epsilon(kind: UFunctionKind, eps_list: Sequence[float], delta_g: f
     edge is used instead.  The budget is not capped at basic composition.
     """
     big_l = _log_inv_delta(delta_g)
-    counts = _as_counts(eps_list)
+    return _quadratic_epsilon(kind, _as_counts(eps_list), big_l, search)
+
+
+def _quadratic_epsilon(kind: UFunctionKind, counts: Counter, big_l: float,
+                       search: LambdaSearch) -> EpsilonResult:
     if not counts:
         return EpsilonResult(0.0, 0.0, False)
     a, b = _quadratic_coeffs(kind, counts)
@@ -303,8 +325,21 @@ def optkl_epsilon(eps_list: Sequence[float], delta_g: float,
 
     the second term taken over the lambda window (``quadratic_epsilon``).
     """
-    kl = quadratic_epsilon(UFunctionKind.KL_IMPROVED_DR19, eps_list, delta_g, search)
-    return min(basic_composition(eps_list), kl.eps_g)
+    big_l = _log_inv_delta(delta_g)
+    counts = _as_counts(eps_list)
+    kl = _quadratic_epsilon(UFunctionKind.KL_IMPROVED_DR19, counts, big_l, search)
+    return min(_sum_counts(counts), kl.eps_g)
+
+
+def optkl_delta(eps_list: Sequence[float], eps_g: float,
+                search: LambdaSearch = _DEFAULT_SEARCH) -> UBoundResult:
+    """Loss of the KL-improved bound, capped at basic composition: delta = 0
+    (flagged ``capped_at_basic``) once eps_g reaches sum eps_i, and the KL
+    bound through ``generic_delta_from_u`` below it."""
+    counts = _as_counts(eps_list)
+    if eps_g >= _sum_counts(counts):
+        return UBoundResult(0.0, 0.0, False, True)
+    return _generic_delta(UFunctionKind.KL_IMPROVED_DR19, counts, eps_g, search)
 
 
 def mgf_delta(eps_list: Sequence[float], eps_g: float,
@@ -336,7 +371,7 @@ def mgf_epsilon(eps_list: Sequence[float], delta_g: float,
         return (_sum_h(counts, lam) + big_l) / lam
 
     lam, val, ceiling = _minimize_over_lambda(ratio, search)
-    basic = basic_composition(eps_list)
+    basic = _sum_counts(counts)
     if val >= basic:
         return EpsilonResult(basic, lam, True, ceiling)
     return EpsilonResult(max(val, 0.0), lam, False, ceiling)

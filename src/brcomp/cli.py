@@ -76,20 +76,19 @@ def method_delta(method: str, eps_list, eps_g: float,
     if k == 0:
         raise ValueError("eps_list must be nonempty")
     eps0 = eps_list[0]
-    hom = _equal_eps(eps_list)
     if method == "basic":
-        ok = eps_g >= bounds.basic_composition(eps_list) - 1e-15
+        ok = eps_g >= bounds.basic_composition(eps_list)
         return (0.0 if ok else 1.0), {"note": "no guarantee below the summed budget"}
     if method == "dp-optcomp":
-        if hom:
+        if _equal_eps(eps_list):
             return dp_optcomp_hom(eps0, k, eps_g), {}
         return dp_optcomp_het(eps_list, eps_g), {"form": "subset-sum"}
     if method == "dp-optcomp-half":
-        if hom:
+        if _equal_eps(eps_list):
             return dp_optcomp_hom(eps0 / 2.0, k, eps_g), {}
         return dp_optcomp_het([e / 2.0 for e in eps_list], eps_g), {"form": "subset-sum"}
     if method == "br-optcomp":
-        if hom:
+        if _equal_eps(eps_list):
             res = delta_opt_nonadaptive_hom(eps0, k, eps_g)
             meta = {"t": res.t}
             if describe and math.isclose(res.delta, dp_optcomp_hom(eps0 / 2.0, k, eps_g),
@@ -109,25 +108,24 @@ def method_delta(method: str, eps_list, eps_g: float,
         res = bounds.generic_delta_from_u(_U_KIND[method], eps_list, eps_g, opts.search())
         return res.delta, {"lambda": res.lam, "at_ceiling": res.at_ceiling}
     if method == "optkl":
-        if eps_g >= bounds.basic_composition(eps_list) - 1e-15:
+        res = bounds.optkl_delta(eps_list, eps_g, opts.search())
+        if res.capped_at_basic:
             return 0.0, {"branch": "basic"}
-        res = bounds.generic_delta_from_u(bounds.UFunctionKind.KL_IMPROVED_DR19,
-                                          eps_list, eps_g, opts.search())
         return res.delta, {"lambda": res.lam}
     if method == "mgf":
         res = bounds.mgf_delta(eps_list, eps_g, opts.search())
         return res.delta, {"lambda": res.lam, "at_ceiling": res.at_ceiling}
     if method == "edge-high":
-        _require_hom(method, hom)
+        _require_hom(method, eps_list)
         return adaptive_edge_high(eps0, k, eps_g), {}
     if method == "edge-low":
-        _require_hom(method, hom)
+        _require_hom(method, eps_list)
         return adaptive_edge_low(eps0, k, eps_g), {}
     raise ValueError(f"unknown method {method!r}")
 
 
-def _require_hom(method: str, hom: bool) -> None:
-    if not hom:
+def _require_hom(method: str, eps_list) -> None:
+    if not _equal_eps(eps_list):
         raise CapError(f"method {method} supports equal per-round eps only")
 
 
@@ -201,9 +199,11 @@ def curve_rows(methods, eps: float, k_max: int, delta_g: float,
         raise ValueError("k_max must be at least 1")
     if k_max > CURVE_K_CAP:
         raise CapError(f"k_max exceeds the curve cap {CURVE_K_CAP}")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} is listed more than once")
     rows = []
     for method in methods:
         for k in range(1, k_max + 1):

@@ -6,11 +6,15 @@ from collections import Counter
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brcomp import bounds, cli
 from brcomp.bounds import (_MAXKL_LOG_FORM, _MAXKL_SERIES_CUTOFF, LambdaSearch,
-                           UFunctionKind, _minimize_over_lambda, basic_composition,
-                           generic_delta_from_u, h_eps, maxkl, mgf_delta, mgf_epsilon,
-                           optkl_epsilon, quadratic_epsilon, u_function)
+                           UFunctionKind, _as_counts, _minimize_over_lambda,
+                           basic_composition, generic_delta_from_u, h_eps, maxkl, mgf_delta,
+                           mgf_epsilon, optkl_delta, optkl_epsilon, quadratic_epsilon,
+                           u_function)
 from brcomp.cli import EPS_BISECT_TOL, Options, method_delta, method_epsilon
 from brcomp.nonadaptive import delta_hom_fixed_t, delta_opt_nonadaptive_hom
 
@@ -183,6 +187,15 @@ class TestOptkl:
             assert optkl_epsilon(eps, dg) == pytest.approx(
                 min(float(np.sum(eps)), branch), rel=1e-12, abs=0.0)
 
+    def test_delta_is_capped_at_basic_composition(self):
+        eps = [0.3, 0.8, 0.05]
+        total = basic_composition(eps)
+        assert optkl_delta(eps, total) == (0.0, 0.0, False, True)
+        below = math.nextafter(total, 0.0)
+        kl = generic_delta_from_u(UFunctionKind.KL_IMPROVED_DR19, eps, below)
+        assert optkl_delta(eps, below) == kl
+        assert not kl.capped_at_basic and 0.0 < kl.delta < 1.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             optkl_epsilon([1.0], 0.0)
@@ -283,6 +296,138 @@ class TestBasicComposition:
             for eps_list in ([bad], [bad, 1.0]):
                 with pytest.raises(ValueError, match="finite"):
                     fn(eps_list)
+
+
+def _counted(values) -> list[tuple[str, int]]:
+    """Counter(map(float, values)) without its zero key, as (key.hex(), count)
+    in key order: what ``_as_counts`` must return for every input form."""
+    counts = Counter(map(float, values))
+    counts.pop(0.0, None)
+    return [(e.hex(), n) for e, n in counts.items()]
+
+
+def _forms(values: list) -> dict:
+    """One list of rounds in every accepted container, plus the same values
+    held in distinct float objects."""
+    return {"list": values, "tuple": tuple(values), "array": np.array(values),
+            "iterator": iter(values),
+            "distinct": [float.fromhex(float(v).hex()) for v in values]}
+
+
+_POOL = (0.0, -0.0, 1e-3, 0.1, 0.30000000000000004, 1.0, 2.5, 1e-300, 3, 0)
+
+
+class TestAsCounts:
+    """``_as_counts`` recognises an equal list with one C-speed count; every
+    input form must give what ``Counter(map(float, ...))`` gives."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=st.lists(st.sampled_from(_POOL) | st.floats(0.0, 10.0),
+                           min_size=1, max_size=30),
+           repeat=st.integers(1, 40), equal=st.booleans())
+    def test_matches_counter_of_floats(self, values, repeat, equal):
+        if equal:
+            values = [values[0]] * repeat
+        want = _counted(values)
+        for name, form in _forms(values).items():
+            got = _as_counts(form)
+            assert [(e.hex(), n) for e, n in got.items()] == want, name
+            assert all(type(e) is float for e in got), name
+
+    @pytest.mark.parametrize("values", [
+        [0.1] * 56_000, [0.0, -0.0, 0.0], [-0.0, 0.5, -0.0], [0.0, 0.0, 0.7],
+        [2, 2, 2], [2, 2.0, 2], [1, 0.5], [True, 1.0], [0.1, 0.1, 0.2, 0.1]])
+    def test_examples(self, values):
+        want = _counted(values)
+        for name, form in _forms(values).items():
+            assert [(e.hex(), n) for e, n in _as_counts(form).items()] == want, name
+
+    @pytest.mark.parametrize("scalar", [0.5, 3, np.float64(0.5), np.array(0.5)])
+    def test_scalar_is_one_round(self, scalar):
+        assert list(_as_counts(scalar).items()) == [(float(scalar), 1)]
+
+    @pytest.mark.parametrize("bad,match", [
+        ([math.nan] * 3, "finite"),
+        ([float("nan") for _ in range(3)], "finite"),
+        (np.full(3, math.nan), "finite"),
+        ([math.inf] * 2, "finite"),
+        ([0.1, math.inf], "finite"),
+        ([-0.1] * 4, "finite"),
+        ([0.1, -0.2], "finite"),
+        ([], "nonempty"), ((), "nonempty"), (np.array([]), "nonempty"), (iter([]), "nonempty")])
+    def test_bad_input_refused(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            _as_counts(bad)
+
+
+# 58 000 rounds: one eps, and seven values in seeded order; pinned below at
+# the parent of the equal-list count
+_RNG = np.random.default_rng(7)
+_SEVEN = (10.0 ** _RNG.uniform(-3.0, -2.0, 7)).tolist()
+PIN_LISTS = {"equal": ([1e-3] * 58_000, 0.5),
+             "mixed": ([_SEVEN[i] for i in _RNG.integers(0, 7, 58_000).tolist()], 3.0)}
+PIN_DELTA_G = 1e-6
+
+
+class TestLargeListPins:
+    """Both directions of every bound on 58 000-entry lists, as float.hex."""
+
+    @pytest.mark.parametrize("name,method,direction,want", [
+        ("equal", "basic", "epsilon", "0x1.d000000000000p+5"),
+        ("equal", "basic", "delta", "0x1.0000000000000p+0"),
+        ("equal", "optkl", "epsilon", "0x1.47caca413d7d6p-1"),
+        ("equal", "optkl", "delta", "0x1.e4ba7537758fap-13"),
+        ("equal", "dr19", "epsilon", "0x1.52ed9b277b2cep-1"),
+        ("equal", "dr19", "delta", "0x1.f352c97de5decp-12"),
+        ("equal", "drv10", "epsilon", "0x1.4b810fe3e5abdp+0"),
+        ("equal", "drv10", "delta", "0x1.2e88edcfc2a50p-3"),
+        ("equal", "mgf", "epsilon", "0x1.47c9a404a04e0p-1"),
+        ("equal", "mgf", "delta", "0x1.e4a8c8ee97440p-13"),
+        ("mixed", "basic", "epsilon", "0x1.f5fd56d674bf2p+7"),
+        ("mixed", "basic", "delta", "0x1.0000000000000p+0"),
+        ("mixed", "optkl", "epsilon", "0x1.b2a433baa5ed6p+1"),
+        ("mixed", "optkl", "delta", "0x1.9a18af5412754p-16"),
+        ("mixed", "dr19", "epsilon", "0x1.fa3572099deeep+1"),
+        ("mixed", "dr19", "delta", "0x1.1ebff87ad5059p-10"),
+        ("mixed", "drv10", "epsilon", "0x1.ca7f4931afd20p+2"),
+        ("mixed", "drv10", "delta", "0x1.7473d0ee1e761p-3"),
+        ("mixed", "mgf", "epsilon", "0x1.b2a0ed3eafe54p+1"),
+        ("mixed", "mgf", "delta", "0x1.99e196773c097p-16")])
+    def test_value(self, name, method, direction, want):
+        eps_list, eps_g = PIN_LISTS[name]
+        if direction == "epsilon":
+            got = method_epsilon(method, eps_list, PIN_DELTA_G)[0]
+        else:
+            got = method_delta(method, eps_list, eps_g)[0]
+        assert got.hex() == want
+
+
+BOUND_METHODS = ("basic", "optkl", "dr19", "drv10", "mgf")
+
+
+@pytest.mark.parametrize("method", BOUND_METHODS)
+@pytest.mark.parametrize("eps_list", [[0.1] * 5, [0.1, 0.3, 0.1, 0.05]])
+def test_each_bound_query_counts_its_list_once(monkeypatch, method, eps_list):
+    """One ``_as_counts`` call per query in both directions, and no equal-eps
+    test in ``method_delta``'s bound branches."""
+    calls = Counter()
+
+    def counting(fn, name):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+    monkeypatch.setattr(bounds, "_as_counts", counting(bounds._as_counts, "count"))
+    monkeypatch.setattr(cli, "_equal_eps", counting(cli._equal_eps, "equal"))
+    total = basic_composition(eps_list)
+    queries = [lambda: method_epsilon(method, eps_list, 1e-6)]
+    # below, at and above the summed budget (optkl's basic branch)
+    queries += [lambda g=g: method_delta(method, eps_list, g)
+                for g in (0.5 * total, total, 2.0 * total)]
+    for query in queries:
+        calls.clear()
+        query()
+        assert calls == Counter(count=1)
 
 
 def test_lambda_search_validation():

@@ -41,6 +41,17 @@ class TestDelta:
         assert code == 0
         assert float(out) == 0.0
 
+    @pytest.mark.parametrize("method", ["basic", "optkl"])
+    @pytest.mark.parametrize("eps_list", [[1e-18] * 3, [0.1] * 3, [0.3, 0.8, 0.05]])
+    def test_no_zero_loss_below_the_summed_budget(self, method, eps_list):
+        # an absolute 1e-15 slack read delta = 0 up to 1e-15 below the sum,
+        # and at eps_g = 0 for [1e-18] * 3, where dp-optcomp reads 7.5e-19
+        total = math.fsum(eps_list)
+        assert method_delta(method, eps_list, total)[0] == 0.0
+        for eps_g in (math.nextafter(total, 0.0), total - 1e-15, 0.0):
+            assert method_delta(method, eps_list, eps_g)[0] > 0.0, eps_g
+        assert method_delta("dp-optcomp", [1e-18] * 3, 0.0)[0] > 0.0
+
     def test_mgf_far_tail(self, capsys):
         code, out, _ = run_cli(capsys, "delta", "--eps", "1", "--k", "30",
                                "--eps-g", "100", "--method", "mgf")
@@ -444,6 +455,17 @@ class TestCurve:
                                "--delta-g", "1e-6", "--methods", "basic",
                                "--out", "/nonexistent-dir/out.csv")
         assert code == 4
+
+    @pytest.mark.parametrize("methods,named", [("basic,nope", "'nope'"),
+                                               ("mgf,basic,mgf", "'mgf'")])
+    def test_refuses_unknown_or_repeated_method(self, capsys, methods, named):
+        # a repeated method was computed and printed twice
+        code, out, err = run_cli(capsys, "curve", "--eps", "0.5", "--k-max", "2",
+                                 "--delta-g", "1e-6", "--methods", methods)
+        assert (code, out) == (2, "")
+        assert named in err
+        with pytest.raises(ValueError, match=named):
+            curve_rows(methods.split(","), 0.5, 2, 1e-6)
 
     def test_ordering_small_grid(self):
         methods = ["dp-optcomp-half", "br-optcomp", "mgf", "optkl", "dr19",
