@@ -20,10 +20,15 @@ calls give the term counts):
   scan that ``curve`` repeats: best per-call time over 7 sweeps, and a
   sha256 digest of every delta and t as float.hex, so that two trees
   compare bit for bit;
-- ``bounds._as_counts`` on lists of 5, 40 and 56 000 entries, each once
-  mixed (seven values, fresh float objects) and once equal: best time;
-- the ``_as_counts`` calls that one ``method_epsilon`` and one
-  ``method_delta`` query make, for each bound method.
+- the tree's counting entry (``Rounds.of``, or ``bounds._as_counts`` in a
+  tree without ``brcomp.rounds``) on lists of 5, 40 and 56 000 entries, each
+  once mixed (seven values, fresh float objects) and once equal: best time;
+- the list builds that one ``method_epsilon`` and one ``method_delta`` query
+  make, for every method on an equal and an unequal list: validated
+  ``Rounds`` builds, or in an older tree the ``_as_counts`` calls plus the
+  equal-eps tests (``_equal_eps``) that scan the whole list;
+- ``curve_rows(["optkl"], 0.01, 10**5, 1e-6)``, a curve to ``CURVE_K_CAP``
+  whose every row is a closed form: the time of one run.
 
 Times are wall-clock medians over ``--repeats`` runs on a host that may be
 shared, so compare trees measured in the same invocation.
@@ -53,7 +58,7 @@ KERNEL_CASES = [(0.05860183814522001, 445, 3.251431679353118),
 DELTA_CASES = [(0.01, 10 ** 4, 1.5), (0.01, 10 ** 5, 1.5)]
 SCAN_INPUTS, SCAN_SWEEPS = 400, 7
 COUNT_SIZES = (5, 40, 56_000)
-BOUND_METHODS = ("basic", "optkl", "dr19", "drv10", "mgf")
+BUILD_LISTS = {"equal": [0.1] * 3, "mixed": [0.3, 0.8]}
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -85,7 +90,7 @@ def measure(repeats: int) -> dict:
     from brcomp import bounds, cli, nonadaptive
 
     out = {"numpy": np.__version__, "fixed_t_sums": [], "delta_opt": [], "candidate_scan": {},
-           "as_counts": [], "as_counts_calls": {}}
+           "as_counts": []}
     terms = _count_terms(nonadaptive)
     for eps, k, eps_g in KERNEL_CASES:
         t = (eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1)
@@ -122,40 +127,70 @@ def measure(repeats: int) -> dict:
         "\n".join(f"{r.delta.hex()} {r.t.hex()}" for r in sweep()).encode()).hexdigest()
     out["candidate_scan"] = {"inputs": SCAN_INPUTS, "us_per_call": 1e6 * best / SCAN_INPUTS,
                              "sha256": digest}
+    count = _counting_entry(bounds)
     rng = np.random.default_rng(0)
     for n in COUNT_SIZES:
         values = 10.0 ** rng.uniform(-3.0, -1.0, 7)
         lists = {"mixed": values[rng.integers(0, 7, n)].tolist(), "equal": [values[0]] * n}
         number = max(1, 200_000 // n)
         for kind, eps_list in lists.items():
-            best = min(timeit.repeat(lambda: bounds._as_counts(eps_list), number=number,
-                                     repeat=5))
+            best = min(timeit.repeat(lambda: count(eps_list), number=number, repeat=5))
             out["as_counts"].append({"entries": n, "list": kind, "us": 1e6 * best / number})
-    out["as_counts_calls"] = _count_calls(bounds, cli, lists["mixed"][:40])
+    out["builds_per_query"] = _count_builds(bounds, cli)
+    start = time.perf_counter()
+    cli.curve_rows(["optkl"], 0.01, cli.CURVE_K_CAP, 1e-6)
+    out["optkl_curve_to_cap_s"] = time.perf_counter() - start
     return out
 
 
-def _count_calls(bounds, cli, eps_list: list[float]) -> dict:
-    """``bounds._as_counts`` calls per query: one epsilon query at delta_g =
-    1e-6 and one delta query at half the summed eps, per bound method."""
-    calls = [0]
-    inner = bounds._as_counts
+def _counting_entry(bounds):
+    """The function that validates and counts a list of rounds."""
+    try:
+        from brcomp.rounds import Rounds
+    except ImportError:
+        return bounds._as_counts
+    return Rounds.of
 
-    def counted(eps):
-        calls[0] += 1
-        return inner(eps)
-    bounds._as_counts = counted
+
+def _count_builds(bounds, cli) -> dict:
+    """List builds per query: one epsilon query at delta_g = 1e-6 (not for
+    the delta-only edge-*) and one delta query at half the summed eps, per
+    method and list.  A refused query (exit 2 or 3) counts the builds made
+    before the refusal."""
+    calls = [0]
+
+    def counting(fn):
+        def counted(*args):
+            calls[0] += 1
+            return fn(*args)
+        return counted
+    try:
+        from brcomp.rounds import Rounds
+    except ImportError:   # an older tree: each count and each equal-eps test scans the list
+        sites = [(bounds, "_as_counts"), (cli, "_equal_eps")]
+    else:                 # called through the class, so the bound original is wrapped
+        sites = [(Rounds, "_validated")]
+    saved = [(owner, name, owner.__dict__[name]) for owner, name in sites]
+    for owner, name, _ in saved:
+        setattr(owner, name, counting(getattr(owner, name)))
     out = {}
     try:
-        for method in BOUND_METHODS:
-            for name, query in (("epsilon", lambda: cli.method_epsilon(method, eps_list, 1e-6)),
-                                ("delta", lambda: cli.method_delta(method, eps_list,
-                                                                   0.5 * sum(eps_list)))):
-                calls[0] = 0
-                query()
-                out[f"{method}|{name}"] = calls[0]
+        for method in cli.METHODS:
+            for kind, eps_list in BUILD_LISTS.items():
+                queries = {"delta": lambda: cli.method_delta(method, eps_list,
+                                                             0.5 * sum(eps_list))}
+                if not method.startswith("edge-"):
+                    queries["epsilon"] = lambda: cli.method_epsilon(method, eps_list, 1e-6)
+                for name, query in queries.items():
+                    calls[0] = 0
+                    try:
+                        query()
+                    except (ValueError, cli.CapError):
+                        pass
+                    out[f"{method}|{kind}|{name}"] = calls[0]
     finally:
-        bounds._as_counts = inner
+        for owner, name, orig in saved:
+            setattr(owner, name, orig)
     return out
 
 

@@ -19,6 +19,7 @@ from .grr import (ExpMechResult, FiniteMechanismPair, QualityScoreTable, br_witn
 from .nonadaptive import (Candidate, OptResult, candidate_points, delta_het_fixed_t,
                           delta_hom_fixed_t, delta_opt_nonadaptive_hom, df_ell_dt,
                           dp_optcomp_het, dp_optcomp_hom, f_ell)
+from .rounds import Rounds
 from .validation import (BruteForceResult, CheckResult, SimulationReport,
                          brute_force_nonadaptive, finite_diff_check, hockey_stick,
                          run_checks, simulate_adaptive_game)
@@ -29,7 +30,7 @@ __all__ = [
     "AdaptiveLowerBound", "AdaptiveSolverConfig", "BruteForceResult", "Candidate",
     "CapError", "CheckResult", "EpsilonResult", "ExpMechResult",
     "FiniteMechanismPair", "GapCertificate", "LambdaSearch",
-    "OptResult", "QualityScoreTable", "SimulationReport", "StrategyTree",
+    "OptResult", "QualityScoreTable", "Rounds", "SimulationReport", "StrategyTree",
     "UBoundResult", "UFunctionKind", "UnreachableTargetError",
     "adaptive_edge_high", "adaptive_edge_low", "basic_composition", "br_witness",
     "brute_force_nonadaptive", "candidate_points", "counting_query_mech",

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import CapError
 from .grr import q_of_t
-from .nonadaptive import (_endpoint_value, _equal_eps, _validate_budget, _validate_eps_list,
+from .nonadaptive import (_endpoint_value, _validate_budget, _validate_eps_list,
                           _validate_hom, candidate_points, delta_opt_nonadaptive_hom)
 from .optim import golden_max_batch
 
@@ -304,7 +304,7 @@ def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
         raise CapError(f"k={k} exceeds the adaptive solver depth cap {cfg.depth_cap}")
     eps = _validate_eps_list(eps_list).tolist()
 
-    if _equal_eps(eps):
+    if eps.count(eps[0]) == k:
         _, tables, h = _lattice_dp(eps[0], k, eps_g, cfg.t_grid)
         # the nonadaptive optimum is itself a feasible strategy: seed every
         # interior candidate offset as a constant tree so the bound can never

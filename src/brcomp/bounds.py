@@ -31,22 +31,23 @@ Closed forms replace numerical search wherever one exists:
   fixed window ``[1e-12, lambda_max]`` finds it (``_minimize_over_lambda``);
   the minimum sits on the window's ceiling exactly when the search returns
   the upper endpoint.
+
+Each sum over the rounds runs over their distinct eps (``Rounds``), each
+weighted by its count.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .nonadaptive import _equal_eps, _validate_budget
+from .nonadaptive import _validate_budget
 # golden_max stays bound here for code that looks it up through this module
 # (perfbench's tracer patches every binding site)
 from .optim import golden_max, golden_min, iters_for_rel_tol  # noqa: F401
+from .rounds import Rounds
 
 _MAXKL_SERIES_CUTOFF = 5e-3
 _MAXKL_LOG_FORM = 2.0
@@ -175,17 +176,17 @@ class EpsilonResult(NamedTuple):
     at_ceiling: bool = False  # True when the certifying lambda sits on lambda_max
 
 
-def _sum_h(eps_counts: Counter, lam: float) -> float:
-    return math.fsum(n * h_eps(e, lam) for e, n in eps_counts.items())
+def _sum_h(rounds: Rounds, lam: float) -> float:
+    return math.fsum(n * h_eps(e, lam) for e, n in rounds.groups)
 
 
-def _quadratic_coeffs(kind: UFunctionKind, eps_counts: Counter) -> tuple[float, float]:
+def _quadratic_coeffs(kind: UFunctionKind, rounds: Rounds) -> tuple[float, float]:
     """(a, b) with sum_i U(eps_i, lambda) = a lambda^2 + b lambda."""
     if kind not in _QUADRATIC:
         raise ValueError(f"{kind!r} is not a quadratic bound")
     fa, fb = _QUADRATIC[kind]
-    return (math.fsum(n * fa(e) for e, n in eps_counts.items()),
-            math.fsum(n * fb(e) for e, n in eps_counts.items()))
+    return (math.fsum(n * fa(e) for e, n in rounds.groups),
+            math.fsum(n * fb(e) for e, n in rounds.groups))
 
 
 def _minimize_over_lambda(obj, search: LambdaSearch) -> tuple[float, float, bool]:
@@ -208,41 +209,6 @@ def _minimize_over_lambda(obj, search: LambdaSearch) -> tuple[float, float, bool
     return math.exp(x), v, False
 
 
-def _as_counts(eps_list: Sequence[float]) -> Counter:
-    """Multiplicities of the per-round parameters: ``Counter(map(float, eps_list))``.
-
-    A list, tuple or 1-D array whose entries all equal the first is
-    recognised at C speed (``nonadaptive._equal_eps``), so an equal list of
-    any length costs no per-entry hashing.
-    Zero entries are dropped: a zero-parameter round is data independent and
-    contributes nothing to any of the bounds (U(0, lambda) = 0 exactly).
-    """
-    array = isinstance(eps_list, np.ndarray)
-    # the last entry spares most unequal lists the full test
-    if ((isinstance(eps_list, (list, tuple)) or array and eps_list.ndim == 1)
-            and len(eps_list) > 0 and eps_list[-1] == eps_list[0] and _equal_eps(eps_list)):
-        counts = Counter({float(eps_list[0]): len(eps_list)})
-    else:
-        if array:
-            eps_list = eps_list.tolist()   # iterating an array boxes each entry twice
-        try:
-            counts = Counter(map(float, eps_list))
-        except TypeError:              # a scalar is one round
-            counts = Counter([float(eps_list)])
-    if not counts:
-        raise ValueError("eps_list must be nonempty")
-    # checked once per distinct value; a nan entry is never merged away
-    if not all(0.0 <= e < math.inf for e in counts):
-        raise ValueError("eps must be finite and nonnegative")
-    counts.pop(0.0, None)
-    return counts
-
-
-def _sum_counts(eps_counts: Counter) -> float:
-    """sum eps_i over the rounds: the ``math.fsum`` of each value times its count."""
-    return math.fsum(e * n for e, n in eps_counts.items())
-
-
 def generic_delta_from_u(kind: UFunctionKind, eps_list: Sequence[float],
                          eps_g: float,
                          search: LambdaSearch = _DEFAULT_SEARCH) -> UBoundResult:
@@ -256,19 +222,15 @@ def generic_delta_from_u(kind: UFunctionKind, eps_list: Sequence[float],
     When the exponent is positive for every lambda the bound is vacuous and
     1 is returned.
     """
-    return _generic_delta(kind, _as_counts(eps_list), eps_g, search)
-
-
-def _generic_delta(kind: UFunctionKind, counts: Counter, eps_g: float,
-                   search: LambdaSearch) -> UBoundResult:
+    rounds = Rounds.of(eps_list)
     _validate_budget(eps_g)
-    if not counts:  # every round was a zero-parameter no-op
+    if not rounds.values:  # every round was a zero-parameter no-op
         return UBoundResult(0.0 if eps_g > 0.0 else 1.0, 0.0, False)
     if kind is UFunctionKind.GENERAL_MGF:
         lam, val, ceiling = _minimize_over_lambda(
-            lambda lam: -lam * eps_g + _sum_h(counts, lam), search)
+            lambda lam: -lam * eps_g + _sum_h(rounds, lam), search)
     else:
-        a, b = _quadratic_coeffs(kind, counts)
+        a, b = _quadratic_coeffs(kind, rounds)
         gain = eps_g - b
         if not gain > 0.0:  # the infimum is approached only as lambda -> 0
             return UBoundResult(1.0, 0.0, False)
@@ -280,8 +242,9 @@ def _generic_delta(kind: UFunctionKind, counts: Counter, eps_g: float,
 
 
 def basic_composition(eps_list: Sequence[float]) -> float:
-    """Budget under plain summation: eps_g = sum eps_i, with delta = 0."""
-    return _sum_counts(_as_counts(eps_list))
+    """Budget under plain summation, with delta = 0: the smallest float at or
+    above the exact sum eps_i (``Rounds.total_up``), never below it."""
+    return Rounds.of(eps_list).total_up()
 
 
 def _log_inv_delta(delta_g: float) -> float:
@@ -301,14 +264,10 @@ def quadratic_epsilon(kind: UFunctionKind, eps_list: Sequence[float], delta_g: f
     edge is used instead.  The budget is not capped at basic composition.
     """
     big_l = _log_inv_delta(delta_g)
-    return _quadratic_epsilon(kind, _as_counts(eps_list), big_l, search)
-
-
-def _quadratic_epsilon(kind: UFunctionKind, counts: Counter, big_l: float,
-                       search: LambdaSearch) -> EpsilonResult:
-    if not counts:
+    rounds = Rounds.of(eps_list)
+    if not rounds.values:
         return EpsilonResult(0.0, 0.0, False)
-    a, b = _quadratic_coeffs(kind, counts)
+    a, b = _quadratic_coeffs(kind, rounds)
     lam = math.sqrt(big_l / a) if a > 0.0 else math.inf
     if lam > search.lambda_max:
         lam = search.lambda_max
@@ -323,23 +282,23 @@ def optkl_epsilon(eps_list: Sequence[float], delta_g: float,
         min( sum eps_i,
              sum maxkl(eps_i) + sqrt( (1/2) sum eps_i^2 log(1/delta_g) ) ),
 
-    the second term taken over the lambda window (``quadratic_epsilon``).
+    the second term taken over the lambda window (``quadratic_epsilon``),
+    the first rounded up (``basic_composition``).
     """
-    big_l = _log_inv_delta(delta_g)
-    counts = _as_counts(eps_list)
-    kl = _quadratic_epsilon(UFunctionKind.KL_IMPROVED_DR19, counts, big_l, search)
-    return min(_sum_counts(counts), kl.eps_g)
+    rounds = Rounds.of(eps_list)
+    kl = quadratic_epsilon(UFunctionKind.KL_IMPROVED_DR19, rounds, delta_g, search)
+    return min(rounds.total_up(), kl.eps_g)
 
 
 def optkl_delta(eps_list: Sequence[float], eps_g: float,
                 search: LambdaSearch = _DEFAULT_SEARCH) -> UBoundResult:
     """Loss of the KL-improved bound, capped at basic composition: delta = 0
-    (flagged ``capped_at_basic``) once eps_g reaches sum eps_i, and the KL
-    bound through ``generic_delta_from_u`` below it."""
-    counts = _as_counts(eps_list)
-    if eps_g >= _sum_counts(counts):
+    (flagged ``capped_at_basic``) once eps_g reaches ``basic_composition``,
+    and the KL bound through ``generic_delta_from_u`` below it."""
+    rounds = Rounds.of(eps_list)
+    if eps_g >= rounds.total_up():
         return UBoundResult(0.0, 0.0, False, True)
-    return _generic_delta(UFunctionKind.KL_IMPROVED_DR19, counts, eps_g, search)
+    return generic_delta_from_u(UFunctionKind.KL_IMPROVED_DR19, rounds, eps_g, search)
 
 
 def mgf_delta(eps_list: Sequence[float], eps_g: float,
@@ -363,15 +322,15 @@ def mgf_epsilon(eps_list: Sequence[float], delta_g: float,
     the cap flagged.
     """
     big_l = _log_inv_delta(delta_g)
-    counts = _as_counts(eps_list)
-    if not counts:
+    rounds = Rounds.of(eps_list)
+    if not rounds.values:
         return EpsilonResult(0.0, 0.0, True)
 
     def ratio(lam):
-        return (_sum_h(counts, lam) + big_l) / lam
+        return (_sum_h(rounds, lam) + big_l) / lam
 
     lam, val, ceiling = _minimize_over_lambda(ratio, search)
-    basic = _sum_counts(counts)
+    basic = rounds.total_up()
     if val >= basic:
         return EpsilonResult(basic, lam, True, ceiling)
     return EpsilonResult(max(val, 0.0), lam, False, ceiling)

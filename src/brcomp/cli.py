@@ -1,9 +1,10 @@
 """Command-line accountant: delta/epsilon queries, budget curves, gap
 certificates, and the validation suite.
 
-An ``epsilon`` answer with no closed form is the smallest point of a fixed
-budget lattice at which the method's own delta is at most delta_g, checked
-there and one step below (``_bisect_epsilon``).
+Each query builds its ``Rounds`` once.  An ``epsilon`` answer with no
+closed form is the smallest point of a fixed budget lattice at which the
+method's own delta is at most delta_g, checked there and one step below
+(``_bisect_epsilon``).
 
 Exit codes: 0 success, 2 domain error (bad arguments, unreachable target),
 3 size/depth-cap refusal, 4 unwritable output path.  Stdout carries data
@@ -24,9 +25,10 @@ from . import bounds, validation
 from .adaptive import (AdaptiveSolverConfig, adaptive_edge_high, adaptive_edge_low,
                        delta_adaptive_lb, gap_certificate)
 from .errors import CapError, UnreachableTargetError
-from .nonadaptive import (TIE_RTOL, _equal_eps, delta_het_fixed_t, delta_opt_nonadaptive_hom,
+from .nonadaptive import (TIE_RTOL, delta_het_fixed_t, delta_opt_nonadaptive_hom,
                           dp_optcomp_het, dp_optcomp_hom, fixed_t_inverse)
 from .optim import budget_step, lattice_search
+from .rounds import Rounds
 from .validation import brute_force_nonadaptive
 
 METHODS = ("basic", "dp-optcomp", "dp-optcomp-half", "br-optcomp", "adaptive-lb",
@@ -69,26 +71,35 @@ def method_delta(method: str, eps_list, eps_g: float,
                  opts: Options = Options(), *, describe: bool = True) -> tuple[float, dict]:
     """Additive loss of the named method at budget eps_g, plus solver metadata.
 
+    ``eps_list`` is a ``Rounds`` or anything ``Rounds.of`` accepts.
     ``describe=False`` skips metadata that costs extra evaluations (the
     ``br-optcomp`` comparison with half-DP); bisection only needs the value.
     """
-    k = len(eps_list)
-    if k == 0:
-        raise ValueError("eps_list must be nonempty")
-    eps0 = eps_list[0]
+    rounds = Rounds.of(eps_list)
     if method == "basic":
-        ok = eps_g >= bounds.basic_composition(eps_list)
+        ok = eps_g >= bounds.basic_composition(rounds)
         return (0.0 if ok else 1.0), {"note": "no guarantee below the summed budget"}
-    if method == "dp-optcomp":
-        if _equal_eps(eps_list):
-            return dp_optcomp_hom(eps0, k, eps_g), {}
-        return dp_optcomp_het(eps_list, eps_g), {"form": "subset-sum"}
-    if method == "dp-optcomp-half":
-        if _equal_eps(eps_list):
-            return dp_optcomp_hom(eps0 / 2.0, k, eps_g), {}
-        return dp_optcomp_het([e / 2.0 for e in eps_list], eps_g), {"form": "subset-sum"}
+    if method in _U_KIND:
+        res = bounds.generic_delta_from_u(_U_KIND[method], rounds, eps_g, opts.search())
+        return res.delta, {"lambda": res.lam, "at_ceiling": res.at_ceiling}
+    if method == "optkl":
+        res = bounds.optkl_delta(rounds, eps_g, opts.search())
+        if res.capped_at_basic:
+            return 0.0, {"branch": "basic"}
+        return res.delta, {"lambda": res.lam}
+    if method == "mgf":
+        res = bounds.mgf_delta(rounds, eps_g, opts.search())
+        return res.delta, {"lambda": res.lam, "at_ceiling": res.at_ceiling}
+    if not rounds.values:
+        raise ValueError("every round has eps = 0; nothing to compose")
+    eps0, k = rounds.values[0], rounds.k
+    if method in ("dp-optcomp", "dp-optcomp-half"):
+        half = method == "dp-optcomp-half"
+        if rounds.equal_eps:
+            return dp_optcomp_hom(eps0 / 2.0 if half else eps0, k, eps_g), {}
+        return dp_optcomp_het(rounds.halved() if half else rounds, eps_g), {"form": "subset-sum"}
     if method == "br-optcomp":
-        if _equal_eps(eps_list):
+        if rounds.equal_eps:
             res = delta_opt_nonadaptive_hom(eps0, k, eps_g)
             meta = {"t": res.t}
             if describe and math.isclose(res.delta, dp_optcomp_hom(eps0 / 2.0, k, eps_g),
@@ -96,37 +107,21 @@ def method_delta(method: str, eps_list, eps_g: float,
                 meta["coincides_with_half_dp"] = True
             return res.delta, meta
         if k <= validation.BRUTE_FORCE_CAP:
-            t = brute_force_nonadaptive(eps_list, eps_g, 400).t   # valued by the finer kernel
-            return delta_het_fixed_t(eps_list, eps_g, t), {"form": "grid-oracle", "t": t.tolist()}
+            eps = rounds.as_list()
+            t = brute_force_nonadaptive(eps, eps_g, 400).t   # valued by the finer kernel
+            return delta_het_fixed_t(eps, eps_g, t), {"form": "grid-oracle", "t": t.tolist()}
         raise CapError("heterogeneous optimal composition has no known efficient "
                        f"algorithm; grid oracle supports k <= {validation.BRUTE_FORCE_CAP}")
     if method == "adaptive-lb":
-        res = delta_adaptive_lb(eps_list, eps_g, opts.solver_cfg())
+        res = delta_adaptive_lb(rounds.as_list(), eps_g, opts.solver_cfg())
         return res.delta, {"t_grid": res.t_grid, "refine_iters": res.refine_iters,
                            "kind": "lower-bound"}
-    if method in _U_KIND:
-        res = bounds.generic_delta_from_u(_U_KIND[method], eps_list, eps_g, opts.search())
-        return res.delta, {"lambda": res.lam, "at_ceiling": res.at_ceiling}
-    if method == "optkl":
-        res = bounds.optkl_delta(eps_list, eps_g, opts.search())
-        if res.capped_at_basic:
-            return 0.0, {"branch": "basic"}
-        return res.delta, {"lambda": res.lam}
-    if method == "mgf":
-        res = bounds.mgf_delta(eps_list, eps_g, opts.search())
-        return res.delta, {"lambda": res.lam, "at_ceiling": res.at_ceiling}
-    if method == "edge-high":
-        _require_hom(method, eps_list)
-        return adaptive_edge_high(eps0, k, eps_g), {}
-    if method == "edge-low":
-        _require_hom(method, eps_list)
-        return adaptive_edge_low(eps0, k, eps_g), {}
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _require_hom(method: str, eps_list) -> None:
-    if not _equal_eps(eps_list):
+    if method not in ("edge-high", "edge-low"):
+        raise ValueError(f"unknown method {method!r}")
+    if not rounds.equal_eps:
         raise CapError(f"method {method} supports equal per-round eps only")
+    edge = adaptive_edge_high if method == "edge-high" else adaptive_edge_low
+    return edge(eps0, k, eps_g), {}
 
 
 def method_epsilon(method: str, eps_list, delta_g: float,
@@ -136,21 +131,23 @@ def method_epsilon(method: str, eps_list, delta_g: float,
         raise ValueError(f"delta_g must lie in (0, 1), got {delta_g}")
     if method in ("edge-high", "edge-low"):
         raise ValueError(f"method {method} supports the delta direction only")
+    rounds = Rounds.of(eps_list)
     if method == "basic":
-        return bounds.basic_composition(eps_list), {"closed_form": True}
+        return bounds.basic_composition(rounds), {"closed_form": True}
     if method == "optkl":
-        return bounds.optkl_epsilon(eps_list, delta_g, opts.search()), {"closed_form": True}
+        return bounds.optkl_epsilon(rounds, delta_g, opts.search()), {"closed_form": True}
     if method in _U_KIND:
-        res = bounds.quadratic_epsilon(_U_KIND[method], eps_list, delta_g, opts.search())
+        res = bounds.quadratic_epsilon(_U_KIND[method], rounds, delta_g, opts.search())
         return res.eps_g, {"closed_form": True, "lambda": res.lam,
                            "at_ceiling": res.at_ceiling}
     if method == "mgf":
-        res = bounds.mgf_epsilon(eps_list, delta_g, opts.search())
+        res = bounds.mgf_epsilon(rounds, delta_g, opts.search())
         return res.eps_g, {"lambda": res.lam, "capped_at_basic": res.capped_at_basic}
-    return _bisect_epsilon(method, eps_list, delta_g, opts)
+    return _bisect_epsilon(method, rounds, delta_g, opts)
 
 
-def _bisect_epsilon(method: str, eps_list, delta_g: float, opts: Options) -> tuple[float, dict]:
+def _bisect_epsilon(method: str, rounds: Rounds, delta_g: float,
+                    opts: Options) -> tuple[float, dict]:
     """The method's budget: the smallest point of the budget lattice
     (``optim.budget_step``, 2^-30 below a summed eps of 2^20) at which its
     own delta is <= delta_g, confirmed there and one step below.
@@ -160,18 +157,19 @@ def _bisect_epsilon(method: str, eps_list, delta_g: float, opts: Options) -> tup
     ``closed-form``); the other methods bisect the lattice over
     [-sum eps, sum eps].  Where delta is nonincreasing on the lattice the
     answer does not depend on the path.  The methods share the lattice for
-    a given eps_list, so a pointwise delta ordering between two such
+    given rounds, so a pointwise delta ordering between two such
     methods (half-DP <= br-optcomp <= DP) carries over to their budgets.
     Were the lower delta's budget x above the other's, then at x - step,
     at or above the other's budget, the other delta would be <= delta_g
     (it is nonincreasing) yet at least the lower one, which exceeds delta_g.
     """
-    span = bounds.basic_composition(eps_list)
+    # rounded to nearest, not up: the bracket certifies nothing, and it fixes the search path
+    span = math.fsum(e * n for e, n in rounds.groups)
     if not span > 0.0:
         raise ValueError("zero-width budget bracket: every round has eps = 0")
 
     def delta(eps_g: float) -> float:
-        return method_delta(method, eps_list, eps_g, opts, describe=False)[0]
+        return method_delta(method, rounds, eps_g, opts, describe=False)[0]
 
     d_lo = delta(-span)
     if delta_g > d_lo:
@@ -179,17 +177,17 @@ def _bisect_epsilon(method: str, eps_list, delta_g: float, opts: Options) -> tup
             f"delta_g={delta_g} exceeds the largest achievable value {d_lo}", d_lo)
     step = budget_step(span)
     eps_g, path = lattice_search(delta, delta_g, -span, span, step,
-                                 _closed_form_budget(method, eps_list, delta_g))
+                                 _closed_form_budget(method, rounds, delta_g))
     return eps_g, {"budget_step": step, "path": path}
 
 
-def _closed_form_budget(method: str, eps_list, delta_g: float) -> float | None:
+def _closed_form_budget(method: str, rounds: Rounds, delta_g: float) -> float | None:
     """The DP baselines' budget at equal eps: their loss is the fixed-offset
     sum at the midpoint, which ``fixed_t_inverse`` inverts.  None otherwise."""
-    if method not in ("dp-optcomp", "dp-optcomp-half") or not _equal_eps(eps_list):
+    if method not in ("dp-optcomp", "dp-optcomp-half") or not rounds.equal_eps:
         return None
-    e = eps_list[0] if method == "dp-optcomp" else eps_list[0] / 2.0
-    return fixed_t_inverse(2.0 * e, len(eps_list), e, delta_g)
+    e = rounds.values[0] if method == "dp-optcomp" else rounds.values[0] / 2.0
+    return fixed_t_inverse(2.0 * e, rounds.k, e, delta_g)
 
 
 def curve_rows(methods, eps: float, k_max: int, delta_g: float,
@@ -207,7 +205,7 @@ def curve_rows(methods, eps: float, k_max: int, delta_g: float,
     rows = []
     for method in methods:
         for k in range(1, k_max + 1):
-            eg, meta = method_epsilon(method, [eps] * k, delta_g, opts)
+            eg, meta = method_epsilon(method, Rounds.equal(eps, k), delta_g, opts)
             rows.append(CurveRow(k, method, eps, delta_g, eg, _meta_str(meta)))
     return sorted(rows, key=lambda r: (r.method, r.k))
 
@@ -283,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_eps(args) -> list[float]:
+def _load_eps(args) -> Rounds:
     if args.eps_file:
         try:
             with open(args.eps_file) as fh:
@@ -292,30 +290,26 @@ def _load_eps(args) -> list[float]:
             raise ValueError(f"cannot read eps file: {exc}") from exc
         if not eps:
             raise ValueError("eps file contains no values")
-    else:
-        if args.eps is None:
-            raise ValueError("provide --eps (with --k) or --eps-file")
-        k = 1 if args.k is None else args.k
-        if k < 1:
-            raise ValueError(f"--k must be at least 1, got {k}")
-        eps = [args.eps] * k
-    return _checked_eps(eps)
+        return _composable(Rounds.of(eps), len(eps))
+    if args.eps is None:
+        raise ValueError("provide --eps (with --k) or --eps-file")
+    k = 1 if args.k is None else args.k
+    if k < 1:
+        raise ValueError(f"--k must be at least 1, got {k}")
+    return _composable(Rounds.equal(args.eps, k), k)
 
 
-def _checked_eps(eps: list[float]) -> list[float]:
-    """The rounds to compose: every eps finite and nonnegative, the zero ones
-    dropped, and at least one left."""
-    if not all(0.0 <= e < math.inf for e in eps):
-        raise ValueError("eps must be finite and nonnegative")
-    dropped = sum(1 for e in eps if e == 0.0)
+def _composable(rounds: Rounds, entries: int) -> Rounds:
+    """The rounds to compose, out of ``entries`` given: the zero ones are
+    reported as skipped, and at least one must be left."""
+    dropped = entries - rounds.k
     if dropped:
         # a zero-parameter round is data independent; it composes as a no-op
         print(f"# skipped {dropped} zero eps entr{'y' if dropped == 1 else 'ies'}",
               file=sys.stderr)
-        eps = [e for e in eps if e > 0.0]
-    if not eps:
+    if not rounds.values:
         raise ValueError("all eps entries are zero; nothing to compose")
-    return eps
+    return rounds
 
 
 def _opts(args) -> Options:
@@ -337,7 +331,7 @@ def _cmd_epsilon(args) -> int:
 def _cmd_curve(args) -> int:
     if args.eps is None:
         raise ValueError("curve requires --eps (equal per-round parameters)")
-    eps = _checked_eps([args.eps])[0]
+    eps = _composable(Rounds.equal(args.eps, 1), 1).values[0]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     rows = curve_rows(methods, eps, args.k_max, args.delta_g, _opts(args))
     if args.format == "json":
@@ -363,10 +357,10 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    eps_list = _load_eps(args)
-    if not _equal_eps(eps_list):
+    rounds = _load_eps(args)
+    if not rounds.equal_eps:
         raise CapError("gap certification supports equal per-round eps only")
-    cert = gap_certificate(eps_list[0], len(eps_list), args.eps_g,
+    cert = gap_certificate(rounds.values[0], rounds.k, args.eps_g,
                            AdaptiveSolverConfig(t_grid=args.t_grid, depth_cap=args.depth_cap))
     print(json.dumps(cert.as_dict()))
     return 0

@@ -30,12 +30,14 @@ rounds (capped at 2^25 terms); no efficient heterogeneous optimum is given.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapError
 from .grr import one_minus_p, p_of_t, q_of_t
+from .rounds import Rounds
 
 SUBSET_CAP = 25          # the grouped sum refuses above 2^25 terms
 # candidates whose values agree to this relative tolerance count as tied:
@@ -98,7 +100,8 @@ def _validate_hom(eps: float, k: int) -> None:
 
 def _validate_eps_list(eps_list: Sequence[float]) -> np.ndarray:
     """Per-round parameters as a float array: a nonempty 1-D list whose
-    entries are all finite and positive."""
+    entries are all finite and positive (no zero round: each is paired
+    with an offset or a tree level)."""
     eps = np.asarray(eps_list, dtype=float)
     if eps.ndim != 1 or eps.size == 0:
         raise ValueError("eps_list must be a nonempty 1-D sequence")
@@ -107,14 +110,6 @@ def _validate_eps_list(eps_list: Sequence[float]) -> np.ndarray:
     if (eps <= 0).any():
         raise ValueError("all eps must be positive")
     return eps
-
-
-def _equal_eps(eps_list: Sequence[float]) -> bool:
-    """Whether every entry equals the first, at C speed (``list.count`` matches
-    by identity first, so a list of one repeated NaN counts as equal)."""
-    if isinstance(eps_list, np.ndarray):
-        return bool((eps_list == eps_list[0]).all())
-    return eps_list.count(eps_list[0]) == len(eps_list)
 
 
 def _validate_budget(eps_g: float) -> None:
@@ -532,11 +527,12 @@ def df_ell_dt(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _grouped_sum(eps: np.ndarray, t: np.ndarray, eps_g: float) -> float:
+def _grouped_sum(groups: dict[tuple[float, float], int], eps_g: float) -> float:
     """delta(t, eps_g) for per-round ranges eps_i and offsets t_i, over counts.
 
-    Rounds with equal (eps_i, t_i) form group j (in order of first appearance), and a
-    term depends only on how many i_j of its n_j rounds take the (1 - p) side: weight
+    ``groups`` maps each distinct (eps_j, t_j), in order of first appearance, to the
+    count n_j of its rounds; the callers form it.  A term depends only on how many
+    i_j of its n_j rounds take the (1 - p) side: weight
     prod_j C(n_j, i_j) p_j^(n_j - i_j) (1 - p_j)^i_j, bracket e^(sum t - sum_j i_j eps_j)
     - e^(eps_g).  Term r has i_j = (r // stride_j) % (n_j + 1), so distinct pairs keep
     the subsets' mask order.  The first groups that fit in ``_GROUP_BLOCK_ELEMS`` terms are
@@ -544,9 +540,6 @@ def _grouped_sum(eps: np.ndarray, t: np.ndarray, eps_g: float) -> float:
     15x at 20); each block adds the other groups' shares for a run of their counts.
     """
     _validate_budget(eps_g)
-    groups: dict[tuple[float, float], int] = {}
-    for pair in zip(eps.tolist(), t.tolist()):
-        groups[pair] = groups.get(pair, 0) + 1
     sizes = [n + 1 for n in groups.values()]
     total = math.prod(sizes)
     if total > 1 << SUBSET_CAP:
@@ -587,7 +580,7 @@ def delta_het_fixed_t(eps_list: Sequence[float], eps_g: float,
         raise ValueError("t_list must match eps_list in length")
     if not ((t >= 0) & (t <= eps)).all():
         raise ValueError("each t must lie in [0, eps_i]")
-    return _grouped_sum(eps, t, eps_g)
+    return _grouped_sum(Counter(zip(eps.tolist(), t.tolist())), eps_g)
 
 
 def dp_optcomp_hom(eps_dp: float, k: int, eps_g: float) -> float:
@@ -601,9 +594,12 @@ def dp_optcomp_hom(eps_dp: float, k: int, eps_g: float) -> float:
 
 def dp_optcomp_het(eps_list: Sequence[float], eps_g: float) -> float:
     """Optimal composition of eps_i-DP mechanisms: as in ``dp_optcomp_hom``,
-    the fixed-offset loss at ranges 2*eps_i and midpoint offsets eps_i."""
-    eps = _validate_eps_list(eps_list)
-    return _grouped_sum(2.0 * eps, eps, eps_g)
+    the fixed-offset loss at ranges 2*eps_i and midpoint offsets eps_i, one
+    group per distinct eps_i of ``Rounds.of(eps_list)``."""
+    rounds = Rounds.of(eps_list)
+    if not rounds.values or min(rounds.values) == 0.0:   # a halved subnormal eps is 0
+        raise ValueError("all eps must be positive")
+    return _grouped_sum({(2.0 * e, e): n for e, n in rounds.groups}, eps_g)
 
 
 def nonadaptive_recursion_check(eps: float, k: int, eps_g: float, t: float) -> tuple[float, float]:

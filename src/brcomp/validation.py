@@ -25,6 +25,7 @@ from .grr import (FiniteMechanismPair, counting_query_mech, cq_t_value, grr_prob
 from .nonadaptive import (_validate_budget, _validate_eps_list, delta_hom_fixed_t,
                           delta_opt_nonadaptive_hom)
 from .optim import budget_step, golden_max, lattice_search
+from .rounds import Rounds
 
 BRUTE_FORCE_CAP = 3
 _SHARD = 1 << 19   # elements per block: Monte Carlo samples, brute-force grid points
@@ -428,8 +429,10 @@ def run_checks(level: str = "fast", seed: int = 0) -> list[CheckResult]:
 
 def _invert_generic(kind, eps_list, delta_g: float) -> float:
     """Lattice inversion of the generic bound, for cross-checking closed forms."""
-    def delta(eps_g: float) -> float:
-        return bounds.generic_delta_from_u(kind, eps_list, eps_g).delta
+    rounds = Rounds.of(eps_list)   # built once, not once per lattice evaluation
 
-    hi = bounds.basic_composition(eps_list) + 10.0
+    def delta(eps_g: float) -> float:
+        return bounds.generic_delta_from_u(kind, rounds, eps_g).delta
+
+    hi = bounds.basic_composition(rounds) + 10.0
     return lattice_search(delta, delta_g, 0.0, hi, budget_step(hi))[0]

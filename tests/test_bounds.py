@@ -2,21 +2,23 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brcomp import bounds, cli
 from brcomp.bounds import (_MAXKL_LOG_FORM, _MAXKL_SERIES_CUTOFF, LambdaSearch,
-                           UFunctionKind, _as_counts, _minimize_over_lambda,
+                           UFunctionKind, _minimize_over_lambda,
                            basic_composition, generic_delta_from_u, h_eps, maxkl, mgf_delta,
                            mgf_epsilon, optkl_delta, optkl_epsilon, quadratic_epsilon,
                            u_function)
-from brcomp.cli import EPS_BISECT_TOL, Options, method_delta, method_epsilon
+from brcomp.cli import EPS_BISECT_TOL, METHODS, Options, method_delta, method_epsilon
+from brcomp.errors import CapError
 from brcomp.nonadaptive import delta_hom_fixed_t, delta_opt_nonadaptive_hom
+from brcomp.rounds import Rounds
 
 MAXKL_1 = 0.123301561482245  # frozen 40-digit evaluation at eps = 1
 
@@ -300,7 +302,7 @@ class TestBasicComposition:
 
 def _counted(values) -> list[tuple[str, int]]:
     """Counter(map(float, values)) without its zero key, as (key.hex(), count)
-    in key order: what ``_as_counts`` must return for every input form."""
+    in key order: what ``Rounds.of`` must hold for every input form."""
     counts = Counter(map(float, values))
     counts.pop(0.0, None)
     return [(e.hex(), n) for e, n in counts.items()]
@@ -317,9 +319,15 @@ def _forms(values: list) -> dict:
 _POOL = (0.0, -0.0, 1e-3, 0.1, 0.30000000000000004, 1.0, 2.5, 1e-300, 3, 0)
 
 
+def _held(rounds: Rounds) -> list[tuple[str, int]]:
+    return [(e.hex(), n) for e, n in rounds.groups]
+
+
 class TestAsCounts:
-    """``_as_counts`` recognises an equal list with one C-speed count; every
-    input form must give what ``Counter(map(float, ...))`` gives."""
+    """``Rounds.of`` holds the rounds as counts, and recognises an equal list
+    with one C-speed count; every input form must give what
+    ``Counter(map(float, ...))`` gives, and keep the order of the nonzero
+    rounds."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(values=st.lists(st.sampled_from(_POOL) | st.floats(0.0, 10.0),
@@ -329,10 +337,14 @@ class TestAsCounts:
         if equal:
             values = [values[0]] * repeat
         want = _counted(values)
+        nonzero = [float(v) for v in values if v != 0.0]
         for name, form in _forms(values).items():
-            got = _as_counts(form)
-            assert [(e.hex(), n) for e, n in got.items()] == want, name
-            assert all(type(e) is float for e in got), name
+            got = Rounds.of(form)
+            assert _held(got) == want, name
+            assert all(type(e) is float for e in got.values), name
+            assert got.as_list() == nonzero and got.k == len(nonzero), name
+            assert (got.order is None) == (len(want) <= 1), name
+            assert Rounds.of(got) is got
 
     @pytest.mark.parametrize("values", [
         [0.1] * 56_000, [0.0, -0.0, 0.0], [-0.0, 0.5, -0.0], [0.0, 0.0, 0.7],
@@ -340,11 +352,13 @@ class TestAsCounts:
     def test_examples(self, values):
         want = _counted(values)
         for name, form in _forms(values).items():
-            assert [(e.hex(), n) for e, n in _as_counts(form).items()] == want, name
+            assert _held(Rounds.of(form)) == want, name
+        if values and values.count(values[0]) == len(values):
+            assert _held(Rounds.equal(values[0], len(values))) == want
 
     @pytest.mark.parametrize("scalar", [0.5, 3, np.float64(0.5), np.array(0.5)])
     def test_scalar_is_one_round(self, scalar):
-        assert list(_as_counts(scalar).items()) == [(float(scalar), 1)]
+        assert list(Rounds.of(scalar).groups) == [(float(scalar), 1)]
 
     @pytest.mark.parametrize("bad,match", [
         ([math.nan] * 3, "finite"),
@@ -357,7 +371,14 @@ class TestAsCounts:
         ([], "nonempty"), ((), "nonempty"), (np.array([]), "nonempty"), (iter([]), "nonempty")])
     def test_bad_input_refused(self, bad, match):
         with pytest.raises(ValueError, match=match):
-            _as_counts(bad)
+            Rounds.of(bad)
+
+    @pytest.mark.parametrize("eps,k,match", [
+        (math.nan, 3, "finite"), (math.inf, 2, "finite"), (-0.1, 4, "finite"),
+        (0.1, 0, "nonempty")])
+    def test_equal_refuses_like_of(self, eps, k, match):
+        with pytest.raises(ValueError, match=match):
+            Rounds.equal(eps, k)
 
 
 # 58 000 rounds: one eps, and seven values in seeded order; pinned below at
@@ -373,7 +394,7 @@ class TestLargeListPins:
     """Both directions of every bound on 58 000-entry lists, as float.hex."""
 
     @pytest.mark.parametrize("name,method,direction,want", [
-        ("equal", "basic", "epsilon", "0x1.d000000000000p+5"),
+        ("equal", "basic", "epsilon", "0x1.d000000000001p+5"),
         ("equal", "basic", "delta", "0x1.0000000000000p+0"),
         ("equal", "optkl", "epsilon", "0x1.47caca413d7d6p-1"),
         ("equal", "optkl", "delta", "0x1.e4ba7537758fap-13"),
@@ -402,32 +423,60 @@ class TestLargeListPins:
         assert got.hex() == want
 
 
-BOUND_METHODS = ("basic", "optkl", "dr19", "drv10", "mgf")
+class TestSummedBudgetRoundsUp:
+    """basic composition's budget is the smallest float at or above the exact
+    sum of the rounds, so delta = 0 is never read below that sum."""
+
+    def test_tenth_times_ten(self):
+        # 1.0 sits 5.6e-17 below the sum of ten 0.1s; basic read delta = 0 there
+        assert basic_composition([0.1] * 10) == math.nextafter(1.0, 2.0)
+        assert method_delta("basic", [0.1] * 10, 1.0)[0] == 1.0
+        assert 0.0 < method_delta("optkl", [0.1] * 10, 1.0)[0] < 1.0
+
+    def test_past_the_float_range(self):
+        # math.fsum raised OverflowError on the unequal pair
+        assert basic_composition([1e308] * 3) == basic_composition([1e308, 1.7e308]) == math.inf
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(st.sampled_from((0.1, 0.3, 1e-3, 0.7, 1e-300, 0.0))
+                           | st.floats(0.0, 10.0), min_size=1, max_size=12),
+           repeat=st.integers(1, 5000))
+    def test_basic_round_trip(self, values, repeat):
+        assume(any(values))
+        eps_list = values * repeat
+        eps_g = method_epsilon("basic", eps_list, 1e-6)[0]
+        below = math.nextafter(eps_g, -math.inf)
+        assert Fraction(below) < sum(map(Fraction, values)) * repeat <= Fraction(eps_g)
+        assert method_delta("basic", eps_list, eps_g)[0] == 0.0
+        assert method_delta("basic", eps_list, below)[0] == 1.0
 
 
-@pytest.mark.parametrize("method", BOUND_METHODS)
-@pytest.mark.parametrize("eps_list", [[0.1] * 5, [0.1, 0.3, 0.1, 0.05]])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("eps_list", [[0.1] * 2, [0.3, 0.8]])
 def test_each_bound_query_counts_its_list_once(monkeypatch, method, eps_list):
-    """One ``_as_counts`` call per query in both directions, and no equal-eps
-    test in ``method_delta``'s bound branches."""
-    calls = Counter()
+    """One ``Rounds`` build per query of every method in both directions,
+    bisected budgets included: the search hands its rounds to every
+    evaluation."""
+    builds = []
+    validated = Rounds._validated.__func__
 
-    def counting(fn, name):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-    monkeypatch.setattr(bounds, "_as_counts", counting(bounds._as_counts, "count"))
-    monkeypatch.setattr(cli, "_equal_eps", counting(cli._equal_eps, "equal"))
-    total = basic_composition(eps_list)
-    queries = [lambda: method_epsilon(method, eps_list, 1e-6)]
+    def counted(cls, *args):
+        builds.append(args)
+        return validated(cls, *args)
+    monkeypatch.setattr(Rounds, "_validated", classmethod(counted))
+    total = sum(eps_list)
+    queries = [] if method.startswith("edge") else [
+        lambda: method_epsilon(method, eps_list, 1e-6)]
     # below, at and above the summed budget (optkl's basic branch)
     queries += [lambda g=g: method_delta(method, eps_list, g)
                 for g in (0.5 * total, total, 2.0 * total)]
     for query in queries:
-        calls.clear()
-        query()
-        assert calls == Counter(count=1)
+        builds.clear()
+        try:
+            query()
+        except (CapError, ValueError):   # edge-* outside its region or on unequal eps
+            pass
+        assert len(builds) == 1
 
 
 def test_lambda_search_validation():

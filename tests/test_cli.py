@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from brcomp import cli
 from brcomp.cli import (EPS_BISECT_TOL, METHODS, Options, curve_rows, main, method_delta,
                         method_epsilon)
-from brcomp.errors import UnreachableTargetError
+from brcomp.errors import CapError, UnreachableTargetError
 from brcomp.nonadaptive import delta_het_fixed_t
 from brcomp.optim import budget_step, lattice_search
+from brcomp.rounds import Rounds
 
 INVERTIBLE = tuple(m for m in METHODS if not m.startswith("edge-"))
 
@@ -26,6 +27,50 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _answer(fn, method, eps, target):
+    """repr of a query's (value, meta), or the name of the refusal (exit 2 or
+    3): equal strings mean equal bits."""
+    try:
+        return repr(fn(method, eps, target))
+    except (ValueError, CapError) as exc:
+        return type(exc).__name__
+
+
+class TestEveryInputForm:
+    """Every method takes what the bounds take, and drops a zero round the
+    same way: each form answers as the plain list does, bit for bit."""
+
+    @pytest.mark.parametrize("direction", ["delta", "epsilon"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_forms_answer_as_the_list(self, method, direction):
+        fn, target = (method_delta, 0.75) if direction == "delta" else (method_epsilon, 1e-6)
+        for eps_list in ([0.5, 0.5], [0.3, 0.8]):
+            want = _answer(fn, method, eps_list, target * sum(eps_list)
+                           if direction == "delta" else target)
+            forms = {"iterator": iter(eps_list), "tuple": tuple(eps_list),
+                     "array": np.array(eps_list), "trailing zero": eps_list + [0.0],
+                     "zeros between": [0.0, eps_list[0], -0.0, *eps_list[1:]]}
+            for name, form in forms.items():
+                got = _answer(fn, method, form, target * sum(eps_list)
+                              if direction == "delta" else target)
+                assert got == want, (eps_list, name)
+        assert _answer(fn, method, 0.5, target) == _answer(fn, method, [0.5], target)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_only_zero_rounds(self, method):
+        # the bounds give their no-round values; every other method refuses
+        if method in ("basic", "dr19", "drv10", "optkl", "mgf"):
+            assert method_delta(method, [0.0, -0.0], 0.5)[0] == 0.0
+            assert method_delta(method, [0.0], -0.5)[0] == 1.0
+            if method != "basic":
+                assert method_epsilon(method, [0.0] * 3, 1e-6)[0] == 0.0
+        else:
+            with pytest.raises(ValueError):
+                method_delta(method, [0.0, -0.0], 0.5)
+            with pytest.raises(ValueError):
+                method_epsilon(method, [0.0] * 3, 1e-6)
 
 
 class TestDelta:
@@ -183,7 +228,7 @@ class TestEpsilon:
     def test_bisection_refuses_zero_width_bracket(self):
         from brcomp.cli import _bisect_epsilon
         with pytest.raises(ValueError, match="zero-width"):
-            _bisect_epsilon("br-optcomp", [0.0], 1e-6, Options())
+            _bisect_epsilon("br-optcomp", Rounds.of([0.0]), 1e-6, Options())
 
     def test_half_dp_flag_is_relative(self):
         # half-DP is 0 and br-optcomp 2.5e-34 here: they do not coincide
@@ -344,6 +389,11 @@ class TestHeterogeneous:
         assert code == 3
         assert "sum(eps)" in err
 
+    def test_half_dp_refuses_an_eps_that_halves_to_zero(self):
+        # halving 5e-324 gives 0; the grouped sum read nan at a zero range
+        with pytest.raises(ValueError, match="positive"):
+            method_delta("dp-optcomp-half", [5e-324, 0.5], 0.1)
+
     def test_br_heterogeneous_budget_past_float_range(self):
         assert method_delta("br-optcomp", [0.3, 0.8], 800.0)[0] == 0.0
 
@@ -449,6 +499,23 @@ class TestCurve:
         rows = curve_rows(["mgf"], 0.3, 1, 1e-6)
         eg, _ = method_epsilon("mgf", [0.3], 1e-6)
         assert rows[0].eps_g == eg
+
+    def test_rows_are_the_epsilon_answers(self, monkeypatch):
+        # each row is method_epsilon on the equal list, bit for bit, though
+        # curve_rows builds its rounds without a list (adaptive-lb stops at
+        # k = 2: its solver takes seconds per budget from k = 5 and refuses k > 6)
+        seen = []
+        of = Rounds.of.__func__
+        monkeypatch.setattr(Rounds, "of", classmethod(
+            lambda cls, x: seen.append(type(x)) or of(cls, x)))
+        rows = curve_rows([m for m in INVERTIBLE if m != "adaptive-lb"], 0.1, 60, 1e-6)
+        rows += curve_rows(["adaptive-lb"], 0.1, 2, 1e-6)
+        assert seen and set(seen) == {Rounds}
+        monkeypatch.undo()
+        assert len(rows) == 60 * (len(INVERTIBLE) - 1) + 2
+        for r in rows:
+            eg, meta = method_epsilon(r.method, [0.1] * r.k, 1e-6)
+            assert (r.eps_g.hex(), r.solver_meta) == (eg.hex(), cli._meta_str(meta)), r
 
     def test_unwritable_path_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--eps", "0.5", "--k-max", "1",
