@@ -7,14 +7,20 @@ the results land in one JSON file keyed by label:
     python3 bench/bench_kernel.py --src OLD/src:parent --src src:change --out BENCH_kernel.json
 
 It records, per tree (each must define ``nonadaptive._window_pass``, whose
-calls give the term counts):
+calls give the term counts, and ``nonadaptive._window_sums``, one call per
+stage of a scan):
 
 - ``fixed_t_sums`` over every candidate offset at k = 445, 783, 3163 and
   6950 (the br-optcomp sizes of perfbench's large-k batch at seed 0): median
   time, the terms evaluated (windows times their padded width, summed over
   passes) and the passes;
+- ``delta_opt_nonadaptive_hom`` at the same four inputs: median time, the
+  terms of each stage of its scan (one stage in a tree without screening),
+  the rows each stage sums (the last stage's are the rows that survive the
+  screens), and delta and t as float.hex;
 - ``delta_opt_nonadaptive_hom(0.01, k, 1.5)`` at k = 10^4 and 10^5: median
-  time, the ``tracemalloc`` peak of one more call, and the value as float.hex;
+  time, the ``tracemalloc`` peak of one more call, its terms and rows per
+  stage, and the value as float.hex;
 - ``delta_opt_nonadaptive_hom`` over 400 seeded curve-like inputs (eps near
   0.01, 0.1 and 1, k <= 40, eps_g within +-k eps), the small-k candidate
   scan that ``curve`` repeats: best per-call time over 7 sweeps, and a
@@ -70,18 +76,31 @@ def _median_s(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def _count_terms(nonadaptive) -> list[int]:
+def _count_terms(nonadaptive) -> tuple[list[int], list[list[int]]]:
     """Wrap the kernel's per-pass evaluator, ``_window_pass``, so that each
-    call adds the terms it evaluates to the returned one-element list."""
-    terms = [0]
-    inner = nonadaptive._window_pass
+    call adds the terms it evaluates to the returned one-element list, and
+    the per-stage evaluator, ``_window_sums``, so that each call appends its
+    [terms, rows of its first pass] to the returned list of stages."""
+    terms, stages = [0], []
+    inner_pass, inner_sums = nonadaptive._window_pass, nonadaptive._window_sums
 
-    def counted(*args):
-        lo, span = args[-2], args[-1]
-        terms[0] += lo.size * (int(span.max()) + 1)
-        return inner(*args)
-    nonadaptive._window_pass = counted
-    return terms
+    def counted_pass(*args):
+        lo, span = args[7], args[8]
+        # a tree that pads every row to the widest in its pass passes no width
+        width = args[9] if len(args) > 9 else int(span.max()) + 1
+        terms[0] += lo.size * width
+        if stages and stages[-1][1] is None:
+            stages[-1][1] = lo.size
+        return inner_pass(*args)
+
+    def counted_sums(*args):
+        stages.append([terms[0], None])
+        try:
+            return inner_sums(*args)
+        finally:
+            stages[-1][0] = terms[0] - stages[-1][0]
+    nonadaptive._window_pass, nonadaptive._window_sums = counted_pass, counted_sums
+    return terms, stages
 
 
 def measure(repeats: int) -> dict:
@@ -91,7 +110,7 @@ def measure(repeats: int) -> dict:
 
     out = {"numpy": np.__version__, "fixed_t_sums": [], "delta_opt": [], "candidate_scan": {},
            "as_counts": []}
-    terms = _count_terms(nonadaptive)
+    terms, stages = _count_terms(nonadaptive)
     for eps, k, eps_g in KERNEL_CASES:
         t = (eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1)
         t = t[(t > 0.0) & (t < eps)]
@@ -102,8 +121,19 @@ def measure(repeats: int) -> dict:
             "eps": eps, "k": k, "eps_g": eps_g, "offsets": int(t.size),
             "terms": counted, "passes": res.passes,
             "ms": 1e3 * _median_s(lambda: nonadaptive.fixed_t_sums(eps, k, eps_g, t), repeats)})
+    out["delta_opt_kernel_cases"] = []
+    for eps, k, eps_g in KERNEL_CASES:
+        stages.clear()
+        res = nonadaptive.delta_opt_nonadaptive_hom(eps, k, eps_g)
+        out["delta_opt_kernel_cases"].append({
+            "eps": eps, "k": k, "eps_g": eps_g,
+            "stage_terms": [s[0] for s in stages], "stage_rows": [s[1] for s in stages],
+            "delta": res.delta.hex(), "t": res.t.hex(),
+            "ms": 1e3 * _median_s(lambda: nonadaptive.delta_opt_nonadaptive_hom(eps, k, eps_g),
+                                  repeats)})
     for eps, k, eps_g in DELTA_CASES:
         seconds = _median_s(lambda: nonadaptive.delta_opt_nonadaptive_hom(eps, k, eps_g), repeats)
+        stages.clear()
         tracemalloc.start()
         try:
             res = nonadaptive.delta_opt_nonadaptive_hom(eps, k, eps_g)
@@ -112,6 +142,8 @@ def measure(repeats: int) -> dict:
             tracemalloc.stop()
         out["delta_opt"].append({"eps": eps, "k": k, "eps_g": eps_g, "s": seconds,
                                  "tracemalloc_peak_mb": peak / 1e6,
+                                 "stage_terms": [s[0] for s in stages],
+                                 "stage_rows": [s[1] for s in stages],
                                  "delta": res.delta.hex(), "t": res.t.hex()})
     rng = np.random.default_rng(1)
     scan = []

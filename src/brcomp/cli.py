@@ -164,7 +164,12 @@ def _bisect_epsilon(method: str, rounds: Rounds, delta_g: float,
     (it is nonincreasing) yet at least the lower one, which exceeds delta_g.
     """
     # rounded to nearest, not up: the bracket certifies nothing, and it fixes the search path
-    span = math.fsum(e * n for e, n in rounds.groups)
+    try:
+        span = math.fsum(e * n for e, n in rounds.groups)
+    except OverflowError:   # finite products whose sum is not
+        span = math.inf
+    if span == math.inf:
+        raise CapError("the summed eps is past the float range; no budget lattice spans it")
     if not span > 0.0:
         raise ValueError("zero-width budget bracket: every round has eps = 0")
 

@@ -18,7 +18,10 @@ O(sqrt k) terms around that distribution's mode and certifies the rest: a
 geometric tail bound at each window edge must stay below 2^-60 of the
 window's sum, or the window is widened.  Scanning every candidate so costs
 O(k^1.5) instead of O(k^2); for k up to about 150 a window would span the
-whole row, and whole rows are summed.  At a fixed offset the sum is
+whole row, and whole rows are summed.  The scan first screens the
+candidates with narrower windows, whose sums plus certified omitted mass
+bound each value from above, and sums in full only those that can be
+within TIE_RTOL of the maximum.  At a fixed offset the sum is
 piecewise linear in e^(eps_g), so ``fixed_t_inverse`` gives the budget for
 a target delta in closed form.
 
@@ -50,6 +53,11 @@ TIE_RTOL = 1e-10
 WINDOW_SDS = 11.0
 WINDOW_PAD = 4
 TAIL_LOG2 = -60
+# the candidate scan's screening stages (``_scan_values``): window half-widths
+# in standard deviations, one stage each, and the rounding margin of the test
+# that keeps a candidate in play
+SCREEN_SDS = (2.0, 4.0)
+SCREEN_MARGIN = 1e-12
 # fixed_t_sums evaluates rows in blocks of at most this many terms.  A
 # windowed pass allocates its four float buffers (8 bytes a term) and one
 # mask once and refills them in place, so a block's working set, with the
@@ -203,7 +211,11 @@ def fixed_t_sums(eps: float, k: int, eps_g: float, t) -> FixedTSums:
     bounded by the geometric tail ``B_edge r / (1 - r)``, r the ratio of
     consecutive B terms at the edge (below 1 away from the mode); a window
     whose bound exceeds ``2^TAIL_LOG2`` of its sum is doubled until the
-    bound holds, at worst up to the whole of ``[0, m]``.  Small rows are
+    bound holds, at worst up to the whole of ``[0, m]``.  All the rows of a
+    pass are padded to one width, the widest first window over every offset
+    given, doubled per widening: so a row's bits depend on the other offsets
+    only through that width, and ``_scan_values`` can sum a subset of a
+    candidate scan with each row's bits as in the whole scan.  Small rows are
     summed whole in one pass (see ``_windowed``).  Work runs in blocks of at
     most ``_BLOCK_ELEMS`` terms (or one row).  The block is sized so that its
     buffers fit a core's L2 cache: a windowed pass allocates them once and
@@ -216,7 +228,8 @@ def fixed_t_sums(eps: float, k: int, eps_g: float, t) -> FixedTSums:
         lp, lomp = _stable_logs(eps, t)
         if not _windowed(k, t.size):
             return _row_sums(eps, k, eps_g, t, lp, lomp)
-        res = _window_sums(eps, k, eps_g, t.reshape(-1), lp.reshape(-1), lomp.reshape(-1))
+        win = _windows(eps, k, eps_g, t.reshape(-1), lp.reshape(-1), lomp.reshape(-1))
+        res = _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2)
     return res._replace(values=res.values.reshape(t.shape),
                         omitted=res.omitted.reshape(t.shape))
 
@@ -277,25 +290,54 @@ def _row_sums(eps, k, eps_g, t, lp, lomp) -> FixedTSums:
     return FixedTSums(values, np.zeros(t.size), 1)
 
 
-def _window_sums(eps, k, eps_g, t, lp, lomp) -> FixedTSums:
-    """fixed_t_sums over certified windows, widening the ones that fail."""
-    lbin = _log_binom(k)
+class _Windows(NamedTuple):
+    """What every window pass over a set of offsets reads, formed once per set."""
+    t: np.ndarray
+    lp: np.ndarray        # log p and log(1 - p), as _stable_logs gives them
+    lomp: np.ndarray
+    lq: np.ndarray        # log q and log(1 - q)
+    l1mq: np.ndarray
+    m: np.ndarray         # the last positive index (-1 for a row with no term)
+    centre: np.ndarray    # min(mode of Bin(k, 1 - q), m)
+    sd: np.ndarray        # the standard deviation of Bin(k, 1 - q)
+    lbin: np.ndarray      # log C(k, i), i = 0..k
+
+
+def _windows(eps, k, eps_g, t, lp, lomp) -> _Windows:
     m = _last_positive(eps, k, eps_g, t)
-    lq, l1mq = t + lp, (t - eps) + lomp            # log q and log(1 - q)
+    lq, l1mq = t + lp, (t - eps) + lomp
     centre = np.minimum(np.floor((k + 1) * np.exp(l1mq)).astype(np.int64), m)
-    half = (np.ceil(WINDOW_SDS * np.sqrt(k * np.exp(lq + l1mq))).astype(np.int64)
-            + WINDOW_PAD)
-    values, omitted = np.zeros(t.size), np.zeros(t.size)
-    rows = np.flatnonzero(m >= 0)
-    log_cap = TAIL_LOG2 * math.log(2.0)
+    return _Windows(t, lp, lomp, lq, l1mq, m, centre, np.sqrt(k * np.exp(lq + l1mq)),
+                    _log_binom(k))
+
+
+def _window_sums(eps, k, eps_g, win: _Windows, sds, tail_log2, keep=None) -> FixedTSums:
+    """fixed_t_sums over certified windows, widening the ones that fail: the
+    rows of ``win`` (those in the mask ``keep``, if given), with first
+    windows of ``sds`` standard deviations and a certificate of
+    ``2^tail_log2`` (at +inf no window widens).
+
+    Every row of pass p is padded to one width: the widest first window over
+    all of ``win`` (from ``centre``, the half-width and ``m``, with no
+    evaluation), doubled per widening.  A row's span at most doubles when its
+    window does, so the width holds it, and it does not depend on ``keep``:
+    a row gets the same bits whichever other rows are evaluated with it
+    (numpy's pairwise row sum depends on the row length)."""
+    m, centre, lbin = win.m, win.centre, win.lbin
+    half = np.ceil(sds * win.sd).astype(np.int64) + WINDOW_PAD
+    width = 1 + int(np.max(np.minimum(centre + half, m) - np.maximum(centre - half, 0),
+                           initial=-1))
+    values, omitted = np.zeros(m.size), np.zeros(m.size)
+    rows = np.flatnonzero(m >= 0 if keep is None else (m >= 0) & keep)
+    log_cap = tail_log2 * math.log(2.0)
     passes = 0
     while rows.size:
         passes += 1
         lo = np.maximum(centre[rows] - half[rows], 0)
         hi = np.minimum(centre[rows] + half[rows], m[rows])
-        top, tot = _window_pass(eps, k, eps_g, k * t[rows], lp[rows], lomp[rows],
-                                lbin, lo, hi - lo)
-        lq_r, l1mq_r = lq[rows], l1mq[rows]
+        top, tot = _window_pass(eps, k, eps_g, k * win.t[rows], win.lp[rows], win.lomp[rows],
+                                lbin, lo, hi - lo, width)
+        lq_r, l1mq_r = win.lq[rows], win.l1mq[rows]
         log_tail = np.logaddexp(
             np.where(lo > 0, _log_tail(k, lbin, lq_r, l1mq_r, lo, -1), -np.inf),
             np.where(hi < m[rows], _log_tail(k, lbin, lq_r, l1mq_r, hi, +1), -np.inf))
@@ -305,6 +347,7 @@ def _window_sums(eps, k, eps_g, t, lp, lomp) -> FixedTSums:
         omitted[rows[ok]] = np.exp(log_tail[ok])
         rows = rows[~ok]
         half[rows] *= 2
+        width = min(2 * width, k + 1)
     return FixedTSums(values, omitted, passes)
 
 
@@ -316,14 +359,13 @@ def _sliding_rows(x: np.ndarray, width: int) -> np.ndarray:
     return rows
 
 
-def _window_pass(eps, k, eps_g, kt, lp, lomp, lbin, lo, span):
+def _window_pass(eps, k, eps_g, kt, lp, lomp, lbin, lo, span, width):
     """Per row of terms lo..lo+span: the largest log term and the sum of
     exp(term - largest), in ``_row_sums``' operation order.  Every row is
-    padded to the pass's widest window (numpy's pairwise row sum depends on
-    the row length).  Blocks of rows are computed in place in buffers
-    allocated once per pass; only the gathers of log C(k, i) and i, one
-    contiguous copy per row, make a block-sized temporary."""
-    width = int(span.max()) + 1
+    padded to ``width`` > every span, which ``_window_sums`` fixes per pass
+    for all the rows it could be given.  Blocks of rows are computed in place
+    in buffers allocated once per pass; only the gathers of log C(k, i) and
+    i, one contiguous copy per row, make a block-sized temporary."""
     offs = np.arange(width)
     n = min(max(1, _BLOCK_ELEMS // width), lo.size)
     i, log_w, a, x = (np.empty((n, width)) for _ in range(4))
@@ -406,9 +448,10 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
     Maximizes ``delta_hom_fixed_t`` over the candidate offsets (plus the
     interval endpoints, which always evaluate to ``max(1 - e^(eps_g), 0)``).
     Outside ``(-k eps, k eps)`` the value is that constant for every t and is
-    returned directly.  All candidates go through ``fixed_t_sums`` at once,
-    each summing a certified window of O(sqrt k) terms, so the total work
-    is O(k^1.5) (O(k^2) for k up to about 150, where a window spans the row).
+    returned directly.  The candidates' values come from ``_scan_values``:
+    every one that can be within TIE_RTOL of the maximum sums a certified
+    window of O(sqrt k) terms, so the total work is O(k^1.5) (O(k^2) for k up
+    to about 150, where a window spans the row).
     """
     _validate_hom(eps, k)
     _validate_budget(eps_g)
@@ -424,13 +467,51 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
     t = t[(t > 0.0) & (t < eps)]
     if t.size == 0:
         return OptResult(endpoint_value, 0.0, [])
-    values = fixed_t_sums(eps, k, eps_g, t).values
+    values = _scan_values(eps, k, eps_g, t)
     best = float(values.max())
     if best <= endpoint_value:
         return OptResult(endpoint_value, 0.0, [])
     winners = np.flatnonzero(values >= best * (1.0 - TIE_RTOL))
     return OptResult(min(best, 1.0), float(t[winners[0]]),
                      [float(x) for x in t[winners]])
+
+
+def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray) -> np.ndarray:
+    """``fixed_t_sums(eps, k, eps_g, t).values`` at every candidate offset t
+    that can be within TIE_RTOL of their maximum, and 0 at the others.
+
+    Small scans sum whole rows.  A windowed scan first screens the rows, one
+    stage per entry of ``SCREEN_SDS``: each sums the rows still in play over
+    windows of that many standard deviations, in one pass that never widens,
+    giving value v and certified omitted mass w.  Every stage forms each term
+    identically, so v + w bounds a row's full value from above and the
+    largest v bounds the maximum from below, up to the rounding of the sums,
+    which ``SCREEN_MARGIN`` covers.  A row stays in play while ``_in_play``
+    holds, so no row dropped is within TIE_RTOL of the maximum; a loose
+    bound just keeps its row for the next stage.  A screen is skipped once
+    the rows in play hold too few full-window terms to repay it.  The last
+    stage sums the rows in play at the full settings, with widths fixed by
+    the query alone, so each gets the bits that scanning every row would
+    give it: the maximum and the tied set are the one-stage scan's.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lp, lomp = _stable_logs(eps, t)
+        if not _windowed(k, t.size):
+            return _row_sums(eps, k, eps_g, t, lp, lomp).values
+        win = _windows(eps, k, eps_g, t, lp, lomp)
+        keep = np.ones(t.size, dtype=bool)
+        for sds in SCREEN_SDS:
+            if 2.0 * WINDOW_SDS * win.sd[keep].sum() < _DENSE_ELEMS:
+                break   # the last stage's terms would not repay a screen
+            v, w, _ = _window_sums(eps, k, eps_g, win, sds, math.inf, keep)
+            keep &= _in_play(v, w)
+        return _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2, keep).values
+
+
+def _in_play(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The screened rows that can be within TIE_RTOL of the maximum:
+    (v + w)(1 + margin) >= max v (1 - TIE_RTOL)(1 - margin)."""
+    return (v + w) * (1.0 + SCREEN_MARGIN) >= v.max() * ((1.0 - TIE_RTOL) * (1.0 - SCREEN_MARGIN))
 
 
 # ---------------------------------------------------------------------------

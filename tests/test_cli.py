@@ -256,6 +256,23 @@ class TestEpsilon:
         assert len(calls) == 1 and set(meta) == {"t"}
         assert value <= 1e-6
 
+    @pytest.mark.parametrize("method", ["br-optcomp", "adaptive-lb"])
+    def test_summed_eps_past_float_range_refused(self, capsys, method):
+        # 2e308 is inf: the lattice search's floor(lo / step) raised OverflowError
+        code, out, err = run_cli(capsys, "epsilon", "--eps", "1e308", "--k", "2",
+                                 "--delta-g", "1e-6", "--method", method)
+        assert (code, out) == (3, "")
+        assert "past the float range" in err
+
+    def test_summed_eps_file_past_float_range_refused(self, tmp_path, capsys):
+        # each entry is finite, their fsum is not: fsum raised OverflowError
+        f = tmp_path / "eps.txt"
+        f.write_text("1e308\n1.7e308\n")
+        code, out, err = run_cli(capsys, "epsilon", "--eps-file", str(f),
+                                 "--delta-g", "1e-6", "--method", "dp-optcomp")
+        assert (code, out) == (3, "")
+        assert "past the float range" in err
+
 
 class TestBudgetLattice:
     STEP = 2.0 ** -30

@@ -159,7 +159,7 @@ class TestDeltaOpt:
 
         def capture(eps, k, eps_g, t):
             raise Scanned(t)
-        monkeypatch.setattr(nonadaptive, "fixed_t_sums", capture)
+        monkeypatch.setattr(nonadaptive, "_scan_values", capture)
 
         def scanned(eps, k, eps_g):
             try:
@@ -378,8 +378,9 @@ def _oracle_values(eps, k, eps_g, t):
     return values
 
 
-def _oracle_opt(eps, k, eps_g):
-    """(delta, t, maximizers) of the optimum over whole-row candidate values."""
+def _oracle_opt(eps, k, eps_g, values_at=_oracle_values):
+    """(delta, t, maximizers) of the optimum over candidate values, whole-row
+    oracle ones unless ``values_at(eps, k, eps_g, t)`` gives others."""
     endpoint = -math.expm1(eps_g) if eps_g < 0.0 else 0.0
     if eps_g >= k * eps:
         return 0.0, 0.0, []
@@ -389,7 +390,7 @@ def _oracle_opt(eps, k, eps_g):
     t = t[(t > 0.0) & (t < eps)]
     if t.size == 0:
         return endpoint, 0.0, []
-    values = _oracle_values(eps, k, eps_g, t)
+    values = values_at(eps, k, eps_g, t)
     best = float(values.max())
     if best <= endpoint:
         return endpoint, 0.0, []
@@ -582,6 +583,93 @@ class TestWindowedKernel:
         opt_lo = delta_opt_nonadaptive_hom(eps, k, eps_g).delta
         opt_hi = delta_opt_nonadaptive_hom(eps, k, higher).delta
         assert opt_hi <= opt_lo * slack
+
+
+def _full_sums(eps, k, eps_g, t, keep):
+    """The full-setting sums of the candidates in the mask ``keep`` alone,
+    padded as in a scan of all of ``t``."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        win = nonadaptive._windows(eps, k, eps_g, t, *_stable_logs(eps, t))
+        return nonadaptive._window_sums(eps, k, eps_g, win, nonadaptive.WINDOW_SDS,
+                                        TAIL_LOG2, keep)
+
+
+def _windowed_draws(seed, n):
+    """n seeded ``_draw_case`` queries with k in [200, 8000] whose candidate
+    scan is windowed."""
+    rng, out = np.random.default_rng(seed), []
+    while len(out) < n:
+        eps, k, eps_g = _draw_case(rng, 8000)
+        if k >= 200 and nonadaptive._windowed(k, _candidate_offsets(eps, k, eps_g).size):
+            out.append((eps, k, eps_g))
+    return out
+
+
+WIDENS = (3.0, 300, -100.0)       # skewed rows: the lowest 31 offsets' full windows widen
+TIED = (0.05, 300, 0.0)           # delta(t) = delta(eps - t) at eps_g = 0: t and eps - t tie
+NEAR_TIES = [(0.05, 300, 3e-8), (0.05, 300, 1e-7)]   # two maximizers 1.7e-11, 5.8e-11 apart
+
+
+class TestScreenedScan:
+    """The candidate scan screens every row with narrow windows and sums only
+    the rows in play at the full settings; each row's full-setting sum must
+    not depend on which rows share its passes."""
+
+    def test_row_sums_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(211)
+        widened = 0
+        for eps, k, eps_g in _windowed_draws(212, 25) + [WIDENS, TIED]:
+            t = _candidate_offsets(eps, k, eps_g)
+            whole = fixed_t_sums(eps, k, eps_g, t).values
+            subset = rng.random(t.size) < 0.3
+            part = _full_sums(eps, k, eps_g, t, subset).values
+            assert part[subset].tobytes() == whole[subset].tobytes()
+            assert not part[~subset].any()
+            tops = np.flatnonzero(whole >= whole.max() * (1.0 - TIE_RTOL))
+            for j in np.concatenate(([0], tops[:2], rng.choice(t.size, 4, replace=False))):
+                alone = _full_sums(eps, k, eps_g, t, np.arange(t.size) == j)
+                assert alone.values[j].tobytes() == whole[j].tobytes()
+                widened += alone.passes > 1
+            if (eps, k, eps_g) == TIED:
+                assert tops.size == 2 and t[tops[0]] + t[tops[1]] == pytest.approx(eps)
+        assert widened > 0
+
+    @pytest.mark.parametrize("screens", [None, (11.0,)])
+    def test_equals_the_one_stage_scan(self, monkeypatch, screens):
+        # screens as tight as the full windows keep only rows whose bound
+        # reaches the maximum less TIE_RTOL: the near ties test that allowance
+        if screens is not None:
+            monkeypatch.setattr(nonadaptive, "SCREEN_SDS", screens)
+        for eps, k, eps_g in _windowed_draws(213, 40) + [WIDENS, TIED] + NEAR_TIES:
+            res = delta_opt_nonadaptive_hom(eps, k, eps_g)
+            want = _oracle_opt(eps, k, eps_g, lambda *q: fixed_t_sums(*q).values)
+            assert (res.delta.hex(), res.t.hex(), [x.hex() for x in res.maximizers]) == \
+                (want[0].hex(), want[1].hex(), [x.hex() for x in want[2]]), (eps, k, eps_g)
+        for eps, k, eps_g in [TIED] + NEAR_TIES:
+            assert len(delta_opt_nonadaptive_hom(eps, k, eps_g).maximizers) == 2
+
+    def test_in_play_keeps_ties_and_rounding(self):
+        # a row's bound may fall short of the largest screened value by the
+        # tie tolerance, and then by up to the rounding margin, and stay
+        best = 0.3
+        edge = best * (1.0 - TIE_RTOL)
+        v = np.array([best, edge, edge * (1.0 - 1e-13), edge * (1.0 - 1e-11), 0.0])
+        w = np.array([0.0, 0.0, 0.0, 0.0, edge])
+        assert nonadaptive._in_play(v, w).tolist() == [True, True, True, False, True]
+
+    def test_sums_about_a_fifth_of_the_terms(self, monkeypatch):
+        terms = [0]
+        inner = nonadaptive._window_pass
+
+        def counted(*args):
+            terms[0] += args[7].size * args[9]   # rows times padded width
+            return inner(*args)
+        monkeypatch.setattr(nonadaptive, "_window_pass", counted)
+        eps, k, eps_g = 0.023981130017311256, 6950, 5.109616377129443
+        fixed_t_sums(eps, k, eps_g, _candidate_offsets(eps, k, eps_g))
+        one_stage, terms[0] = terms[0], 0
+        delta_opt_nonadaptive_hom(eps, k, eps_g)
+        assert terms[0] <= 0.35 * one_stage
 
 
 class TestLargeKPinned:
