@@ -17,7 +17,7 @@ stage of a scan):
 - ``delta_opt_nonadaptive_hom`` at the same four inputs: median time, the
   terms of each stage of its scan (one stage in a tree without screening),
   the rows each stage sums (the last stage's are the rows that survive the
-  screens), and delta and t as float.hex;
+  screen), and delta and t as float.hex;
 - ``delta_opt_nonadaptive_hom(0.01, k, 1.5)`` at k = 10^4 and 10^5: median
   time, the ``tracemalloc`` peak of one more call, its terms and rows per
   stage, and the value as float.hex;

@@ -53,10 +53,10 @@ TIE_RTOL = 1e-10
 WINDOW_SDS = 11.0
 WINDOW_PAD = 4
 TAIL_LOG2 = -60
-# the candidate scan's screening stages (``_scan_values``): window half-widths
-# in standard deviations, one stage each, and the rounding margin of the test
-# that keeps a candidate in play
-SCREEN_SDS = (2.0, 4.0)
+# the candidate scan's screen (``_scan_values``): its window half-width in
+# standard deviations, and the rounding margin of the test that keeps a
+# candidate in play
+SCREEN_SDS = 2.0
 SCREEN_MARGIN = 1e-12
 # fixed_t_sums evaluates rows in blocks of at most this many terms.  A
 # windowed pass allocates its four float buffers (8 bytes a term) and one
@@ -212,8 +212,8 @@ def fixed_t_sums(eps: float, k: int, eps_g: float, t) -> FixedTSums:
     consecutive B terms at the edge (below 1 away from the mode); a window
     whose bound exceeds ``2^TAIL_LOG2`` of its sum is doubled until the
     bound holds, at worst up to the whole of ``[0, m]``.  All the rows of a
-    pass are padded to one width, the widest first window over every offset
-    given, doubled per widening: so a row's bits depend on the other offsets
+    pass are padded to one width, the widest window over every offset given
+    at that pass's half-widths: so a row's bits depend on the other offsets
     only through that width, and ``_scan_values`` can sum a subset of a
     candidate scan with each row's bits as in the whole scan.  Small rows are
     summed whole in one pass (see ``_windowed``).  Work runs in blocks of at
@@ -317,21 +317,22 @@ def _window_sums(eps, k, eps_g, win: _Windows, sds, tail_log2, keep=None) -> Fix
     windows of ``sds`` standard deviations and a certificate of
     ``2^tail_log2`` (at +inf no window widens).
 
-    Every row of pass p is padded to one width: the widest first window over
-    all of ``win`` (from ``centre``, the half-width and ``m``, with no
-    evaluation), doubled per widening.  A row's span at most doubles when its
-    window does, so the width holds it, and it does not depend on ``keep``:
-    a row gets the same bits whichever other rows are evaluated with it
-    (numpy's pairwise row sum depends on the row length)."""
+    A row in pass p has failed every earlier pass, so its half-width is its
+    first one times 2^p.  Every row of the pass is padded to one width: the
+    widest window at that half-width over all of ``win`` (from ``centre``,
+    the half-widths and ``m``, with no evaluation).  So the width does not
+    depend on ``keep``: a row gets the same bits whichever other rows are
+    evaluated with it (numpy's pairwise row sum depends on the row length)."""
     m, centre, lbin = win.m, win.centre, win.lbin
-    half = np.ceil(sds * win.sd).astype(np.int64) + WINDOW_PAD
-    width = 1 + int(np.max(np.minimum(centre + half, m) - np.maximum(centre - half, 0),
-                           initial=-1))
+    first = np.ceil(sds * win.sd).astype(np.int64) + WINDOW_PAD
     values, omitted = np.zeros(m.size), np.zeros(m.size)
     rows = np.flatnonzero(m >= 0 if keep is None else (m >= 0) & keep)
     log_cap = tail_log2 * math.log(2.0)
     passes = 0
     while rows.size:
+        half = first << passes
+        width = 1 + int(np.max(np.minimum(centre + half, m) - np.maximum(centre - half, 0),
+                               initial=-1))
         passes += 1
         lo = np.maximum(centre[rows] - half[rows], 0)
         hi = np.minimum(centre[rows] + half[rows], m[rows])
@@ -346,8 +347,6 @@ def _window_sums(eps, k, eps_g, win: _Windows, sds, tail_log2, keep=None) -> Fix
         values[rows[ok]] = np.exp(top[ok]) * tot[ok]
         omitted[rows[ok]] = np.exp(log_tail[ok])
         rows = rows[~ok]
-        half[rows] *= 2
-        width = min(2 * width, k + 1)
     return FixedTSums(values, omitted, passes)
 
 
@@ -480,32 +479,25 @@ def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray) -> np.ndarray:
     """``fixed_t_sums(eps, k, eps_g, t).values`` at every candidate offset t
     that can be within TIE_RTOL of their maximum, and 0 at the others.
 
-    Small scans sum whole rows.  A windowed scan first screens the rows, one
-    stage per entry of ``SCREEN_SDS``: each sums the rows still in play over
-    windows of that many standard deviations, in one pass that never widens,
-    giving value v and certified omitted mass w.  Every stage forms each term
-    identically, so v + w bounds a row's full value from above and the
-    largest v bounds the maximum from below, up to the rounding of the sums,
-    which ``SCREEN_MARGIN`` covers.  A row stays in play while ``_in_play``
-    holds, so no row dropped is within TIE_RTOL of the maximum; a loose
-    bound just keeps its row for the next stage.  A screen is skipped once
-    the rows in play hold too few full-window terms to repay it.  The last
-    stage sums the rows in play at the full settings, with widths fixed by
-    the query alone, so each gets the bits that scanning every row would
-    give it: the maximum and the tied set are the one-stage scan's.
+    Small scans sum whole rows.  A windowed scan first screens every row
+    over windows of ``SCREEN_SDS`` standard deviations, in one pass that
+    never widens, giving value v and certified omitted mass w.  Both stages
+    form each term identically, so v + w bounds a row's full value from
+    above and the largest v bounds the maximum from below, up to the
+    rounding of the sums, which ``SCREEN_MARGIN`` covers.  A row stays in
+    play while ``_in_play`` holds, so no row dropped is within TIE_RTOL of
+    the maximum; a loose bound just keeps its row.  The second stage sums
+    the rows in play at the full settings, with widths fixed by the query
+    alone, so each gets the bits that scanning every row would give it: the
+    maximum and the tied set are the one-stage scan's.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lp, lomp = _stable_logs(eps, t)
         if not _windowed(k, t.size):
             return _row_sums(eps, k, eps_g, t, lp, lomp).values
         win = _windows(eps, k, eps_g, t, lp, lomp)
-        keep = np.ones(t.size, dtype=bool)
-        for sds in SCREEN_SDS:
-            if 2.0 * WINDOW_SDS * win.sd[keep].sum() < _DENSE_ELEMS:
-                break   # the last stage's terms would not repay a screen
-            v, w, _ = _window_sums(eps, k, eps_g, win, sds, math.inf, keep)
-            keep &= _in_play(v, w)
-        return _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2, keep).values
+        v, w, _ = _window_sums(eps, k, eps_g, win, SCREEN_SDS, math.inf)
+        return _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2, _in_play(v, w)).values
 
 
 def _in_play(v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -610,6 +610,16 @@ TIED = (0.05, 300, 0.0)           # delta(t) = delta(eps - t) at eps_g = 0: t an
 NEAR_TIES = [(0.05, 300, 3e-8), (0.05, 300, 1e-7)]   # two maximizers 1.7e-11, 5.8e-11 apart
 
 
+def _large_draws(seed, n):
+    """n seeded ``_draw_case`` queries with k in [10^4, 2 10^4]."""
+    rng, out = np.random.default_rng(seed), []
+    while len(out) < n:
+        eps, k, eps_g = _draw_case(rng, 2 * 10 ** 4)
+        if k >= 10 ** 4:
+            out.append((eps, k, eps_g))
+    return out
+
+
 class TestScreenedScan:
     """The candidate scan screens every row with narrow windows and sums only
     the rows in play at the full settings; each row's full-setting sum must
@@ -634,14 +644,25 @@ class TestScreenedScan:
                 assert tops.size == 2 and t[tops[0]] + t[tops[1]] == pytest.approx(eps)
         assert widened > 0
 
-    @pytest.mark.parametrize("screens", [None, (11.0,)])
-    def test_equals_the_one_stage_scan(self, monkeypatch, screens):
-        # screens as tight as the full windows keep only rows whose bound
+    @pytest.mark.parametrize("screen_sds", [nonadaptive.SCREEN_SDS, 11.0])
+    def test_equals_the_one_stage_scan(self, monkeypatch, screen_sds):
+        # a screen as tight as the full windows keeps only rows whose bound
         # reaches the maximum less TIE_RTOL: the near ties test that allowance
-        if screens is not None:
-            monkeypatch.setattr(nonadaptive, "SCREEN_SDS", screens)
-        for eps, k, eps_g in _windowed_draws(213, 40) + [WIDENS, TIED] + NEAR_TIES:
+        monkeypatch.setattr(nonadaptive, "SCREEN_SDS", screen_sds)
+        stages = []
+        inner = nonadaptive._window_sums
+
+        def counted(*args):
+            stages.append(args[4])
+            return inner(*args)
+        monkeypatch.setattr(nonadaptive, "_window_sums", counted)
+        cases = (_windowed_draws(213, 40) + [WIDENS, TIED] + NEAR_TIES
+                 + [(0.01, 10 ** 4, 1.5)] + _large_draws(214, 2))
+        for eps, k, eps_g in cases:
+            stages.clear()
             res = delta_opt_nonadaptive_hom(eps, k, eps_g)
+            # every case is windowed: the screen, then the full sums
+            assert stages == [screen_sds, nonadaptive.WINDOW_SDS], (eps, k, eps_g)
             want = _oracle_opt(eps, k, eps_g, lambda *q: fixed_t_sums(*q).values)
             assert (res.delta.hex(), res.t.hex(), [x.hex() for x in res.maximizers]) == \
                 (want[0].hex(), want[1].hex(), [x.hex() for x in want[2]]), (eps, k, eps_g)
