@@ -6,9 +6,10 @@ the results land in one JSON file keyed by label:
     python3 bench/bench_kernel.py                                  # this checkout's src/
     python3 bench/bench_kernel.py --src OLD/src:parent --src src:change --out BENCH_kernel.json
 
-It records, per tree (each must define ``nonadaptive._window_pass``, whose
-calls give the term counts, and ``nonadaptive._window_sums``, one call per
-stage of a scan):
+It records, per tree (each must define ``brcomp.rounds``,
+``nonadaptive._window_pass``, whose calls give the term counts from their
+rows and padded width, and ``nonadaptive._window_sums``, one call per stage
+of a scan):
 
 - ``fixed_t_sums`` over every candidate offset at k = 445, 783, 3163 and
   6950 (the br-optcomp sizes of perfbench's large-k batch at seed 0): median
@@ -26,13 +27,11 @@ stage of a scan):
   scan that ``curve`` repeats: best per-call time over 7 sweeps, and a
   sha256 digest of every delta and t as float.hex, so that two trees
   compare bit for bit;
-- the tree's counting entry (``Rounds.of``, or ``bounds._as_counts`` in a
-  tree without ``brcomp.rounds``) on lists of 5, 40 and 56 000 entries, each
-  once mixed (seven values, fresh float objects) and once equal: best time;
-- the list builds that one ``method_epsilon`` and one ``method_delta`` query
-  make, for every method on an equal and an unequal list: validated
-  ``Rounds`` builds, or in an older tree the ``_as_counts`` calls plus the
-  equal-eps tests (``_equal_eps``) that scan the whole list;
+- ``Rounds.of`` on lists of 5, 40 and 56 000 entries, each once mixed (seven
+  values, fresh float objects) and once equal: best time;
+- the validated ``Rounds`` builds that one ``method_epsilon`` and one
+  ``method_delta`` query make, for every method on an equal and an unequal
+  list;
 - ``curve_rows(["optkl"], 0.01, 10**5, 1e-6)``, a curve to ``CURVE_K_CAP``
   whose every row is a closed form: the time of one run.
 
@@ -85,9 +84,7 @@ def _count_terms(nonadaptive) -> tuple[list[int], list[list[int]]]:
     inner_pass, inner_sums = nonadaptive._window_pass, nonadaptive._window_sums
 
     def counted_pass(*args):
-        lo, span = args[7], args[8]
-        # a tree that pads every row to the widest in its pass passes no width
-        width = args[9] if len(args) > 9 else int(span.max()) + 1
+        lo, width = args[7], args[9]
         terms[0] += lo.size * width
         if stages and stages[-1][1] is None:
             stages[-1][1] = lo.size
@@ -106,7 +103,8 @@ def _count_terms(nonadaptive) -> tuple[list[int], list[list[int]]]:
 def measure(repeats: int) -> dict:
     """Every measurement for the brcomp importable in this interpreter."""
     import numpy as np
-    from brcomp import bounds, cli, nonadaptive
+    from brcomp import cli, nonadaptive
+    from brcomp.rounds import Rounds
 
     out = {"numpy": np.__version__, "fixed_t_sums": [], "delta_opt": [], "candidate_scan": {},
            "as_counts": []}
@@ -159,52 +157,36 @@ def measure(repeats: int) -> dict:
         "\n".join(f"{r.delta.hex()} {r.t.hex()}" for r in sweep()).encode()).hexdigest()
     out["candidate_scan"] = {"inputs": SCAN_INPUTS, "us_per_call": 1e6 * best / SCAN_INPUTS,
                              "sha256": digest}
-    count = _counting_entry(bounds)
     rng = np.random.default_rng(0)
     for n in COUNT_SIZES:
         values = 10.0 ** rng.uniform(-3.0, -1.0, 7)
         lists = {"mixed": values[rng.integers(0, 7, n)].tolist(), "equal": [values[0]] * n}
         number = max(1, 200_000 // n)
         for kind, eps_list in lists.items():
-            best = min(timeit.repeat(lambda: count(eps_list), number=number, repeat=5))
+            best = min(timeit.repeat(lambda: Rounds.of(eps_list), number=number, repeat=5))
             out["as_counts"].append({"entries": n, "list": kind, "us": 1e6 * best / number})
-    out["builds_per_query"] = _count_builds(bounds, cli)
+    out["builds_per_query"] = _count_builds(cli)
     start = time.perf_counter()
     cli.curve_rows(["optkl"], 0.01, cli.CURVE_K_CAP, 1e-6)
     out["optkl_curve_to_cap_s"] = time.perf_counter() - start
     return out
 
 
-def _counting_entry(bounds):
-    """The function that validates and counts a list of rounds."""
-    try:
-        from brcomp.rounds import Rounds
-    except ImportError:
-        return bounds._as_counts
-    return Rounds.of
-
-
-def _count_builds(bounds, cli) -> dict:
+def _count_builds(cli) -> dict:
     """List builds per query: one epsilon query at delta_g = 1e-6 (not for
     the delta-only edge-*) and one delta query at half the summed eps, per
     method and list.  A refused query (exit 2 or 3) counts the builds made
     before the refusal."""
-    calls = [0]
+    from brcomp.rounds import Rounds
 
-    def counting(fn):
-        def counted(*args):
-            calls[0] += 1
-            return fn(*args)
-        return counted
-    try:
-        from brcomp.rounds import Rounds
-    except ImportError:   # an older tree: each count and each equal-eps test scans the list
-        sites = [(bounds, "_as_counts"), (cli, "_equal_eps")]
-    else:                 # called through the class, so the bound original is wrapped
-        sites = [(Rounds, "_validated")]
-    saved = [(owner, name, owner.__dict__[name]) for owner, name in sites]
-    for owner, name, _ in saved:
-        setattr(owner, name, counting(getattr(owner, name)))
+    calls = [0]
+    validated = Rounds.__dict__["_validated"]
+    inner = Rounds._validated   # called through the class, so the bound original is wrapped
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+    Rounds._validated = counted
     out = {}
     try:
         for method in cli.METHODS:
@@ -221,8 +203,7 @@ def _count_builds(bounds, cli) -> dict:
                         pass
                     out[f"{method}|{kind}|{name}"] = calls[0]
     finally:
-        for owner, name, orig in saved:
-            setattr(owner, name, orig)
+        Rounds._validated = validated
     return out
 
 

@@ -73,8 +73,8 @@ def maxkl(eps: float) -> float:
     as ``eps e^-eps / (1 - e^-eps)``.  Against 50 digits it is within 2e-13
     relative from eps = 1e-9 to 10^4.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if eps < _MAXKL_SERIES_CUTOFF:
         e2 = eps * eps
         return e2 / 8.0 - e2 * e2 / 576.0 + e2 * e2 * e2 / 25920.0
@@ -111,10 +111,10 @@ def h_eps(eps: float, lam: float) -> float:
     margin proportional to the magnitudes of the summed terms; it is never
     below the exact supremum.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
     lam_eps = lam * eps
     margin = _H_MARGIN_ULPS * 2.0 ** -52 * (lam_eps + math.log1p(lam) + 1.0)
     big_b = -math.expm1(-lam_eps)
@@ -138,8 +138,8 @@ _QUADRATIC = {
 
 def u_function(kind: UFunctionKind, eps: float, lam: float) -> float:
     """Value of the named per-step bound at (eps, lambda)."""
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not (0.0 < eps < math.inf and 0.0 < lam < math.inf):
+        raise ValueError(f"eps and lambda must be finite and positive, got {eps}, {lam}")
     if kind is UFunctionKind.GENERAL_MGF:
         return h_eps(eps, lam)
     if kind not in _QUADRATIC:

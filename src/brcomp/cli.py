@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -54,24 +55,14 @@ class CurveRow:
     solver_meta: str
 
 
-@dataclass(frozen=True)
-class Options:
-    t_grid: int = AdaptiveSolverConfig.t_grid
-    depth_cap: int = AdaptiveSolverConfig.depth_cap
-    lambda_max: float = bounds.LambdaSearch.lambda_max
-
-    def solver_cfg(self) -> AdaptiveSolverConfig:
-        return AdaptiveSolverConfig(t_grid=self.t_grid, depth_cap=self.depth_cap)
-
-    def search(self) -> bounds.LambdaSearch:
-        return bounds.LambdaSearch(lambda_max=self.lambda_max)
-
-
 def method_delta(method: str, eps_list, eps_g: float,
-                 opts: Options = Options(), *, describe: bool = True) -> tuple[float, dict]:
+                 cfg: AdaptiveSolverConfig = AdaptiveSolverConfig(),
+                 search: bounds.LambdaSearch = bounds.LambdaSearch(), *,
+                 describe: bool = True) -> tuple[float, dict]:
     """Additive loss of the named method at budget eps_g, plus solver metadata.
 
-    ``eps_list`` is a ``Rounds`` or anything ``Rounds.of`` accepts.
+    ``eps_list`` is a ``Rounds`` or anything ``Rounds.of`` accepts.  ``cfg``
+    configures ``adaptive-lb`` and ``search`` the bounds' lambda window.
     ``describe=False`` skips metadata that costs extra evaluations (the
     ``br-optcomp`` comparison with half-DP); bisection only needs the value.
     """
@@ -80,15 +71,15 @@ def method_delta(method: str, eps_list, eps_g: float,
         ok = eps_g >= bounds.basic_composition(rounds)
         return (0.0 if ok else 1.0), {"note": "no guarantee below the summed budget"}
     if method in _U_KIND:
-        res = bounds.generic_delta_from_u(_U_KIND[method], rounds, eps_g, opts.search())
+        res = bounds.generic_delta_from_u(_U_KIND[method], rounds, eps_g, search)
         return res.delta, {"lambda": res.lam, "at_ceiling": res.at_ceiling}
     if method == "optkl":
-        res = bounds.optkl_delta(rounds, eps_g, opts.search())
+        res = bounds.optkl_delta(rounds, eps_g, search)
         if res.capped_at_basic:
             return 0.0, {"branch": "basic"}
         return res.delta, {"lambda": res.lam}
     if method == "mgf":
-        res = bounds.mgf_delta(rounds, eps_g, opts.search())
+        res = bounds.mgf_delta(rounds, eps_g, search)
         return res.delta, {"lambda": res.lam, "at_ceiling": res.at_ceiling}
     if not rounds.values:
         raise ValueError("every round has eps = 0; nothing to compose")
@@ -109,11 +100,12 @@ def method_delta(method: str, eps_list, eps_g: float,
         if k <= validation.BRUTE_FORCE_CAP:
             eps = rounds.as_list()
             t = brute_force_nonadaptive(eps, eps_g, 400).t   # valued by the finer kernel
-            return delta_het_fixed_t(eps, eps_g, t), {"form": "grid-oracle", "t": t.tolist()}
+            return delta_het_fixed_t(eps, eps_g, t), {"form": "grid-oracle", "t": t.tolist(),
+                                                        "kind": "lower-bound"}
         raise CapError("heterogeneous optimal composition has no known efficient "
                        f"algorithm; grid oracle supports k <= {validation.BRUTE_FORCE_CAP}")
     if method == "adaptive-lb":
-        res = delta_adaptive_lb(rounds.as_list(), eps_g, opts.solver_cfg())
+        res = delta_adaptive_lb(rounds.as_list(), eps_g, cfg)
         return res.delta, {"t_grid": res.t_grid, "refine_iters": res.refine_iters,
                            "kind": "lower-bound"}
     if method not in ("edge-high", "edge-low"):
@@ -125,7 +117,8 @@ def method_delta(method: str, eps_list, eps_g: float,
 
 
 def method_epsilon(method: str, eps_list, delta_g: float,
-                   opts: Options = Options()) -> tuple[float, dict]:
+                   cfg: AdaptiveSolverConfig = AdaptiveSolverConfig(),
+                   search: bounds.LambdaSearch = bounds.LambdaSearch()) -> tuple[float, dict]:
     """Smallest budget at which the named method certifies delta_g."""
     if not 0.0 < delta_g < 1.0:
         raise ValueError(f"delta_g must lie in (0, 1), got {delta_g}")
@@ -135,19 +128,19 @@ def method_epsilon(method: str, eps_list, delta_g: float,
     if method == "basic":
         return bounds.basic_composition(rounds), {"closed_form": True}
     if method == "optkl":
-        return bounds.optkl_epsilon(rounds, delta_g, opts.search()), {"closed_form": True}
+        return bounds.optkl_epsilon(rounds, delta_g, search), {"closed_form": True}
     if method in _U_KIND:
-        res = bounds.quadratic_epsilon(_U_KIND[method], rounds, delta_g, opts.search())
+        res = bounds.quadratic_epsilon(_U_KIND[method], rounds, delta_g, search)
         return res.eps_g, {"closed_form": True, "lambda": res.lam,
                            "at_ceiling": res.at_ceiling}
     if method == "mgf":
-        res = bounds.mgf_epsilon(rounds, delta_g, opts.search())
+        res = bounds.mgf_epsilon(rounds, delta_g, search)
         return res.eps_g, {"lambda": res.lam, "capped_at_basic": res.capped_at_basic}
-    return _bisect_epsilon(method, rounds, delta_g, opts)
+    return _bisect_epsilon(method, rounds, delta_g, cfg, search)
 
 
-def _bisect_epsilon(method: str, rounds: Rounds, delta_g: float,
-                    opts: Options) -> tuple[float, dict]:
+def _bisect_epsilon(method: str, rounds: Rounds, delta_g: float, cfg: AdaptiveSolverConfig,
+                    search: bounds.LambdaSearch) -> tuple[float, dict]:
     """The method's budget: the smallest point of the budget lattice
     (``optim.budget_step``, 2^-30 below a summed eps of 2^20) at which its
     own delta is <= delta_g, confirmed there and one step below.
@@ -174,7 +167,7 @@ def _bisect_epsilon(method: str, rounds: Rounds, delta_g: float,
         raise ValueError("zero-width budget bracket: every round has eps = 0")
 
     def delta(eps_g: float) -> float:
-        return method_delta(method, rounds, eps_g, opts, describe=False)[0]
+        return method_delta(method, rounds, eps_g, cfg, search, describe=False)[0]
 
     d_lo = delta(-span)
     if delta_g > d_lo:
@@ -196,8 +189,11 @@ def _closed_form_budget(method: str, rounds: Rounds, delta_g: float) -> float | 
 
 
 def curve_rows(methods, eps: float, k_max: int, delta_g: float,
-               opts: Options = Options()) -> list[CurveRow]:
+               cfg: AdaptiveSolverConfig = AdaptiveSolverConfig(),
+               search: bounds.LambdaSearch = bounds.LambdaSearch()) -> list[CurveRow]:
     """One row per (method, k): the budget at which the method certifies delta_g."""
+    if not methods:
+        raise ValueError("no method given")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if k_max > CURVE_K_CAP:
@@ -210,7 +206,7 @@ def curve_rows(methods, eps: float, k_max: int, delta_g: float,
     rows = []
     for method in methods:
         for k in range(1, k_max + 1):
-            eg, meta = method_epsilon(method, Rounds.equal(eps, k), delta_g, opts)
+            eg, meta = method_epsilon(method, Rounds.equal(eps, k), delta_g, cfg, search)
             rows.append(CurveRow(k, method, eps, delta_g, eg, _meta_str(meta)))
     return sorted(rows, key=lambda r: (r.method, r.k))
 
@@ -247,14 +243,17 @@ def _build_parser() -> argparse.ArgumentParser:
     # only flags the handler reads: curve sweeps k over equal rounds (no
     # --eps-file, --k), and gap runs no lambda search (no --lambda-max)
     def common(p, rounds=True, lambda_max=True):
+        # Python 3.13's test for a negative number: before 3.13 argparse read
+        # -1e-3, as ``epsilon`` can print a budget, as a flag
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--eps", type=float, help="per-round parameter (equal rounds)")
         if rounds:
             p.add_argument("--eps-file", help="newline-separated per-round parameters")
             p.add_argument("--k", type=int, help="number of rounds (with --eps)")
-        p.add_argument("--t-grid", type=int, default=Options.t_grid)
-        p.add_argument("--depth-cap", type=int, default=Options.depth_cap)
+        p.add_argument("--t-grid", type=int, default=AdaptiveSolverConfig.t_grid)
+        p.add_argument("--depth-cap", type=int, default=AdaptiveSolverConfig.depth_cap)
         if lambda_max:
-            p.add_argument("--lambda-max", type=float, default=Options.lambda_max)
+            p.add_argument("--lambda-max", type=float, default=bounds.LambdaSearch.lambda_max)
 
     p = sub.add_parser("delta", help="loss at a fixed budget")
     common(p)
@@ -317,28 +316,34 @@ def _composable(rounds: Rounds, entries: int) -> Rounds:
     return rounds
 
 
-def _opts(args) -> Options:
-    return Options(t_grid=args.t_grid, depth_cap=args.depth_cap, lambda_max=args.lambda_max)
+def _checked_flags(args) -> tuple[AdaptiveSolverConfig, bounds.LambdaSearch]:
+    """A command's flags, checked once whichever method reads them: a finite --eps
+    and --eps-g (argparse's float takes nan and inf), and the solver configs."""
+    for name in ("eps", "eps_g"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    return (AdaptiveSolverConfig(t_grid=args.t_grid, depth_cap=args.depth_cap),
+            bounds.LambdaSearch(getattr(args, "lambda_max", bounds.LambdaSearch.lambda_max)))
 
 
-def _cmd_delta(args) -> int:
-    value, meta = method_delta(args.method, _load_eps(args), args.eps_g, _opts(args))
-    _print_value(value, dict(meta, method=args.method))
-    return 0
-
-
-def _cmd_epsilon(args) -> int:
-    value, meta = method_epsilon(args.method, _load_eps(args), args.delta_g, _opts(args))
+def _cmd_query(args) -> int:
+    """``delta`` (the loss at --eps-g) or ``epsilon`` (the budget at --delta-g)."""
+    cfg, search = _checked_flags(args)
+    fn, target = ((method_delta, args.eps_g) if args.command == "delta"
+                  else (method_epsilon, args.delta_g))
+    value, meta = fn(args.method, _load_eps(args), target, cfg, search)
     _print_value(value, dict(meta, method=args.method))
     return 0
 
 
 def _cmd_curve(args) -> int:
+    cfg, search = _checked_flags(args)
     if args.eps is None:
         raise ValueError("curve requires --eps (equal per-round parameters)")
     eps = _composable(Rounds.equal(args.eps, 1), 1).values[0]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    rows = curve_rows(methods, eps, args.k_max, args.delta_g, _opts(args))
+    rows = curve_rows(methods, eps, args.k_max, args.delta_g, cfg, search)
     if args.format == "json":
         text = json.dumps([row.__dict__ for row in rows], indent=2) + "\n"
     else:
@@ -362,11 +367,11 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_gap(args) -> int:
+    cfg, _ = _checked_flags(args)
     rounds = _load_eps(args)
     if not rounds.equal_eps:
         raise CapError("gap certification supports equal per-round eps only")
-    cert = gap_certificate(rounds.values[0], rounds.k, args.eps_g,
-                           AdaptiveSolverConfig(t_grid=args.t_grid, depth_cap=args.depth_cap))
+    cert = gap_certificate(rounds.values[0], rounds.k, args.eps_g, cfg)
     print(json.dumps(cert.as_dict()))
     return 0
 
@@ -385,20 +390,11 @@ def _cmd_validate(args) -> int:
     return 0 if not failed else 1
 
 
-def _require_finite(args) -> None:
-    """argparse's float accepts nan and inf; refuse them for --eps and --eps-g."""
-    for name in ("eps", "eps_g"):
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {"delta": _cmd_delta, "epsilon": _cmd_epsilon, "curve": _cmd_curve,
+    handler = {"delta": _cmd_query, "epsilon": _cmd_query, "curve": _cmd_curve,
                "gap": _cmd_gap, "validate": _cmd_validate}[args.command]
     try:
-        _require_finite(args)
         return handler(args)
     except UnreachableTargetError as exc:
         print(f"error: {exc} (boundary value {exc.boundary:.12g})", file=sys.stderr)

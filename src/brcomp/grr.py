@@ -50,12 +50,12 @@ def one_minus_q(eps, t):
 def grr_probs(eps: float, t: float) -> tuple[float, float]:
     """Return ``(p, q)`` for the GRR mechanism with parameters ``(eps, t)``.
 
-    ``eps`` must be positive (an eps of zero would make the defining ratio
-    0/0; such a mechanism is data independent and is skipped by the
-    composition layers instead).  ``t`` must lie in ``[0, eps]``.
+    ``eps`` must be finite and positive (an eps of zero would make the
+    defining ratio 0/0; such a mechanism is data independent and is skipped
+    by the composition layers instead).  ``t`` must lie in ``[0, eps]``.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if not 0.0 <= t <= eps:
         raise ValueError(f"t must lie in [0, eps={eps}], got {t}")
     q = float(q_of_t(eps, t))

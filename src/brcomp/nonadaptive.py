@@ -100,10 +100,10 @@ def _log_binom(k: int) -> np.ndarray:
 
 
 def _validate_hom(eps: float, k: int) -> None:
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if k < 1 or k != int(k):
-        raise ValueError(f"k must be a positive integer, got {k}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not isinstance(k, (int, np.integer)) or k < 1:   # a float k, even 2.0, does not pass
+        raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
 def _validate_eps_list(eps_list: Sequence[float]) -> np.ndarray:

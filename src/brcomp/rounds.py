@@ -53,7 +53,9 @@ class Rounds:
     @classmethod
     def equal(cls, eps: float, k: int) -> Rounds:
         """k rounds of eps: ``Rounds.of([eps] * k)`` without the list."""
-        return cls._validated({float(eps): k} if k > 0 else {}, None)
+        if not isinstance(k, (int, np.integer)):   # a float k, even 2.0, does not pass
+            raise ValueError(f"k must be an integer, got {k!r}")
+        return cls._validated({float(eps): int(k)} if k > 0 else {}, None)
 
     @classmethod
     def _validated(cls, counts: dict, order: tuple | None) -> Rounds:

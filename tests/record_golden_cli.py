@@ -21,7 +21,8 @@ import math
 import sys
 from pathlib import Path
 
-from brcomp.cli import METHODS, Options, method_delta, method_epsilon
+from brcomp.bounds import LambdaSearch
+from brcomp.cli import METHODS, method_delta, method_epsilon
 from brcomp.errors import CapError
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
@@ -75,10 +76,10 @@ def key(direction, method, eps_list, target, lmax) -> str:
 
 
 def run_case(direction, method, eps_list, target, lmax) -> dict:
-    opts = Options() if lmax is None else Options(lambda_max=lmax)
+    search = LambdaSearch() if lmax is None else LambdaSearch(lambda_max=lmax)
     fn = method_delta if direction == "delta" else method_epsilon
     try:
-        value, meta = fn(method, eps_list, target, opts)
+        value, meta = fn(method, eps_list, target, search=search)
     except (ValueError, CapError) as exc:  # the CLI's refusals (exit 2 and 3)
         return {"error": type(exc).__name__}
     return {"value": value, "meta": meta}

@@ -514,6 +514,12 @@ class TestGapCertificate:
         cert = gap_certificate(1.0, 2, 0.0)
         assert cert.strict
 
+    @pytest.mark.parametrize("eps, k", [(math.inf, 2), (0.5, 2.0)])
+    def test_scalar_inputs_refused(self, eps, k):
+        # a float k raised TypeError from a slice
+        with pytest.raises(ValueError, match="finite|integer"):
+            gap_certificate(eps, k, 0.1)
+
     def test_nonadaptive_argmax_is_interior_candidate(self):
         cert = gap_certificate(1.0, 4, 0.5)
         cands = [c.t for c in candidate_points(1.0, 4, 0.5)]

@@ -15,7 +15,7 @@ from brcomp.bounds import (_MAXKL_LOG_FORM, _MAXKL_SERIES_CUTOFF, LambdaSearch,
                            basic_composition, generic_delta_from_u, h_eps, maxkl, mgf_delta,
                            mgf_epsilon, optkl_delta, optkl_epsilon, quadratic_epsilon,
                            u_function)
-from brcomp.cli import EPS_BISECT_TOL, METHODS, Options, method_delta, method_epsilon
+from brcomp.cli import EPS_BISECT_TOL, METHODS, method_delta, method_epsilon
 from brcomp.errors import CapError
 from brcomp.nonadaptive import delta_hom_fixed_t, delta_opt_nonadaptive_hom
 from brcomp.rounds import Rounds
@@ -375,10 +375,14 @@ class TestAsCounts:
 
     @pytest.mark.parametrize("eps,k,match", [
         (math.nan, 3, "finite"), (math.inf, 2, "finite"), (-0.1, 4, "finite"),
-        (0.1, 0, "nonempty")])
+        (0.1, 0, "nonempty"), (0.1, 2.5, "integer"), (0.1, 2.0, "integer")])
     def test_equal_refuses_like_of(self, eps, k, match):
+        # k = 2.5 built a composition of 2.5 rounds, which mgf_delta answered
         with pytest.raises(ValueError, match=match):
             Rounds.equal(eps, k)
+
+    def test_equal_takes_numpy_integers(self):
+        assert Rounds.equal(0.1, np.int64(3)) == Rounds.equal(0.1, 3)
 
 
 # 58 000 rounds: one eps, and seven values in seeded order; pinned below at
@@ -482,6 +486,17 @@ def test_each_bound_query_counts_its_list_once(monkeypatch, method, eps_list):
 def test_lambda_search_validation():
     with pytest.raises(ValueError):
         LambdaSearch(lambda_max=0.0)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (maxkl, (math.inf,)), (maxkl, (math.nan,)), (h_eps, (1.0, math.inf)),
+    (h_eps, (math.inf, 1.0)), (u_function, (UFunctionKind.DR19, math.inf, 1.0)),
+    (u_function, (UFunctionKind.DR19, 1.0, math.inf)),
+    (u_function, (UFunctionKind.KL_IMPROVED_DR19, -0.5, 1.0))])
+def test_scalar_bound_refuses_non_finite(fn, args):
+    # maxkl(inf) and h_eps(1, inf) were nan; u_function checked no eps
+    with pytest.raises(ValueError, match="finite and positive"):
+        fn(*args)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
@@ -651,9 +666,8 @@ class TestQuadraticClosedForms:
         method_of = {UFunctionKind.IMPROVED_DRV10: "drv10", UFunctionKind.DR19: "dr19",
                      UFunctionKind.KL_IMPROVED_DR19: "optkl"}
         for kind, eps_list, delta_g, search in _random_cases(7, 45):
-            opts = Options(lambda_max=search.lambda_max)
-            budget, _ = method_epsilon(method_of[kind], eps_list, delta_g, opts)
-            back, _ = method_delta(method_of[kind], eps_list, budget, opts)
+            budget, _ = method_epsilon(method_of[kind], eps_list, delta_g, search=search)
+            back, _ = method_delta(method_of[kind], eps_list, budget, search=search)
             assert back <= delta_g * (1.0 + 1e-12), (method_of[kind], len(eps_list))
 
     def test_rejects_general_mgf(self):

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brcomp import cli
-from brcomp.cli import (EPS_BISECT_TOL, METHODS, Options, curve_rows, main, method_delta,
-                        method_epsilon)
+from brcomp.adaptive import AdaptiveSolverConfig
+from brcomp.bounds import LambdaSearch
+from brcomp.cli import EPS_BISECT_TOL, METHODS, curve_rows, main, method_delta, method_epsilon
 from brcomp.errors import CapError, UnreachableTargetError
 from brcomp.nonadaptive import delta_het_fixed_t
 from brcomp.optim import budget_step, lattice_search
@@ -74,6 +75,17 @@ class TestEveryInputForm:
 
 
 class TestDelta:
+    @pytest.mark.parametrize("budget", ["-1e-3", "-2.5E-2", "-1e+1"])
+    @pytest.mark.parametrize("argv", [["delta", "--eps", "0.1", "--k", "5",
+                                       "--method", "br-optcomp"],
+                                      ["gap", "--eps", "0.5", "--k", "3"]])
+    def test_negative_budget_in_scientific_notation(self, capsys, argv, budget):
+        # argparse before Python 3.13 read such a token as a flag: exit 2,
+        # "expected one argument"
+        spaced = run_cli(capsys, *argv, "--eps-g", budget)
+        assert spaced == run_cli(capsys, *argv, f"--eps-g={budget}")
+        assert spaced[0] == 0 and spaced[1]
+
     def test_br_optcomp_single_round(self, capsys):
         code, out, _ = run_cli(capsys, "delta", "--eps", "1", "--k", "1",
                                "--eps-g", "0", "--method", "br-optcomp")
@@ -228,7 +240,8 @@ class TestEpsilon:
     def test_bisection_refuses_zero_width_bracket(self):
         from brcomp.cli import _bisect_epsilon
         with pytest.raises(ValueError, match="zero-width"):
-            _bisect_epsilon("br-optcomp", Rounds.of([0.0]), 1e-6, Options())
+            _bisect_epsilon("br-optcomp", Rounds.of([0.0]), 1e-6, AdaptiveSolverConfig(),
+                            LambdaSearch())
 
     def test_half_dp_flag_is_relative(self):
         # half-DP is 0 and br-optcomp 2.5e-34 here: they do not coincide
@@ -391,9 +404,11 @@ class TestHeterogeneous:
         assert "open problem" in err or "no known efficient" in err
 
     def test_br_heterogeneous_value_is_kernel_at_oracle_t(self):
+        # the oracle's offsets are a feasible strategy, so their loss is a lower bound
         for eps_g in (-0.55, 0.0, 0.275):
             value, meta = method_delta("br-optcomp", [0.3, 0.8], eps_g)
             assert value == delta_het_fixed_t([0.3, 0.8], eps_g, meta["t"])
+            assert meta["kind"] == "lower-bound"
 
     @pytest.mark.parametrize("command, target", [("delta", ["--eps-g", "100"]),
                                                  ("epsilon", ["--delta-g", "1e-6"])])
@@ -462,6 +477,47 @@ class TestBadInput:
                                  "1e-6", "--method", method, "--lambda-max", "inf")
         assert (code, out) == (2, "")
         assert "lambda_max" in err
+
+    # a flag value each solver config refuses, and the config field it names
+    BAD_SOLVER_FLAGS = [("--t-grid", "1", "t_grid"), ("--depth-cap", "0", "depth_cap"),
+                        ("--lambda-max", "0", "lambda_max"), ("--lambda-max", "-5", "lambda_max")]
+
+    @pytest.mark.parametrize("flag, value, field", BAD_SOLVER_FLAGS)
+    @pytest.mark.parametrize("command, target", [("delta", ["--eps-g", "0.1"]),
+                                                 ("epsilon", ["--delta-g", "1e-6"])])
+    def test_bad_solver_flag_whatever_the_method(self, capsys, command, target,
+                                                 flag, value, field):
+        # only the methods that read a flag refused it: br-optcomp answered
+        # at --lambda-max 0, mgf refused it
+        for method in METHODS:
+            code, out, err = run_cli(capsys, command, "--eps", "0.1", "--k", "2", *target,
+                                     "--method", method, flag, value)
+            assert (code, out) == (2, ""), method
+            assert field in err, method
+
+    @pytest.mark.parametrize("flag, value, field", BAD_SOLVER_FLAGS)
+    def test_bad_solver_flag_in_curve(self, capsys, flag, value, field):
+        for method in METHODS:
+            code, out, err = run_cli(capsys, "curve", "--eps", "0.1", "--k-max", "2",
+                                     "--delta-g", "1e-6", "--methods", method, flag, value)
+            assert (code, out) == (2, ""), method
+            assert field in err, method
+
+    @pytest.mark.parametrize("flag, value, field", BAD_SOLVER_FLAGS[:2])
+    def test_bad_solver_flag_in_gap(self, capsys, flag, value, field):
+        code, out, err = run_cli(capsys, "gap", "--eps", "1", "--k", "2", "--eps-g", "0",
+                                 flag, value)
+        assert (code, out) == (2, "")
+        assert field in err
+
+    def test_empty_method_list(self, capsys):
+        # it printed the csv header alone and exited 0
+        code, out, err = run_cli(capsys, "curve", "--eps", "0.1", "--k-max", "2",
+                                 "--delta-g", "1e-6", "--methods", ",")
+        assert (code, out) == (2, "")
+        assert "no method" in err
+        with pytest.raises(ValueError, match="no method"):
+            curve_rows([], 0.1, 2, 1e-6)
 
     def test_repeated_nan_list_refused(self):
         # list.count matches one repeated NaN object by identity, so this list
@@ -605,7 +661,8 @@ class TestGap:
                     ["gap", "--eps-g", "0"]):
             with pytest.raises(SystemExit):
                 main(cmd + ["--eps", "1", "--k", "2", "--seed", "3"])
-        assert "seed" not in Options.__dataclass_fields__
+        assert "seed" not in AdaptiveSolverConfig.__dataclass_fields__
+        assert "seed" not in LambdaSearch.__dataclass_fields__
 
 
 class TestValidate:

@@ -55,6 +55,8 @@ def test_grr_probs_rejects_bad_domain():
         grr_probs(1.0, 1.5)
     with pytest.raises(ValueError):
         grr_probs(1.0, -0.1)
+    with pytest.raises(ValueError, match="finite"):   # it returned (0.368, 1.0)
+        grr_probs(math.inf, 1.0)
 
 
 class TestBrWitness:

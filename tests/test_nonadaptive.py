@@ -48,6 +48,20 @@ class TestDeltaHomFixedT:
         assert delta_hom_fixed_t(1.0, 1, 0.0, 0.5) == pytest.approx(
             DELTA_1_1_HALF_0, abs=1e-12)
 
+    @pytest.mark.parametrize("eps, k, match", [
+        (math.inf, 2, "finite"), (math.nan, 2, "finite"), (0.5, 2.0, "integer"),
+        (0.5, 2.5, "integer")])
+    def test_scalar_inputs_refused(self, eps, k, match):
+        # at eps = inf delta was 0; a float k raised TypeError from a slice
+        with pytest.raises(ValueError, match=match):
+            delta_opt_nonadaptive_hom(eps, k, 0.1)
+        with pytest.raises(ValueError, match=match):
+            delta_hom_fixed_t(eps, k, 0.1, 0.25)
+
+    def test_numpy_integer_k(self):
+        got, want = (delta_opt_nonadaptive_hom(0.5, k, 0.1) for k in (np.int64(2), 2))
+        assert (got.delta, got.t) == (want.delta, want.t)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             delta_hom_fixed_t(1.0, 2, 0.0, 1.5)
