@@ -33,7 +33,14 @@ of a scan):
   ``method_delta`` query make, for every method on an equal and an unequal
   list;
 - ``curve_rows(["optkl"], 0.01, 10**5, 1e-6)``, a curve to ``CURVE_K_CAP``
-  whose every row is a closed form: the time of one run.
+  whose every row is a closed form: the time of one run;
+- ``adaptive.delta_adaptive_lb`` with ``AdaptiveSolverConfig(depth_cap=8)``
+  on gap-like inputs (equal eps in [0.1, 1], eps_g from -0.25 to 1.25 times
+  (k - 1) eps, as perfbench's gap batch draws them) at k = 3..8: per input,
+  the median time, the calls of the level evaluator
+  ``adaptive._level_values`` (each golden objective call is one, and so is
+  each tree value) and a sha256 digest of delta and every offset of the
+  strategy as float.hex, so that two trees compare bit for bit.
 
 Times are wall-clock medians over ``--repeats`` runs on a host that may be
 shared, so compare trees measured in the same invocation.
@@ -64,6 +71,7 @@ DELTA_CASES = [(0.01, 10 ** 4, 1.5), (0.01, 10 ** 5, 1.5)]
 SCAN_INPUTS, SCAN_SWEEPS = 400, 7
 COUNT_SIZES = (5, 40, 56_000)
 BUILD_LISTS = {"equal": [0.1] * 3, "mixed": [0.3, 0.8]}
+ADAPTIVE_KS, ADAPTIVE_PER_K = range(3, 9), 3
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -169,6 +177,39 @@ def measure(repeats: int) -> dict:
     start = time.perf_counter()
     cli.curve_rows(["optkl"], 0.01, cli.CURVE_K_CAP, 1e-6)
     out["optkl_curve_to_cap_s"] = time.perf_counter() - start
+    out["adaptive_lb"] = _adaptive_lb(repeats)
+    return out
+
+
+def _adaptive_lb(repeats: int) -> list[dict]:
+    """``delta_adaptive_lb`` at seeded gap-like inputs: median time, level
+    evaluator calls and a digest of the bound and its strategy."""
+    import numpy as np
+    from brcomp import adaptive
+
+    cfg = adaptive.AdaptiveSolverConfig(depth_cap=8)
+    calls = [0]
+    inner = adaptive._level_values
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+    rng = np.random.default_rng(2)
+    out = []
+    for k in ADAPTIVE_KS:
+        for _ in range(ADAPTIVE_PER_K):
+            eps = float(rng.uniform(0.1, 1.0))
+            eps_g = float(rng.uniform(-0.25, 1.25)) * (k - 1) * eps
+            adaptive._level_values, calls[0] = counted, 0
+            try:
+                res = adaptive.delta_adaptive_lb([eps] * k, eps_g, cfg)
+            finally:
+                adaptive._level_values = inner
+            text = " ".join(v.hex() for v in [res.delta, *res.strategy.t_nodes.tolist()])
+            out.append({"eps": eps, "k": k, "eps_g": eps_g, "evaluator_calls": calls[0],
+                        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                        "ms": 1e3 * _median_s(
+                            lambda: adaptive.delta_adaptive_lb([eps] * k, eps_g, cfg), repeats)})
     return out
 
 

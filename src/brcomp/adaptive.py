@@ -27,7 +27,11 @@ bit for bit: a node's objective depends only on its ancestors' offsets
 (through its budget) and on its own subtree, both orders refine every
 ancestor before a node and no descendant, and nodes of one depth have
 disjoint subtrees.  One level-wise evaluator, ``_level_values``, serves
-the searches and ``StrategyTree.value``.
+the searches and ``StrategyTree.value``.  A search hands it candidate
+offsets stacked on a leading axis, which broadcast against the budgets and
+the deeper levels: one opening call takes the four opening points and the
+current offsets, and each later call a step's new point with both points
+the next step can make, so a search of n steps makes 1 + ceil(n/2) calls.
 
 Closed-form edge regions: for eps_g beyond (k-1)*eps in either direction
 the recursion collapses to an equal-offset product form (log q_t and
@@ -37,6 +41,7 @@ candidate offset, so adapting gains nothing and the value is a closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -121,30 +126,54 @@ class StrategyTree:
         return float(self.t_nodes[node])
 
     def _levels(self) -> list[np.ndarray]:
-        """The offsets of each depth d as a (1, 2^d) array."""
-        return [self.t_nodes[(1 << d) - 1:(1 << (d + 1)) - 1][None, :]
+        """The offsets of each depth d as a (1, 2^d) array, in the
+        evaluator's order (``_eval_order``)."""
+        return [self.t_nodes[(1 << d) - 1:(1 << (d + 1)) - 1][_eval_order(d)][None, :]
                 for d in range(self.depth)]
 
     def value(self, eps_g: float) -> float:
         """Exact loss of this strategy at budget eps_g (sums 2^k outcome paths)."""
-        t = self._levels()
-        q = [q_of_t(e, tl) for e, tl in zip(self.eps_list, t)]
-        return float(_level_values(np.full((1, 1), float(eps_g)), t, q, self.eps_list, 0)[0, 0])
+        levels = [_level(e, tl) for e, tl in zip(self.eps_list, self._levels())]
+        return float(_level_values(np.full((1, 1), float(eps_g)), levels)[0, 0])
 
 
-def _children(x: np.ndarray, t: np.ndarray, eps: float) -> np.ndarray:
-    """Budgets one level down: node i's q-branch child 2i gets x - t, its
-    other child 2i + 1 gets (x + eps) - t."""
-    out = np.empty(x.shape[:-1] + (2 * x.shape[-1],))
-    out[..., 0::2] = x - t
-    out[..., 1::2] = (x + eps) - t
-    return out
+@functools.lru_cache(maxsize=None)
+def _eval_order(depth: int) -> np.ndarray:
+    """The heap positions, within their depth, of the nodes of ``depth`` in
+    the evaluator's order: there the children of the node at position i of
+    n sit at i (q-branch) and n + i, so that each level is two contiguous
+    halves.  The order is the bit reversal of the position, its own inverse."""
+    order = np.zeros(1, dtype=np.intp)
+    for _ in range(depth):
+        order = np.concatenate([2 * order, 2 * order + 1])
+    order.flags.writeable = False   # one array serves every caller
+    return order
+
+
+def _level(eps: float, t: np.ndarray, branch: np.ndarray | None = None) -> tuple:
+    """One level of offsets ``t`` as ``_level_values`` reads it: (t, q, 1 - q,
+    branch), where ``branch`` is the column (0.0, eps)."""
+    q = q_of_t(eps, t)
+    return t, q, 1.0 - q, np.array([[0.0], [eps]]) if branch is None else branch
+
+
+def _children(x: np.ndarray, t: np.ndarray, branch: np.ndarray) -> np.ndarray:
+    """Budgets one level down, for n nodes on the last axis: node i's
+    q-branch child i gets x - t, its other child n + i gets (x + eps) - t,
+    where ``branch`` is the column (0.0, eps).  ``x`` and ``t`` broadcast.
+
+    The q-branch is formed as (x + 0.0) - t, which differs from x - t only
+    in the sign of a zero budget, and every later step and the endpoint
+    treat both zeros alike."""
+    y = (x[..., None, :] + branch) - t[..., None, :]
+    return y.reshape(y.shape[:-2] + (-1,))
 
 
 def _endpoint_values(x: np.ndarray) -> np.ndarray:
-    """``_endpoint_value`` elementwise.  It calls math.expm1, because
-    np.expm1 rounds some inputs differently and the value must not depend
-    on how many trees are evaluated together."""
+    """``_endpoint_value`` elementwise, through math.expm1.  np.expm1 gives
+    the same bits at every array length and offset, but not the same bits
+    as math.expm1 (they differ on about a tenth of inputs in [-3, 0]), and
+    the golden outputs and the recursive oracles are pinned to math.expm1."""
     out = np.zeros(x.shape)
     neg = x < 0.0
     xn = x[neg].tolist()
@@ -152,22 +181,23 @@ def _endpoint_values(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_values(x: np.ndarray, t: Sequence[np.ndarray], q: Sequence[np.ndarray],
-                  eps_list: Sequence[float], depth: int) -> np.ndarray:
-    """Exact loss of every subtree rooted at ``depth``, for B trees at once.
+def _level_values(x: np.ndarray, levels: Sequence[tuple]) -> np.ndarray:
+    """Exact loss of every subtree whose root budgets are ``x``.
 
-    ``x`` holds the budgets at the subtree roots, shape (B, 2^depth);
-    ``t[j]`` and ``q[j]`` hold the offsets of depth j and their q-values,
-    shape (B, 2^j), for every j >= depth.  Each node's value is
-    ``q v1 + (1 - q) v0`` over its children's values, summed in the same
-    order as the recursion over outcome paths, so a tree's value does not
-    depend on which trees share the batch.
+    ``levels[j]`` is the j-th level below the roots as ``_level`` forms it,
+    in the order ``_children`` makes, with 2^j nodes per root on the last
+    axis.  All arrays broadcast on the leading axes, so B trees, or P
+    candidate offsets of the top level for B trees, are evaluated at once.
+    Each node's value is ``q v1 + (1 - q) v0`` over its children's values,
+    summed in the same order as the recursion over outcome paths, so a
+    tree's value does not depend on what shares the call.
     """
-    for j in range(depth, len(eps_list)):
-        x = _children(x, t[j], eps_list[j])
+    for t, _, _, branch in levels:
+        x = _children(x, t, branch)
     v = _endpoint_values(x)
-    for j in range(len(eps_list) - 1, depth - 1, -1):
-        v = q[j] * v[..., 0::2] + (1.0 - q[j]) * v[..., 1::2]
+    for _, q, r, _ in reversed(levels):
+        n = q.shape[-1]
+        v = q * v[..., :n] + r * v[..., n:]
     return v
 
 
@@ -238,38 +268,35 @@ def _refine_trees(trees: Sequence[StrategyTree], eps_g: float, bracket: Sequence
     eps_list = trees[0].eps_list
     k = len(eps_list)
     t = [np.concatenate(level) for level in zip(*(tree._levels() for tree in trees))]
-    q = [q_of_t(e, tl) for e, tl in zip(eps_list, t)]
     x0 = np.full((len(trees), 1), float(eps_g))
-    value = _level_values(x0, t, q, eps_list, 0)[:, 0]
+    value = _level_values(x0, [_level(e, tl) for e, tl in zip(eps_list, t)])[:, 0]
     active = np.arange(len(trees))
     for _ in range(_MAX_SWEEPS):
-        ta = [tl[active] for tl in t]
-        qa = [ql[active] for ql in q]
+        levels = [_level(e, tl[active]) for e, tl in zip(eps_list, t)]
         x = x0[active]
         for d in range(k):
-            eps = eps_list[d]
+            eps, branch, below = eps_list[d], levels[d][3], levels[d + 1:]
 
             def obj(s):
-                tt, qq = list(ta), list(qa)
-                tt[d], qq[d] = s, q_of_t(eps, s)
-                return _level_values(x, tt, qq, eps_list, d)
+                return _level_values(x, [_level(eps, s, branch)] + below)
 
-            t0 = ta[d]
+            t0 = levels[d][0]
             lo = np.maximum(t0 - bracket[d], 0.0)
             hi = np.minimum(t0 + bracket[d], eps)
-            t_best, v_best = golden_max_batch(obj, lo, hi, iters)
-            ta[d] = np.where(v_best > obj(t0), t_best, t0)
-            qa[d] = q_of_t(eps, ta[d])
-            x = _children(x, ta[d], eps)
-        new_value = _level_values(x0[active], ta, qa, eps_list, 0)[:, 0]
-        for tl, ql, tn, qn in zip(t, q, ta, qa):
-            tl[active], ql[active] = tn, qn
+            t_best, v_best, v0 = golden_max_batch(obj, lo, hi, iters, t0)
+            np.copyto(t_best, t0, where=~(v_best > v0))
+            levels[d] = _level(eps, t_best, branch)
+            x = _children(x, t_best, branch)
+        new_value = _level_values(x0[active], levels)[:, 0]
+        for tl, level in zip(t, levels):
+            tl[active] = level[0]
         improving = ~(new_value <= value[active] + 1e-15)
         value[active] = new_value
         active = active[improving]
         if active.size == 0:
             break
-    return [StrategyTree(eps_list, np.concatenate([tl[b] for tl in t]))
+    return [StrategyTree(eps_list, np.concatenate([tl[b][_eval_order(d)]
+                                                   for d, tl in enumerate(t)]))
             for b in range(len(trees))]
 
 

@@ -26,8 +26,9 @@ from . import bounds, validation
 from .adaptive import (AdaptiveSolverConfig, adaptive_edge_high, adaptive_edge_low,
                        delta_adaptive_lb, gap_certificate)
 from .errors import CapError, UnreachableTargetError
-from .nonadaptive import (TIE_RTOL, delta_het_fixed_t, delta_opt_nonadaptive_hom,
-                          dp_optcomp_het, dp_optcomp_hom, fixed_t_inverse)
+from .nonadaptive import (TIE_RTOL, _validate_budget, delta_het_fixed_t,
+                          delta_opt_nonadaptive_hom, dp_optcomp_het, dp_optcomp_hom,
+                          fixed_t_inverse)
 from .optim import budget_step, lattice_search
 from .rounds import Rounds
 from .validation import brute_force_nonadaptive
@@ -68,6 +69,7 @@ def method_delta(method: str, eps_list, eps_g: float,
     """
     rounds = Rounds.of(eps_list)
     if method == "basic":
+        _validate_budget(eps_g)
         ok = eps_g >= bounds.basic_composition(rounds)
         return (0.0 if ok else 1.0), {"note": "no guarantee below the summed budget"}
     if method in _U_KIND:

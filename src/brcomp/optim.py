@@ -49,42 +49,89 @@ def golden_max(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]:
     return xb, fb
 
 
-def golden_max_batch(f, lo: np.ndarray, hi: np.ndarray,
-                     iters: int = 48) -> tuple[np.ndarray, np.ndarray]:
+def golden_max_batch(f, lo: np.ndarray, hi: np.ndarray, iters: int = 48,
+                     x0: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """``golden_max`` elementwise over arrays of brackets.
 
-    ``f`` maps an array of points to the array of their values.  Each
-    element takes the scalar search's steps and keeps its best-seen point,
-    so it returns the scalar search's result bit for bit.
+    ``f`` takes points stacked on a new leading axis, shape (P,) +
+    ``lo.shape``, and returns their values in that shape; a point's value
+    must not depend on the others.  Each element takes the scalar search's
+    steps and keeps its best-seen point, so it returns the scalar search's
+    (argmax, value) bit for bit.
+
+    ``f`` is called 1 + ceil(iters / 2) times.  The opening call evaluates
+    both ends, both interior points and, when given, the points ``x0``
+    (shaped like ``lo``), whose values are then returned third.  Each later
+    call serves two steps: with a step's new point it evaluates both points
+    the next step can make, d - phi (d - a) if that step keeps [a, d] and
+    c + phi (b - c) if it keeps [c, b], each formed by the operations the
+    step itself would use.  An odd ``iters`` ends with a one-point call.  As
+    in the scalar search, the last point evaluated is never compared.
     """
     swap = ~(lo <= hi)
     a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
-    xb, fb = a, f(a)
-    fhi = f(b)
-    up = fhi > fb
-    xb, fb = np.where(up, b, xb), np.where(up, fhi, fb)
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    # the scalar loop compares c and d with the best before each step; the
-    # point it kept from the step before can no longer win, so only the
-    # points evaluated since the last comparison are compared
-    unseen = [(c, fc), (d, fd)]
-    for _ in range(iters):
-        for x, fx in unseen:
-            up = fx > fb
-            xb, fb = np.where(up, x, xb), np.where(up, fx, fb)
-        # keep [a, d], where c becomes d and the new point c; or keep [c, b],
-        # where d becomes c and the new point d
+    step = INV_PHI * (b - a)
+    opening = np.stack([a, b, b - step, a + step] + ([] if x0 is None else [x0]))
+    values = f(opening)
+    # each point over its value on a leading axis of 2, so that one copyto
+    # moves both: best, then b, c and d
+    pv = np.stack([opening[:4], values[:4]])
+    best, pb, pc, pd = pv.swapaxes(0, 1)
+    (c, d), (fc, fd) = pv[:, 2:]
+
+    def compare(p):
+        np.copyto(best, p, where=p[1] > best[1])
+
+    def narrow():
+        # keep [a, d] where fc > fd, else [c, b]
         left = fc > fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        step = INV_PHI * (b - a)
-        new = np.where(left, b - step, a + step)
-        fnew = f(new)
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
-        unseen = [(new, fnew)]
-    return xb, fb
+        right = ~left
+        np.copyto(a, c, where=right)
+        np.copyto(b, d, where=left)
+        return left, right
+
+    def move(left, right, p):
+        # in [a, d] c becomes d and the new point p becomes c; in [c, b] d
+        # becomes c and p becomes d
+        np.copyto(pd, pc, where=left)
+        np.copyto(pc, pd, where=right)
+        np.copyto(pc, p, where=left)
+        np.copyto(pd, p, where=right)
+
+    # the scalar loop compares c and d with the best before each step; the
+    # point it kept from the step before can no longer win, so each point
+    # is compared once, before the step after the one that made it
+    compare(pb)
+    if iters:
+        compare(pc)
+        compare(pd)
+    for i in range(0, iters, 2):
+        left, right = narrow()
+        s = INV_PHI * (b - a)
+        pts = np.empty((2, 1 if i + 1 == iters else 3) + a.shape)
+        new = pts[:, 0]
+        np.add(a, s, out=new[0])
+        np.subtract(b, s, out=new[0], where=left)
+        if i + 1 == iters:
+            f(pts[0])
+            break
+        # d and c after this step give the next step's point in [a, d] and in [c, b]
+        d_next, c_next = np.where(left, c, new[0]), np.where(left, new[0], d)
+        np.subtract(d_next, INV_PHI * (d_next - a), out=pts[0, 1])
+        np.add(c_next, INV_PHI * (b - c_next), out=pts[0, 2])
+        pts[1] = f(pts[0])
+        move(left, right, new)
+        compare(new)
+        # the step after is already evaluated: its point and value are the
+        # [a, d] candidate where it keeps [a, d], else the [c, b] one
+        left, right = narrow()
+        new = pts[:, 2]
+        np.copyto(new, pts[:, 1], where=left)
+        move(left, right, new)
+        if i + 2 < iters:
+            compare(new)
+    xb, fb = best.copy()
+    return (xb, fb, *values[4:].copy())
 
 
 def golden_min(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]:

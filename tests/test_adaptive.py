@@ -196,6 +196,52 @@ class TestBatchedRefinement:
             if eg > 0.0:
                 assert sweeps[-1] == 1 and max(sweeps) == _MAX_SWEEPS
 
+    @pytest.mark.parametrize("iters", [0, 1, 3, 7])
+    @pytest.mark.parametrize("equal_eps", [True, False])
+    def test_refinement_equals_recursive_oracle_at_few_iters(self, iters, equal_eps):
+        # an odd count ends the batched search with a one-point step; none
+        # keeps only the ends and the current offset
+        rng = np.random.default_rng(10 * iters + equal_eps)
+        k = 4
+        eps = ([float(rng.uniform(0.2, 1.5))] * k if equal_eps
+               else [float(e) for e in rng.uniform(0.2, 1.5, k)])
+        bracket = [e / 4.0 for e in eps]
+        for eg in (0.3 * sum(eps), -0.2 * sum(eps)):
+            trees = [_random_tree(rng, eps) for _ in range(3)]
+            got = _refine_trees(trees, eg, bracket, iters)
+            for tree, refined in zip(trees, got):
+                t_nodes, value, _ = _oracle_refine_tree(tree, eg, bracket, iters)
+                assert refined.t_nodes.tobytes() == t_nodes.tobytes()
+                assert repr(refined.value(eg)) == repr(value)
+
+    @pytest.mark.parametrize("iters", range(8))
+    def test_golden_max_batch_calls(self, iters):
+        # one opening call of the four points and x0, then one call per two
+        # steps: the new point and both points the next step can make
+        rng = np.random.default_rng(7)
+
+        def quartic(x):
+            return (x - 0.2) * (x - 0.45) * (0.9 - x) * (x - 0.05) - 0.01 * x
+
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return quartic(x)
+
+        lo = rng.uniform(-0.2, 1.2, (3, 40))
+        hi = rng.uniform(-0.2, 1.2, (3, 40))
+        x0 = rng.uniform(-0.2, 1.2, (3, 40))
+        xb, fb, f0 = golden_max_batch(f, lo, hi, iters, x0)
+        assert len(shapes) == 1 + math.ceil(iters / 2)
+        assert shapes[0] == (5, 3, 40)
+        assert shapes[1:] == [(3, 3, 40)] * (iters // 2) + [(1, 3, 40)] * (iters % 2)
+        want = [golden_max(quartic, float(a), float(b), iters)
+                for a, b in zip(lo.ravel(), hi.ravel())]
+        assert xb.tobytes() == np.array([w[0] for w in want]).reshape(lo.shape).tobytes()
+        assert fb.tobytes() == np.array([w[1] for w in want]).reshape(lo.shape).tobytes()
+        assert f0.tobytes() == quartic(x0).tobytes()
+
     def test_sweeps_gaining_little_go_on(self):
         # brackets of 1e-13 gain about 5e-14 per sweep: more than the 1e-15
         # stopping margin, so the trees run more than one sweep

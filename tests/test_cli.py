@@ -525,6 +525,12 @@ class TestBadInput:
         with pytest.raises(ValueError):
             method_delta("dp-optcomp", [math.nan] * 3, 0.1)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_nan_budget_refused_by_every_method(self, method):
+        # basic read nan >= the summed budget as False and returned delta = 1
+        with pytest.raises(ValueError, match="eps_g must not be nan"):
+            method_delta(method, [0.1] * 3, math.nan)
+
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_non_finite_eps_file_entry(self, tmp_path, capsys, entry):
         f = tmp_path / "eps.txt"
