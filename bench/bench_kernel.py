@@ -1,7 +1,7 @@
 """Kernel-layer bench: the fixed-t binomial kernel, the delta optimum and eps counting.
 
-Each source tree is measured in a fresh interpreter, one after another, and
-the results land in one JSON file keyed by label:
+Each source tree is measured in fresh interpreters, and the results land in
+one JSON file keyed by label:
 
     python3 bench/bench_kernel.py                                  # this checkout's src/
     python3 bench/bench_kernel.py --src OLD/src:parent --src src:change --out BENCH_kernel.json
@@ -42,8 +42,14 @@ of a scan):
   each tree value) and a sha256 digest of delta and every offset of the
   strategy as float.hex, so that two trees compare bit for bit.
 
-Times are wall-clock medians over ``--repeats`` runs on a host that may be
-shared, so compare trees measured in the same invocation.
+The trees are measured in ``--repeats`` rounds.  Each round runs every
+tree once, in a fresh interpreter that times each measurement once, and
+the order of the trees alternates between rounds, so that drift of a
+shared host spreads over the trees instead of landing on one.  Each
+measured field (``MEASURED_FIELDS``: the times and the allocation peak) is
+the median over the rounds; every other field, counts and digests alike,
+must be equal in every round.  Compare trees measured in the same
+invocation.
 """
 
 from __future__ import annotations
@@ -72,6 +78,10 @@ SCAN_INPUTS, SCAN_SWEEPS = 400, 7
 COUNT_SIZES = (5, 40, 56_000)
 BUILD_LISTS = {"equal": [0.1] * 3, "mixed": [0.3, 0.8]}
 ADAPTIVE_KS, ADAPTIVE_PER_K = range(3, 9), 3
+# measurements that vary between interpreters: the times, and the allocation
+# peak, which moves by some bytes
+MEASURED_FIELDS = frozenset({"ms", "s", "us", "us_per_call", "optkl_curve_to_cap_s",
+                             "tracemalloc_peak_mb"})
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -248,6 +258,26 @@ def _count_builds(cli) -> dict:
     return out
 
 
+def merge_rounds(rounds: list, field: str | None = None):
+    """One tree's rounds as one result: the median of each measured field, and
+    every other field as it is, after checking that it is equal in every
+    round."""
+    first = rounds[0]
+    if isinstance(first, dict):
+        if any(r.keys() != first.keys() for r in rounds):
+            raise ValueError(f"{field}: the rounds have different fields")
+        return {key: merge_rounds([r[key] for r in rounds], key) for key in first}
+    if field in MEASURED_FIELDS:
+        return statistics.median(rounds)
+    if isinstance(first, list):
+        if any(len(r) != len(first) for r in rounds):
+            raise ValueError(f"{field}: the rounds have different lengths")
+        return [merge_rounds(list(items), field) for items in zip(*rounds)]
+    if any(r != first for r in rounds):
+        raise ValueError(f"{field} differs between rounds: {rounds}")
+    return first
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", metavar="DIR:LABEL",
@@ -265,13 +295,16 @@ def main(argv=None) -> int:
                        "python": platform.python_version()},
               "repeats": args.repeats, "trees": {}}
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    for spec in args.src or [f"{root / 'src'}:change"]:
-        src, _, label = spec.rpartition(":")
-        env["PYTHONPATH"] = str(Path(src).resolve())
-        proc = subprocess.run(
-            [sys.executable, __file__, "--child", "--repeats", str(args.repeats)],
-            env=env, capture_output=True, text=True, check=True)
-        result["trees"][label] = json.loads(proc.stdout)
+    specs = [spec.rpartition(":") for spec in args.src or [f"{root / 'src'}:change"]]
+    rounds = {label: [] for _, _, label in specs}
+    for r in range(args.repeats):
+        for src, _, label in specs if r % 2 == 0 else specs[::-1]:
+            env["PYTHONPATH"] = str(Path(src).resolve())
+            proc = subprocess.run([sys.executable, __file__, "--child", "--repeats", "1"],
+                                  env=env, capture_output=True, text=True, check=True)
+            rounds[label].append(json.loads(proc.stdout))
+    for label, runs in rounds.items():
+        result["trees"][label] = merge_rounds(runs)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     print(json.dumps(result, indent=1))
     return 0

@@ -12,7 +12,11 @@ optimum.
 
 ``delta_adaptive_lb`` is one pipeline: candidate trees, then per-node
 golden-section coordinate ascent, then the first tree of greatest exactly
-evaluated loss, whose loss is the reported value.  For equal per-round eps
+evaluated loss, whose loss is the reported value.  The candidates live as
+per-depth offset arrays, one row per tree in the evaluator's order
+(``_eval_order``), from their construction through the ascent; only the
+winner becomes a ``StrategyTree``, the public answer type, so each answer
+builds one tree and evaluates it once.  For equal per-round eps
 the candidates are the argmax tree of a grid dynamic program and the
 interior candidate constant trees.  With offsets on a uniform grid of
 ``t_grid`` points per round, every reachable budget lies on an integer
@@ -31,7 +35,7 @@ the searches and ``StrategyTree.value``.  A search hands it candidate
 offsets stacked on a leading axis, which broadcast against the budgets and
 the deeper levels: one opening call takes the four opening points and the
 current offsets, and each later call a step's new point with both points
-the next step can make, so a search of n steps makes 1 + ceil(n/2) calls.
+the next step can make, so a search of n steps makes 1 + floor(n/2) calls.
 
 Closed-form edge regions: for eps_g beyond (k-1)*eps in either direction
 the recursion collapses to an equal-offset product form (log q_t and
@@ -242,62 +246,48 @@ def _lattice_dp(eps: float, k: int, eps_g: float, t_grid: int):
     return float(v[0]), argmax_tables, h
 
 
-def _tree_from_dp(eps: float, k: int, argmax_tables, h: float, t_grid: int) -> StrategyTree:
-    """Play the argmax tables level by level; ``m`` holds the budget index
-    (budget eps_g + m h) of each node of a depth, in heap order."""
-    t_nodes = np.empty((1 << k) - 1)
-    m = np.zeros(1, dtype=np.int64)
-    for depth in range(k):
-        j = argmax_tables[k - depth - 1][m + depth * (t_grid - 1)]
-        # (t_grid - 1) * h can round above eps
-        t_nodes[(1 << depth) - 1:(1 << (depth + 1)) - 1] = np.minimum(j * h, eps)
-        m = np.stack([m - j, m - j + (t_grid - 1)], axis=-1).ravel()
-    return StrategyTree((eps,) * k, t_nodes)
+def _refine(t: list[np.ndarray], eps_list: Sequence[float], eps_g: float,
+            brackets: Sequence[Sequence[float]], iters: int) -> np.ndarray:
+    """Per-node golden-section coordinate ascent on candidate trees, one
+    pass per bracket; returns each tree's exactly evaluated loss, which no
+    pass decreases.
 
-
-def _refine_trees(trees: Sequence[StrategyTree], eps_g: float, bracket: Sequence[float],
-                  iters: int) -> list[StrategyTree]:
-    """Per-node golden-section coordinate ascent on trees that share
-    ``eps_list``; no tree's value decreases.
-
-    A sweep runs one lockstep golden search per depth, over all nodes of
-    that depth in all trees still improving (see the module docstring for
-    why this equals a preorder sweep of each tree alone).  A tree stops
+    ``t[d]`` holds the offsets of depth d, one row per tree in the
+    evaluator's order (``_eval_order``), and is refined in place.  A sweep
+    runs one lockstep golden search per depth, over all nodes of that depth
+    in all trees still improving (see the module docstring for why this
+    equals a preorder sweep of each tree alone).  Within a pass a tree stops
     once a sweep gains at most 1e-15, and keeps the offsets of that sweep.
     """
-    eps_list = trees[0].eps_list
-    k = len(eps_list)
-    t = [np.concatenate(level) for level in zip(*(tree._levels() for tree in trees))]
-    x0 = np.full((len(trees), 1), float(eps_g))
+    x0 = np.full((len(t[0]), 1), float(eps_g))
     value = _level_values(x0, [_level(e, tl) for e, tl in zip(eps_list, t)])[:, 0]
-    active = np.arange(len(trees))
-    for _ in range(_MAX_SWEEPS):
-        levels = [_level(e, tl[active]) for e, tl in zip(eps_list, t)]
-        x = x0[active]
-        for d in range(k):
-            eps, branch, below = eps_list[d], levels[d][3], levels[d + 1:]
+    for bracket in brackets:
+        active = np.arange(len(value))
+        for _ in range(_MAX_SWEEPS):
+            levels = [_level(e, tl[active]) for e, tl in zip(eps_list, t)]
+            x = x0[active]
+            for d, eps in enumerate(eps_list):
+                branch, below = levels[d][3], levels[d + 1:]
 
-            def obj(s):
-                return _level_values(x, [_level(eps, s, branch)] + below)
+                def obj(s):
+                    return _level_values(x, [_level(eps, s, branch)] + below)
 
-            t0 = levels[d][0]
-            lo = np.maximum(t0 - bracket[d], 0.0)
-            hi = np.minimum(t0 + bracket[d], eps)
-            t_best, v_best, v0 = golden_max_batch(obj, lo, hi, iters, t0)
-            np.copyto(t_best, t0, where=~(v_best > v0))
-            levels[d] = _level(eps, t_best, branch)
-            x = _children(x, t_best, branch)
-        new_value = _level_values(x0[active], levels)[:, 0]
-        for tl, level in zip(t, levels):
-            tl[active] = level[0]
-        improving = ~(new_value <= value[active] + 1e-15)
-        value[active] = new_value
-        active = active[improving]
-        if active.size == 0:
-            break
-    return [StrategyTree(eps_list, np.concatenate([tl[b][_eval_order(d)]
-                                                   for d, tl in enumerate(t)]))
-            for b in range(len(trees))]
+                t0 = levels[d][0]
+                lo = np.maximum(t0 - bracket[d], 0.0)
+                hi = np.minimum(t0 + bracket[d], eps)
+                t_best, v_best, v0 = golden_max_batch(obj, lo, hi, iters, t0)
+                np.copyto(t_best, t0, where=~(v_best > v0))
+                levels[d] = _level(eps, t_best, branch)
+                x = _children(x, t_best, branch)
+            new_value = _level_values(x0[active], levels)[:, 0]
+            for tl, level in zip(t, levels):
+                tl[active] = level[0]
+            improving = ~(new_value <= value[active] + 1e-15)
+            value[active] = new_value
+            active = active[improving]
+            if active.size == 0:
+                break
+    return value
 
 
 @dataclass(frozen=True)
@@ -314,21 +304,23 @@ def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
 
     The value is the exactly evaluated loss of the returned strategy, a
     feasible one, so it never exceeds the true adaptive optimum.  The
-    strategy is the first of greatest loss among the candidate trees after
-    one ``_refine_trees`` pass per bracket.  For equal eps the candidates
-    are the lattice-DP argmax tree and the interior candidate constant
-    trees, refined within one grid step.  For unequal eps (no common
-    lattice) they are nine constant trees, refined within each round's eps
-    and then within eps / t_grid; this certifies a bound but need not
-    approach the optimum.
+    candidate trees are per-depth offset arrays, one row per tree, refined
+    by ``_refine``; the strategy is the one ``StrategyTree`` built from the
+    first row of greatest loss.  For equal eps the candidates are the
+    lattice-DP argmax tree and the interior candidate constant trees,
+    refined within one grid step.  For unequal eps (no common lattice) they
+    are nine constant trees, refined within each round's eps and then
+    within eps / t_grid; this certifies a bound but need not approach the
+    optimum.
     """
     _validate_budget(eps_g)
     k = len(eps_list)
     if k == 0:
         return AdaptiveLowerBound(_endpoint_value(eps_g), StrategyTree((), np.empty(0)),
                                   cfg.t_grid, cfg.refine_iters)
-    if k > cfg.depth_cap:
-        raise CapError(f"k={k} exceeds the adaptive solver depth cap {cfg.depth_cap}")
+    cap = min(cfg.depth_cap, STRATEGY_DEPTH_CAP)
+    if k > cap:
+        raise CapError(f"k={k} exceeds the adaptive solver depth cap {cap}")
     eps = _validate_eps_list(eps_list).tolist()
 
     if eps.count(eps[0]) == k:
@@ -336,20 +328,26 @@ def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
         # the nonadaptive optimum is itself a feasible strategy: seed every
         # interior candidate offset as a constant tree so the bound can never
         # land below it
-        trees = [_tree_from_dp(eps[0], k, tables, h, cfg.t_grid)]
-        trees += [StrategyTree.constant(eps, [cand.t] * k)
-                  for cand in candidate_points(eps[0], k, eps_g) if 0.0 < cand.t < eps[0]]
+        const = np.array([c.t for c in candidate_points(eps[0], k, eps_g)
+                          if 0.0 < c.t < eps[0]]).reshape(-1, 1)
+        # play the argmax tables level by level: m is the budget index
+        # (budget eps_g + m h) of each node of a depth, in the evaluator's order
+        t, m = [], np.zeros(1, dtype=np.int64)
+        for d in range(k):
+            j = tables[k - d - 1][m + d * (cfg.t_grid - 1)]
+            # (t_grid - 1) * h can round above eps
+            t.append(np.concatenate([np.minimum(j * h, eps[0])[None], const.repeat(1 << d, 1)]))
+            m = np.concatenate([m - j, m - j + (cfg.t_grid - 1)])
         brackets = [[h] * k]
     else:
-        trees = [StrategyTree.constant(eps, [frac * e for e in eps])
-                 for frac in np.linspace(0.1, 0.9, 9)]
+        frac = np.linspace(0.1, 0.9, 9)[:, None]
+        t = [(frac * e).repeat(1 << d, 1) for d, e in enumerate(eps)]
         brackets = [eps, [e / cfg.t_grid for e in eps]]
-    if cfg.refine_iters > 0:
-        for bracket in brackets:
-            trees = _refine_trees(trees, eps_g, bracket, cfg.refine_iters)
-    values = [tree.value(eps_g) for tree in trees]
-    best = values.index(max(values))
-    return AdaptiveLowerBound(values[best], trees[best], cfg.t_grid, cfg.refine_iters)
+    value = _refine(t, eps, eps_g, brackets if cfg.refine_iters > 0 else [], cfg.refine_iters)
+    best = int(np.argmax(value))
+    tree = StrategyTree(tuple(eps), np.concatenate([tl[best][_eval_order(d)]
+                                                    for d, tl in enumerate(t)]))
+    return AdaptiveLowerBound(tree.value(eps_g), tree, cfg.t_grid, cfg.refine_iters)
 
 
 # ---------------------------------------------------------------------------

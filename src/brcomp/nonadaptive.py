@@ -276,7 +276,7 @@ def _row_sums(eps, k, eps_g, t, lp, lomp) -> FixedTSums:
     if t.ndim == 0:
         lterm = _log_bracketed(lbin + (k - i) * lp + i * lomp, k * float(t) - i * eps, eps_g)
         top = lterm.max()
-        value = math.exp(top) * np.exp(lterm - top).sum() if top > -np.inf else 0.0
+        value = np.exp(top) * np.exp(lterm - top).sum() if top > -np.inf else 0.0
         return FixedTSums(np.float64(value), np.float64(0.0), 1)
     values = np.empty(t.size)
     step = max(1, _BLOCK_ELEMS // (k + 1))

@@ -59,14 +59,14 @@ def golden_max_batch(f, lo: np.ndarray, hi: np.ndarray, iters: int = 48,
     steps and keeps its best-seen point, so it returns the scalar search's
     (argmax, value) bit for bit.
 
-    ``f`` is called 1 + ceil(iters / 2) times.  The opening call evaluates
+    ``f`` is called 1 + floor(iters / 2) times.  The opening call evaluates
     both ends, both interior points and, when given, the points ``x0``
     (shaped like ``lo``), whose values are then returned third.  Each later
     call serves two steps: with a step's new point it evaluates both points
     the next step can make, d - phi (d - a) if that step keeps [a, d] and
     c + phi (b - c) if it keeps [c, b], each formed by the operations the
-    step itself would use.  An odd ``iters`` ends with a one-point call.  As
-    in the scalar search, the last point evaluated is never compared.
+    step itself would use.  As in the scalar search, the last step's point
+    is never compared, so an odd ``iters`` makes no call for it.
     """
     swap = ~(lo <= hi)
     a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
@@ -105,16 +105,13 @@ def golden_max_batch(f, lo: np.ndarray, hi: np.ndarray, iters: int = 48,
     if iters:
         compare(pc)
         compare(pd)
-    for i in range(0, iters, 2):
+    for i in range(0, iters - 1, 2):
         left, right = narrow()
         s = INV_PHI * (b - a)
-        pts = np.empty((2, 1 if i + 1 == iters else 3) + a.shape)
+        pts = np.empty((2, 3) + a.shape)
         new = pts[:, 0]
         np.add(a, s, out=new[0])
         np.subtract(b, s, out=new[0], where=left)
-        if i + 1 == iters:
-            f(pts[0])
-            break
         # d and c after this step give the next step's point in [a, d] and in [c, b]
         d_next, c_next = np.where(left, c, new[0]), np.where(left, new[0], d)
         np.subtract(d_next, INV_PHI * (d_next - a), out=pts[0, 1])

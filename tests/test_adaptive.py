@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brcomp.adaptive import (_MAX_SWEEPS, AdaptiveSolverConfig, StrategyTree, _lattice_dp,
-                             _refine_trees, adaptive_edge_high, adaptive_edge_low,
+from brcomp import adaptive
+from brcomp.adaptive import (_MAX_SWEEPS, AdaptiveSolverConfig, StrategyTree, _eval_order,
+                             _lattice_dp, _refine, adaptive_edge_high, adaptive_edge_low,
                              delta_adaptive_lb, gap_certificate)
 from brcomp.bounds import mgf_delta
-from brcomp.cli import method_delta
+from brcomp.cli import method_delta, method_epsilon
 from brcomp.errors import CapError
 from brcomp.grr import one_minus_q, q_of_t
 from brcomp.nonadaptive import (_endpoint_value, candidate_points, delta_hom_fixed_t,
@@ -147,6 +148,17 @@ def _random_tree(rng, eps):
                                                              for d, e in enumerate(eps)]))
 
 
+def _refine_trees(trees, eps_g, bracket, iters):
+    """``_refine`` with one bracket on trees that share ``eps_list``: their
+    offsets go in as per-depth arrays, one row per tree in the evaluator's
+    order, and come back as trees, with the values ``_refine`` returns."""
+    eps = trees[0].eps_list
+    t = [np.concatenate(level) for level in zip(*(tree._levels() for tree in trees))]
+    values = _refine(t, eps, eps_g, [bracket], iters)
+    return [StrategyTree(eps, np.concatenate([tl[b][_eval_order(d)] for d, tl in enumerate(t)]))
+            for b in range(len(trees))], values
+
+
 class TestBatchedRefinement:
     """The level-by-level batch against the one-tree preorder recursion."""
 
@@ -186,21 +198,21 @@ class TestBatchedRefinement:
             # nothing, so this tree stops after one sweep while the random
             # ones run all of theirs
             trees.append(StrategyTree.constant(eps, [0.0] * k))
-            got = _refine_trees(trees, eg, bracket, iters)
+            got, values = _refine_trees(trees, eg, bracket, iters)
             sweeps = []
-            for tree, refined in zip(trees, got):
+            for tree, refined, got_value in zip(trees, got, values):
                 t_nodes, value, n = _oracle_refine_tree(tree, eg, bracket, iters)
                 sweeps.append(n)
                 assert refined.t_nodes.tobytes() == t_nodes.tobytes()
-                assert repr(refined.value(eg)) == repr(value)
+                assert repr(refined.value(eg)) == repr(float(got_value)) == repr(value)
             if eg > 0.0:
                 assert sweeps[-1] == 1 and max(sweeps) == _MAX_SWEEPS
 
     @pytest.mark.parametrize("iters", [0, 1, 3, 7])
     @pytest.mark.parametrize("equal_eps", [True, False])
     def test_refinement_equals_recursive_oracle_at_few_iters(self, iters, equal_eps):
-        # an odd count ends the batched search with a one-point step; none
-        # keeps only the ends and the current offset
+        # an odd count makes no call for its last step's point; none keeps
+        # only the ends and the current offset
         rng = np.random.default_rng(10 * iters + equal_eps)
         k = 4
         eps = ([float(rng.uniform(0.2, 1.5))] * k if equal_eps
@@ -208,16 +220,17 @@ class TestBatchedRefinement:
         bracket = [e / 4.0 for e in eps]
         for eg in (0.3 * sum(eps), -0.2 * sum(eps)):
             trees = [_random_tree(rng, eps) for _ in range(3)]
-            got = _refine_trees(trees, eg, bracket, iters)
-            for tree, refined in zip(trees, got):
+            got, values = _refine_trees(trees, eg, bracket, iters)
+            for tree, refined, got_value in zip(trees, got, values):
                 t_nodes, value, _ = _oracle_refine_tree(tree, eg, bracket, iters)
                 assert refined.t_nodes.tobytes() == t_nodes.tobytes()
-                assert repr(refined.value(eg)) == repr(value)
+                assert repr(refined.value(eg)) == repr(float(got_value)) == repr(value)
 
     @pytest.mark.parametrize("iters", range(8))
     def test_golden_max_batch_calls(self, iters):
         # one opening call of the four points and x0, then one call per two
-        # steps: the new point and both points the next step can make
+        # steps: the new point and both points the next step can make.  The
+        # last step of an odd count makes no call: its point is never compared
         rng = np.random.default_rng(7)
 
         def quartic(x):
@@ -233,9 +246,9 @@ class TestBatchedRefinement:
         hi = rng.uniform(-0.2, 1.2, (3, 40))
         x0 = rng.uniform(-0.2, 1.2, (3, 40))
         xb, fb, f0 = golden_max_batch(f, lo, hi, iters, x0)
-        assert len(shapes) == 1 + math.ceil(iters / 2)
+        assert len(shapes) == 1 + iters // 2
         assert shapes[0] == (5, 3, 40)
-        assert shapes[1:] == [(3, 3, 40)] * (iters // 2) + [(1, 3, 40)] * (iters % 2)
+        assert shapes[1:] == [(3, 3, 40)] * (iters // 2)
         want = [golden_max(quartic, float(a), float(b), iters)
                 for a, b in zip(lo.ravel(), hi.ravel())]
         assert xb.tobytes() == np.array([w[0] for w in want]).reshape(lo.shape).tobytes()
@@ -248,13 +261,13 @@ class TestBatchedRefinement:
         rng = np.random.default_rng(3)
         eps = [0.7] * 3
         trees = [_random_tree(rng, eps) for _ in range(4)]
-        got = _refine_trees(trees, 0.3, [1e-13] * 3, 20)
+        got, values = _refine_trees(trees, 0.3, [1e-13] * 3, 20)
         sweeps = []
-        for tree, refined in zip(trees, got):
+        for tree, refined, got_value in zip(trees, got, values):
             t_nodes, value, n = _oracle_refine_tree(tree, 0.3, [1e-13] * 3, 20)
             sweeps.append(n)
             assert refined.t_nodes.tobytes() == t_nodes.tobytes()
-            assert repr(refined.value(0.3)) == repr(value)
+            assert repr(refined.value(0.3)) == repr(float(got_value)) == repr(value)
         assert max(sweeps) > 1
 
     def test_lattice_dp_equals_one_pass_per_offset(self):
@@ -322,6 +335,72 @@ class TestDeltaAdaptiveLb:
     def test_depth_cap(self):
         with pytest.raises(CapError):
             delta_adaptive_lb([0.5] * 7, 0.0)
+
+    def test_strategy_depth_cap_refused_before_solving(self, monkeypatch):
+        # a depth_cap above STRATEGY_DEPTH_CAP must not let a k the answer's
+        # tree refuses reach the lattice DP or the refinement
+        def never(*args):
+            raise AssertionError("solver ran")
+        monkeypatch.setattr(adaptive, "_lattice_dp", never)
+        monkeypatch.setattr(adaptive, "_refine", never)
+        for eps in ([0.5] * 21, [0.5, 0.25] * 10 + [0.5]):
+            with pytest.raises(CapError, match="cap 20"):
+                delta_adaptive_lb(eps, 0.0, AdaptiveSolverConfig(depth_cap=25))
+
+    @pytest.mark.parametrize("eps_list", [[0.7] * 4, [0.2, 0.9, 0.5]])
+    @pytest.mark.parametrize("refine_iters", [0, 20])
+    def test_one_tree_per_answer(self, monkeypatch, eps_list, refine_iters):
+        # the candidates are arrays: only the answer is built as a tree, and
+        # its value is evaluated once
+        calls = {"build": 0, "value": 0}
+        post_init, value = StrategyTree.__post_init__, StrategyTree.value
+
+        def counted_post_init(tree):
+            calls["build"] += 1
+            post_init(tree)
+
+        def counted_value(tree, eps_g):
+            calls["value"] += 1
+            return value(tree, eps_g)
+        monkeypatch.setattr(StrategyTree, "__post_init__", counted_post_init)
+        monkeypatch.setattr(StrategyTree, "value", counted_value)
+        for eps_g in (-0.4, 0.3, 1.1):
+            calls.update(build=0, value=0)
+            delta_adaptive_lb(eps_list, eps_g, AdaptiveSolverConfig(refine_iters=refine_iters))
+            assert calls == {"build": 1, "value": 1}
+
+    @pytest.mark.parametrize("eps_list", [[0.7] * 4, [0.2, 0.9, 0.5]])
+    def test_first_row_of_greatest_value_wins(self, monkeypatch, eps_list):
+        # ties are real (budgets where many trees lose the same), and the
+        # answer is then the first tied row: the lattice-DP tree, or the
+        # smallest constant start
+        seen = []
+
+        def tied(t, *args):
+            value = _refine(t, *args)
+            seen.append(t)
+            return np.zeros_like(value)
+        monkeypatch.setattr(adaptive, "_refine", tied)
+        res = delta_adaptive_lb(eps_list, 0.3)
+        (t,) = seen
+        assert len(t[0]) > 1
+        first = np.concatenate([tl[0][_eval_order(d)] for d, tl in enumerate(t)])
+        assert res.strategy.t_nodes.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("eps_g", [0.010000000707805157, -0.025])
+    def test_no_interior_candidate(self, eps_g):
+        # the first is a budget that the epsilon search for [0.01] at
+        # delta_g = 1e-6 evaluates; at both the lattice-DP tree is the only
+        # candidate, and the empty set of constant trees keeps its shape
+        assert not [c for c in candidate_points(0.01, 1, eps_g) if 0.0 < c.t < 0.01]
+        res = delta_adaptive_lb([0.01], eps_g)
+        assert res.delta == res.strategy.value(eps_g)
+        assert res.delta == pytest.approx(delta_opt_nonadaptive_hom(0.01, 1, eps_g).delta,
+                                          abs=1e-15)
+
+    def test_no_interior_candidate_budget(self):
+        # the golden entry epsilon|adaptive-lb|0.01x1|1e-06
+        assert method_epsilon("adaptive-lb", [0.01], 1e-6)[0] == 0.00980048906058073
 
     def test_reported_strategy_attains_value(self):
         res = delta_adaptive_lb([1.0] * 4, 0.5)

@@ -84,6 +84,25 @@ class TestDeltaHomFixedT:
         # the k = 1 base case at eps_g > 709 is 0, not an OverflowError
         assert nonadaptive_recursion_check(1.0, 1, 800.0, 0.5) == (0.0, 0.0)
 
+    def test_scalar_offset_sums_as_in_a_scan(self):
+        # a scalar offset's whole row is scaled by np.exp(top), as a block's
+        # rows are; math.exp(top) differed in the last bit on about 4 % of
+        # these draws, so delta at an argmax t could differ from the scan's
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(3000):
+            k = int(rng.integers(1, 141))
+            eps = float(10.0 ** rng.uniform(-2.0, 0.5))
+            eps_g = float(rng.uniform(-1.0, 1.0)) * k * eps
+            t = rng.uniform(0.0, eps, 2)
+            if nonadaptive._windowed(k, t.size):
+                continue
+            checked += 1
+            alone = fixed_t_sums(eps, k, eps_g, float(t[0])).values
+            assert alone.tobytes() == fixed_t_sums(eps, k, eps_g, t).values[:1].tobytes(), \
+                (eps, k, eps_g, float(t[0]))
+        assert checked > 2000
+
     def test_large_k_no_underflow(self):
         # direct products would underflow at this size; log-space must not
         v = delta_hom_fixed_t(0.01, 10 ** 5, 5.0, 0.005)
