@@ -12,44 +12,48 @@ rows and padded width, and ``nonadaptive._window_sums``, one call per stage
 of a scan):
 
 - ``fixed_t_sums`` over every candidate offset at k = 445, 783, 3163 and
-  6950 (the br-optcomp sizes of perfbench's large-k batch at seed 0): median
-  time, the terms evaluated (windows times their padded width, summed over
+  6950 (the br-optcomp sizes of perfbench's large-k batch at seed 0): time,
+  the terms evaluated (windows times their padded width, summed over
   passes) and the passes;
-- ``delta_opt_nonadaptive_hom`` at the same four inputs: median time, the
+- ``delta_opt_nonadaptive_hom`` at the same four inputs: time, the
   terms of each stage of its scan (one stage in a tree without screening),
   the rows each stage sums (the last stage's are the rows that survive the
   screen), and delta and t as float.hex;
-- ``delta_opt_nonadaptive_hom(0.01, k, 1.5)`` at k = 10^4 and 10^5: median
-  time, the ``tracemalloc`` peak of one more call, its terms and rows per
-  stage, and the value as float.hex;
+- ``delta_opt_nonadaptive_hom(0.01, k, 1.5)`` at k = 10^4 and 10^5: time,
+  the ``tracemalloc`` peak of one more call, its terms and rows per stage,
+  and the value as float.hex;
 - ``delta_opt_nonadaptive_hom`` over 400 seeded curve-like inputs (eps near
   0.01, 0.1 and 1, k <= 40, eps_g within +-k eps), the small-k candidate
-  scan that ``curve`` repeats: best per-call time over 7 sweeps, and a
-  sha256 digest of every delta and t as float.hex, so that two trees
-  compare bit for bit;
+  scan that ``curve`` repeats: time per call, and a sha256 digest of every
+  delta and t as float.hex, so that two trees compare bit for bit;
 - ``Rounds.of`` on lists of 5, 40 and 56 000 entries, each once mixed (seven
-  values, fresh float objects) and once equal: best time;
+  values, fresh float objects) and once equal: time per call;
 - the validated ``Rounds`` builds that one ``method_epsilon`` and one
   ``method_delta`` query make, for every method on an equal and an unequal
   list;
 - ``curve_rows(["optkl"], 0.01, 10**5, 1e-6)``, a curve to ``CURVE_K_CAP``
-  whose every row is a closed form: the time of one run;
+  whose every row is a closed form: its time;
 - ``adaptive.delta_adaptive_lb`` with ``AdaptiveSolverConfig(depth_cap=8)``
   on gap-like inputs (equal eps in [0.1, 1], eps_g from -0.25 to 1.25 times
   (k - 1) eps, as perfbench's gap batch draws them) at k = 3..8: per input,
-  the median time, the calls of the level evaluator
+  the time, the calls of the level evaluator
   ``adaptive._level_values`` (each golden objective call is one, and so is
   each tree value) and a sha256 digest of delta and every offset of the
   strategy as float.hex, so that two trees compare bit for bit.
 
-The trees are measured in ``--repeats`` rounds.  Each round runs every
-tree once, in a fresh interpreter that times each measurement once, and
-the order of the trees alternates between rounds, so that drift of a
-shared host spreads over the trees instead of landing on one.  Each
-measured field (``MEASURED_FIELDS``: the times and the allocation peak) is
-the median over the rounds; every other field, counts and digests alike,
-must be equal in every round.  Compare trees measured in the same
-invocation.
+Every time is per call, from ``timeit``: the best of ``TIMEIT_REPEATS``
+runs of as many calls as last at least ``MIN_RUN_S`` (one call, for the
+slowest).  A single call of a fraction of a millisecond is one noisy
+reading on a shared host; so many calls in a run, and the best run, keep
+that noise out.  The trees are measured in ``--repeats`` rounds.  A round
+runs each section (``SECTIONS``) in a fresh interpreter per tree, the trees
+back to back, and the order of the trees alternates between rounds: the
+load of a shared host drifts over seconds to minutes, so the trees read a
+section under nearly the same load, and what drift is left spreads over
+both.  Each measured field (``MEASURED_FIELDS``: the times and the
+allocation peak) is the median over the rounds; every other field, counts
+and digests alike, must be equal in every round.  Compare trees measured
+in the same invocation.
 """
 
 from __future__ import annotations
@@ -57,12 +61,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
 import subprocess
 import sys
-import time
 import timeit
 import tracemalloc
 from pathlib import Path
@@ -74,23 +78,23 @@ KERNEL_CASES = [(0.05860183814522001, 445, 3.251431679353118),
                 (0.010795228945202708, 3163, 1.6663714160370844),
                 (0.023981130017311256, 6950, 5.109616377129443)]
 DELTA_CASES = [(0.01, 10 ** 4, 1.5), (0.01, 10 ** 5, 1.5)]
-SCAN_INPUTS, SCAN_SWEEPS = 400, 7
+SCAN_INPUTS = 400
 COUNT_SIZES = (5, 40, 56_000)
 BUILD_LISTS = {"equal": [0.1] * 3, "mixed": [0.3, 0.8]}
 ADAPTIVE_KS, ADAPTIVE_PER_K = range(3, 9), 3
+MIN_RUN_S, TIMEIT_REPEATS = 0.2, 3
 # measurements that vary between interpreters: the times, and the allocation
 # peak, which moves by some bytes
 MEASURED_FIELDS = frozenset({"ms", "s", "us", "us_per_call", "optkl_curve_to_cap_s",
                              "tracemalloc_peak_mb"})
 
 
-def _median_s(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+def _per_call_s(fn) -> float:
+    """Seconds per call of ``fn``: the best of ``TIMEIT_REPEATS`` timeit runs
+    of as many calls as the first call says will last ``MIN_RUN_S``."""
+    timer = timeit.Timer(fn)
+    number = max(1, math.ceil(MIN_RUN_S / timer.timeit(1)))
+    return min(timer.repeat(TIMEIT_REPEATS, number)) / number
 
 
 def _count_terms(nonadaptive) -> tuple[list[int], list[list[int]]]:
@@ -118,37 +122,46 @@ def _count_terms(nonadaptive) -> tuple[list[int], list[list[int]]]:
     return terms, stages
 
 
-def measure(repeats: int) -> dict:
-    """Every measurement for the brcomp importable in this interpreter."""
+def _fixed_t_sums() -> list[dict]:
     import numpy as np
-    from brcomp import cli, nonadaptive
-    from brcomp.rounds import Rounds
+    from brcomp import nonadaptive
 
-    out = {"numpy": np.__version__, "fixed_t_sums": [], "delta_opt": [], "candidate_scan": {},
-           "as_counts": []}
-    terms, stages = _count_terms(nonadaptive)
+    terms, _ = _count_terms(nonadaptive)
+    out = []
     for eps, k, eps_g in KERNEL_CASES:
         t = (eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1)
         t = t[(t > 0.0) & (t < eps)]
         terms[0] = 0
         res = nonadaptive.fixed_t_sums(eps, k, eps_g, t)
-        counted = terms[0]
-        out["fixed_t_sums"].append({
-            "eps": eps, "k": k, "eps_g": eps_g, "offsets": int(t.size),
-            "terms": counted, "passes": res.passes,
-            "ms": 1e3 * _median_s(lambda: nonadaptive.fixed_t_sums(eps, k, eps_g, t), repeats)})
-    out["delta_opt_kernel_cases"] = []
+        out.append({"eps": eps, "k": k, "eps_g": eps_g, "offsets": int(t.size),
+                    "terms": terms[0], "passes": res.passes,
+                    "ms": 1e3 * _per_call_s(lambda: nonadaptive.fixed_t_sums(eps, k, eps_g, t))})
+    return out
+
+
+def _delta_opt_kernel_cases() -> list[dict]:
+    from brcomp import nonadaptive
+
+    _, stages = _count_terms(nonadaptive)
+    out = []
     for eps, k, eps_g in KERNEL_CASES:
         stages.clear()
         res = nonadaptive.delta_opt_nonadaptive_hom(eps, k, eps_g)
-        out["delta_opt_kernel_cases"].append({
+        out.append({
             "eps": eps, "k": k, "eps_g": eps_g,
             "stage_terms": [s[0] for s in stages], "stage_rows": [s[1] for s in stages],
             "delta": res.delta.hex(), "t": res.t.hex(),
-            "ms": 1e3 * _median_s(lambda: nonadaptive.delta_opt_nonadaptive_hom(eps, k, eps_g),
-                                  repeats)})
+            "ms": 1e3 * _per_call_s(lambda: nonadaptive.delta_opt_nonadaptive_hom(eps, k, eps_g))})
+    return out
+
+
+def _delta_opt() -> list[dict]:
+    from brcomp import nonadaptive
+
+    _, stages = _count_terms(nonadaptive)
+    out = []
     for eps, k, eps_g in DELTA_CASES:
-        seconds = _median_s(lambda: nonadaptive.delta_opt_nonadaptive_hom(eps, k, eps_g), repeats)
+        seconds = _per_call_s(lambda: nonadaptive.delta_opt_nonadaptive_hom(eps, k, eps_g))
         stages.clear()
         tracemalloc.start()
         try:
@@ -156,11 +169,17 @@ def measure(repeats: int) -> dict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        out["delta_opt"].append({"eps": eps, "k": k, "eps_g": eps_g, "s": seconds,
-                                 "tracemalloc_peak_mb": peak / 1e6,
-                                 "stage_terms": [s[0] for s in stages],
-                                 "stage_rows": [s[1] for s in stages],
-                                 "delta": res.delta.hex(), "t": res.t.hex()})
+        out.append({"eps": eps, "k": k, "eps_g": eps_g, "s": seconds,
+                    "tracemalloc_peak_mb": peak / 1e6,
+                    "stage_terms": [s[0] for s in stages], "stage_rows": [s[1] for s in stages],
+                    "delta": res.delta.hex(), "t": res.t.hex()})
+    return out
+
+
+def _candidate_scan() -> dict:
+    import numpy as np
+    from brcomp import nonadaptive
+
     rng = np.random.default_rng(1)
     scan = []
     for _ in range(SCAN_INPUTS):
@@ -170,30 +189,36 @@ def measure(repeats: int) -> dict:
 
     def sweep():
         return [nonadaptive.delta_opt_nonadaptive_hom(*args) for args in scan]
-    best = min(timeit.repeat(sweep, number=1, repeat=SCAN_SWEEPS))
     digest = hashlib.sha256(
         "\n".join(f"{r.delta.hex()} {r.t.hex()}" for r in sweep()).encode()).hexdigest()
-    out["candidate_scan"] = {"inputs": SCAN_INPUTS, "us_per_call": 1e6 * best / SCAN_INPUTS,
-                             "sha256": digest}
+    return {"inputs": SCAN_INPUTS, "us_per_call": 1e6 * _per_call_s(sweep) / SCAN_INPUTS,
+            "sha256": digest}
+
+
+def _as_counts() -> list[dict]:
+    import numpy as np
+    from brcomp.rounds import Rounds
+
     rng = np.random.default_rng(0)
+    out = []
     for n in COUNT_SIZES:
         values = 10.0 ** rng.uniform(-3.0, -1.0, 7)
         lists = {"mixed": values[rng.integers(0, 7, n)].tolist(), "equal": [values[0]] * n}
-        number = max(1, 200_000 // n)
         for kind, eps_list in lists.items():
-            best = min(timeit.repeat(lambda: Rounds.of(eps_list), number=number, repeat=5))
-            out["as_counts"].append({"entries": n, "list": kind, "us": 1e6 * best / number})
-    out["builds_per_query"] = _count_builds(cli)
-    start = time.perf_counter()
-    cli.curve_rows(["optkl"], 0.01, cli.CURVE_K_CAP, 1e-6)
-    out["optkl_curve_to_cap_s"] = time.perf_counter() - start
-    out["adaptive_lb"] = _adaptive_lb(repeats)
+            out.append({"entries": n, "list": kind,
+                        "us": 1e6 * _per_call_s(lambda: Rounds.of(eps_list))})
     return out
 
 
-def _adaptive_lb(repeats: int) -> list[dict]:
-    """``delta_adaptive_lb`` at seeded gap-like inputs: median time, level
-    evaluator calls and a digest of the bound and its strategy."""
+def _optkl_curve_to_cap_s() -> float:
+    from brcomp import cli
+
+    return _per_call_s(lambda: cli.curve_rows(["optkl"], 0.01, cli.CURVE_K_CAP, 1e-6))
+
+
+def _adaptive_lb() -> list[dict]:
+    """``delta_adaptive_lb`` at seeded gap-like inputs: time, level evaluator
+    calls and a digest of the bound and its strategy."""
     import numpy as np
     from brcomp import adaptive
 
@@ -218,16 +243,17 @@ def _adaptive_lb(repeats: int) -> list[dict]:
             text = " ".join(v.hex() for v in [res.delta, *res.strategy.t_nodes.tolist()])
             out.append({"eps": eps, "k": k, "eps_g": eps_g, "evaluator_calls": calls[0],
                         "sha256": hashlib.sha256(text.encode()).hexdigest(),
-                        "ms": 1e3 * _median_s(
-                            lambda: adaptive.delta_adaptive_lb([eps] * k, eps_g, cfg), repeats)})
+                        "ms": 1e3 * _per_call_s(
+                            lambda: adaptive.delta_adaptive_lb([eps] * k, eps_g, cfg))})
     return out
 
 
-def _count_builds(cli) -> dict:
+def _builds_per_query() -> dict:
     """List builds per query: one epsilon query at delta_g = 1e-6 (not for
     the delta-only edge-*) and one delta query at half the summed eps, per
     method and list.  A refused query (exit 2 or 3) counts the builds made
     before the refusal."""
+    from brcomp import cli
     from brcomp.rounds import Rounds
 
     calls = [0]
@@ -258,6 +284,21 @@ def _count_builds(cli) -> dict:
     return out
 
 
+# the sections in output order; each runs in a child interpreter of its own
+SECTIONS = {"fixed_t_sums": _fixed_t_sums, "delta_opt": _delta_opt,
+            "candidate_scan": _candidate_scan, "as_counts": _as_counts,
+            "delta_opt_kernel_cases": _delta_opt_kernel_cases,
+            "builds_per_query": _builds_per_query, "optkl_curve_to_cap_s": _optkl_curve_to_cap_s,
+            "adaptive_lb": _adaptive_lb}
+
+
+def measure(section: str) -> dict:
+    """One section's measurements for the brcomp importable in this interpreter."""
+    import numpy as np
+
+    return {"numpy": np.__version__, section: SECTIONS[section]()}
+
+
 def merge_rounds(rounds: list, field: str | None = None):
     """One tree's rounds as one result: the median of each measured field, and
     every other field as it is, after checking that it is equal in every
@@ -284,11 +325,11 @@ def main(argv=None) -> int:
                     help="a tree's src/ directory and its label "
                          "(default: this checkout's src, labelled change)")
     ap.add_argument("--out", default="BENCH_kernel.json")
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--repeats", type=int, default=3, help="rounds over the trees")
+    ap.add_argument("--child", choices=SECTIONS, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(measure(args.repeats)))
+        print(json.dumps(measure(args.child)))
         return 0
     root = Path(__file__).resolve().parent.parent
     result = {"host": {"nproc": os.cpu_count(), "machine": platform.machine(),
@@ -296,13 +337,14 @@ def main(argv=None) -> int:
               "repeats": args.repeats, "trees": {}}
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     specs = [spec.rpartition(":") for spec in args.src or [f"{root / 'src'}:change"]]
-    rounds = {label: [] for _, _, label in specs}
+    rounds = {label: [{} for _ in range(args.repeats)] for _, _, label in specs}
     for r in range(args.repeats):
-        for src, _, label in specs if r % 2 == 0 else specs[::-1]:
-            env["PYTHONPATH"] = str(Path(src).resolve())
-            proc = subprocess.run([sys.executable, __file__, "--child", "--repeats", "1"],
-                                  env=env, capture_output=True, text=True, check=True)
-            rounds[label].append(json.loads(proc.stdout))
+        for section in SECTIONS:
+            for src, _, label in specs if r % 2 == 0 else specs[::-1]:
+                env["PYTHONPATH"] = str(Path(src).resolve())
+                proc = subprocess.run([sys.executable, __file__, "--child", section],
+                                      env=env, capture_output=True, text=True, check=True)
+                rounds[label][r].update(json.loads(proc.stdout))
     for label, runs in rounds.items():
         result["trees"][label] = merge_rounds(runs)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")

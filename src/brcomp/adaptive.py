@@ -298,6 +298,34 @@ class AdaptiveLowerBound:
     refine_iters: int
 
 
+def _candidates(eps: list[float], eps_g: float, t_grid: int) -> tuple[list[np.ndarray], list]:
+    """``delta_adaptive_lb``'s candidate trees as per-depth offset arrays, one
+    row per tree in the evaluator's order, and the brackets of their
+    refinement passes."""
+    k = len(eps)
+    if eps.count(eps[0]) == k:
+        _, tables, h = _lattice_dp(eps[0], k, eps_g, t_grid)
+        # the nonadaptive optimum is itself a feasible strategy: seed every
+        # interior candidate offset as a constant tree so the bound can never
+        # land below it
+        const = np.array([c.t for c in candidate_points(eps[0], k, eps_g)
+                          if 0.0 < c.t < eps[0]]).reshape(-1, 1)
+        # play the argmax tables level by level: m is the budget index
+        # (budget eps_g + m h) of each node of a depth, in the evaluator's order
+        t, m = [], np.zeros(1, dtype=np.int64)
+        for d in range(k):
+            j = tables[k - d - 1][m + d * (t_grid - 1)]
+            # (t_grid - 1) * h can round above eps
+            t.append(np.concatenate([np.minimum(j * h, eps[0])[None], const.repeat(1 << d, 1)]))
+            m = np.concatenate([m - j, m - j + (t_grid - 1)])
+        brackets = [[h] * k]
+    else:
+        frac = np.linspace(0.1, 0.9, 9)[:, None]
+        t = [(frac * e).repeat(1 << d, 1) for d, e in enumerate(eps)]
+        brackets = [eps, [e / t_grid for e in eps]]
+    return t, brackets
+
+
 def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
                       cfg: AdaptiveSolverConfig = AdaptiveSolverConfig()) -> AdaptiveLowerBound:
     """Certified lower bound on the adaptive-optimal loss.
@@ -311,7 +339,8 @@ def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
     refined within one grid step.  For unequal eps (no common lattice) they
     are nine constant trees, refined within each round's eps and then
     within eps / t_grid; this certifies a bound but need not approach the
-    optimum.
+    optimum.  Refused (``CapError``) where a budget it forms is past the
+    float range.
     """
     _validate_budget(eps_g)
     k = len(eps_list)
@@ -322,28 +351,15 @@ def delta_adaptive_lb(eps_list: Sequence[float], eps_g: float,
     if k > cap:
         raise CapError(f"k={k} exceeds the adaptive solver depth cap {cap}")
     eps = _validate_eps_list(eps_list).tolist()
-
-    if eps.count(eps[0]) == k:
-        _, tables, h = _lattice_dp(eps[0], k, eps_g, cfg.t_grid)
-        # the nonadaptive optimum is itself a feasible strategy: seed every
-        # interior candidate offset as a constant tree so the bound can never
-        # land below it
-        const = np.array([c.t for c in candidate_points(eps[0], k, eps_g)
-                          if 0.0 < c.t < eps[0]]).reshape(-1, 1)
-        # play the argmax tables level by level: m is the budget index
-        # (budget eps_g + m h) of each node of a depth, in the evaluator's order
-        t, m = [], np.zeros(1, dtype=np.int64)
-        for d in range(k):
-            j = tables[k - d - 1][m + d * (cfg.t_grid - 1)]
-            # (t_grid - 1) * h can round above eps
-            t.append(np.concatenate([np.minimum(j * h, eps[0])[None], const.repeat(1 << d, 1)]))
-            m = np.concatenate([m - j, m - j + (cfg.t_grid - 1)])
-        brackets = [[h] * k]
-    else:
-        frac = np.linspace(0.1, 0.9, 9)[:, None]
-        t = [(frac * e).repeat(1 << d, 1) for d, e in enumerate(eps)]
-        brackets = [eps, [e / cfg.t_grid for e in eps]]
-    value = _refine(t, eps, eps_g, brackets if cfg.refine_iters > 0 else [], cfg.refine_iters)
+    # a budget past the float range (eps_g and the summed eps near the float
+    # maximum) would be inf, and a loss formed from it untrue
+    try:
+        with np.errstate(over="raise"):
+            t, brackets = _candidates(eps, eps_g, cfg.t_grid)
+            value = _refine(t, eps, eps_g, brackets if cfg.refine_iters > 0 else [],
+                            cfg.refine_iters)
+    except FloatingPointError:
+        raise CapError("a budget of the adaptive solver is past the float range") from None
     best = int(np.argmax(value))
     tree = StrategyTree(tuple(eps), np.concatenate([tl[best][_eval_order(d)]
                                                     for d, tl in enumerate(t)]))

@@ -32,6 +32,7 @@ rounds (capped at 2^25 terms); no efficient heterogeneous optimum is given.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from typing import NamedTuple, Sequence
@@ -39,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapError
-from .grr import one_minus_p, p_of_t, q_of_t
+from .grr import q_of_t
 from .rounds import Rounds
 
 SUBSET_CAP = 25          # the grouped sum refuses above 2^25 terms
@@ -69,6 +70,7 @@ _BLOCK_ELEMS = 1 << 15
 _GROUP_BLOCK_ELEMS = 1 << 19   # the grouped sum's terms per block; its layout depends on it
 _DENSE_ELEMS = 1 << 13   # below this many terms in all, whole rows beat windows
 _P_NORMAL_EPS = 600.0    # below this range p = e^-t q is a normal float for all t
+_FLOAT_MIN = float(np.finfo(float).min)
 
 
 _log_fact_table = np.zeros(1)   # log(j!) for j < its size; only ever replaced by a longer one
@@ -130,20 +132,27 @@ def _endpoint_value(eps_g: float) -> float:
     return -math.expm1(eps_g) if eps_g < 0.0 else 0.0
 
 
-def _stable_logs(eps, t) -> tuple[np.ndarray, np.ndarray]:
+def _stable_logs(eps, t, em1=None) -> tuple[np.ndarray, np.ndarray]:
     """log(p) and log(1-p), each taken on the stably computed side.
 
-    ``eps`` may be a scalar or an array matching ``t`` (one pair per round).
-    Where p leaves the normal floats (t past about 670), log p = log q - t.
+    ``eps`` may be a scalar or an array matching ``t`` (one pair per round),
+    and ``em1`` is expm1(-eps) when the caller holds it (``_RowConsts``).
+    p and 1 - p are ``grr.p_of_t`` and ``grr.one_minus_p`` over that one
+    denominator.  Where p leaves the normal floats (t past about 670),
+    log p = log q - t.  At t = 0 or eps a log is of 0: callers run this
+    under their ``np.errstate``.
     """
     t = np.asarray(t, dtype=float)
-    p = p_of_t(eps, t)
-    omp = one_minus_p(eps, t)
-    with np.errstate(divide="ignore"):
-        lp = np.where(p > 0.5, np.log1p(-omp), np.log(p))
-        lomp = np.where(omp > 0.5, np.log1p(-p), np.log(omp))
-        if (eps.max() if isinstance(eps, np.ndarray) else eps) > _P_NORMAL_EPS:
-            lp = np.where(p < np.finfo(float).tiny, np.log(q_of_t(eps, t)) - t, lp)
+    if em1 is None:
+        em1 = np.expm1(-eps)
+    minus_t = np.negative(t)
+    q = np.expm1(t - eps) / em1
+    p = np.exp(minus_t) * q
+    omp = np.expm1(minus_t) / em1
+    lp = np.where(p > 0.5, np.log1p(-omp), np.log(p))
+    lomp = np.where(omp > 0.5, np.log1p(-p), np.log(omp))
+    if (eps.max() if isinstance(eps, np.ndarray) else eps) > _P_NORMAL_EPS:
+        lp = np.where(p < np.finfo(float).tiny, np.log(q) - t, lp)
     return lp, lomp
 
 
@@ -189,14 +198,15 @@ def _log_tail(k: int, lbin, lq, l1mq, edge, step: int) -> np.ndarray:
 
 
 def _windowed(k: int, n_offsets: int) -> bool:
-    """Whether fixed_t_sums windows the rows.  Not when even the widest first
-    window would span the row (k up to about 150), nor when all the rows
-    together hold fewer terms than the window bookkeeping costs.  Whole rows
+    """Whether fixed_t_sums windows the rows.  Not when all the rows together
+    hold fewer terms than the window bookkeeping costs, nor when even the
+    widest first window would span the row (k up to about 150).  Whole rows
     are their own path because of that cost: at k <= 100 a windowed scan
-    took 60-200 us more per call than ``_row_sums`` (2-core Xeon, numpy 2.4),
-    and a perfbench ``curve`` batch (k <= 40) makes about 8000 such calls."""
-    widest = 2 * (math.ceil(WINDOW_SDS * math.sqrt(k) / 2.0) + WINDOW_PAD) + 1
-    return widest <= k and n_offsets * (k + 1) > _DENSE_ELEMS
+    took 110-350 us more per call than one over whole rows (2-core Xeon,
+    numpy 2.4), and a perfbench ``curve`` batch (k <= 40) makes about 8000
+    scans."""
+    return (n_offsets * (k + 1) > _DENSE_ELEMS
+            and 2 * (math.ceil(WINDOW_SDS * math.sqrt(k) / 2.0) + WINDOW_PAD) + 1 <= k)
 
 
 def fixed_t_sums(eps: float, k: int, eps_g: float, t) -> FixedTSums:
@@ -220,14 +230,15 @@ def fixed_t_sums(eps: float, k: int, eps_g: float, t) -> FixedTSums:
     most ``_BLOCK_ELEMS`` terms (or one row).  The block is sized so that its
     buffers fit a core's L2 cache: a windowed pass allocates them once and
     refills them in place for each block, with the operations in
-    ``_row_sums``' order, so every value, bound and pass count is the same
+    ``_dense_rows``' order, so every value, bound and pass count is the same
     bit for bit at any block size.
     """
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lp, lomp = _stable_logs(eps, t)
         if not _windowed(k, t.size):
-            return _row_sums(eps, k, eps_g, t, lp, lomp)
+            c = _row_consts(eps, k)
+            return _row_sums(k, eps_g, t, *_stable_logs(eps, t, c.em1), c)
+        lp, lomp = _stable_logs(eps, t)
         win = _windows(eps, k, eps_g, t.reshape(-1), lp.reshape(-1), lomp.reshape(-1))
         res = _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2)
     return res._replace(values=res.values.reshape(t.shape),
@@ -264,30 +275,86 @@ def fixed_t_inverse(eps: float, k: int, t: float, delta_g: float) -> float:
     return float(root[hit[0]]) if hit.size else -math.inf
 
 
-def _row_sums(eps, k, eps_g, t, lp, lomp) -> FixedTSums:
+class _RowConsts(NamedTuple):
+    """What whole rows at one (eps, k) read besides their offsets, formed once
+    per pair by ``_row_consts``.  Every array is read-only."""
+    i: np.ndarray         # i = 0..k, as floats
+    k_i: np.ndarray       # k - i
+    i_eps: np.ndarray     # i eps
+    lbin: np.ndarray      # log C(k, i)
+    ell_eps: np.ndarray   # (ell + 1) eps, ell = 0..k: the candidate offsets are (eps_g + this)/(k + 1)
+    em1: float            # expm1(-eps), the denominator of p and 1 - p
+
+
+def _form_row_consts(eps, k) -> _RowConsts:
+    n = np.arange(k + 2, dtype=float)
+    n_eps = n * eps   # past the float range a term's i eps is inf, and its bracket dropped
+    i = n[:-1]
+    consts = _RowConsts(i, k - i, n_eps[:-1], _log_binom(k), n_eps[1:], np.expm1(-eps))
+    for a in consts[:-1]:
+        a.flags.writeable = False
+    return consts
+
+
+# the constants of the most recent pairs at k up to _ROW_CONSTS_K_MAX, where every
+# scan sums whole rows: a budget bisection scans one pair some 30 times in a row,
+# and forming its constants was a sixth of a k <= 40 scan (a perfbench curve
+# batch hit the cache 15928 times and missed 720 at 4 entries or 16, 480 at 64).
+# The windowed sizes form theirs per call, a small share of their O(k^1.5) work
+_ROW_CONSTS_K_MAX = 150
+_cached_row_consts = functools.lru_cache(maxsize=16)(_form_row_consts)
+
+
+def _row_consts(eps, k) -> _RowConsts:
+    """The ``_RowConsts`` of (eps, k), from the cache at whole-row sizes.  Past
+    the float range i eps overflows: call it where that is ignored."""
+    return (_cached_row_consts if k <= _ROW_CONSTS_K_MAX else _form_row_consts)(eps, k)
+
+
+def _row_sums(k, eps_g, t, lp, lomp, c: _RowConsts) -> FixedTSums:
     """fixed_t_sums over whole rows, in blocks of offsets.  A row's log terms
-    are ``(lbin_i + (k - i) lp) + i lomp`` bracketed by ``_log_bracketed``,
-    and its sum is ``exp(top)`` times the sum of ``exp(term - top)``, top the
-    largest log term (0 for a row with no term).  A scalar offset runs as one
-    1-D row on numpy scalars, the cheapest form for the many single
-    evaluations of a bisection: as a 2-D block of one row it cost 15-25 us
-    more per call at k <= 100 (2-core Xeon, numpy 2.4)."""
-    i, lbin = np.arange(k + 1), _log_binom(k)
+    are ``((lbin_i + (k - i) lp) + i lomp) + a_i`` with a_i = k t - i eps,
+    plus log(-expm1(eps_g - a_i)) (see ``_log_bracketed``), and -inf where
+    a_i <= eps_g.  Its sum is ``exp(top)`` times the sum of
+    ``exp(term - top)``, top the largest log term; a row with no term sums
+    to 0.  A scalar offset runs as one 1-D row on numpy scalars, the
+    cheapest form for the many single evaluations of a bisection: as a 2-D
+    block of one row it cost 1-6 us more per call at k <= 100 (2-core Xeon,
+    numpy 2.4).  The rows are formed in place from the constants ``c`` of
+    (eps, k)."""
     if t.ndim == 0:
-        lterm = _log_bracketed(lbin + (k - i) * lp + i * lomp, k * float(t) - i * eps, eps_g)
-        top = lterm.max()
-        value = np.exp(top) * np.exp(lterm - top).sum() if top > -np.inf else 0.0
-        return FixedTSums(np.float64(value), np.float64(0.0), 1)
+        return FixedTSums(_dense_rows(k * float(t), lp, lomp, eps_g, c), np.float64(0.0), 1)
     values = np.empty(t.size)
     step = max(1, _BLOCK_ELEMS // (k + 1))
     for s in range(0, t.size, step):
         b = slice(s, s + step)
-        lterm = _log_bracketed(lbin + (k - i) * lp[b, None] + i * lomp[b, None],
-                               k * t[b, None] - i * eps, eps_g)
-        top = lterm.max(axis=1)
-        tot = np.exp(lterm - top[:, None]).sum(axis=1)
-        values[b] = np.exp(top) * np.where(np.isfinite(top), tot, 0.0)
+        values[b] = _dense_rows(k * t[b, None], lp[b, None], lomp[b, None], eps_g, c)
     return FixedTSums(values, np.zeros(t.size), 1)
+
+
+def _dense_rows(kt, lp, lomp, eps_g, c: _RowConsts):
+    """The sums of whole rows of terms for offsets in (0, eps) whose k t, log
+    p and log(1 - p) are scalars (one 1-D row) or columns (a 2-D block), in
+    ``_window_pass``' order."""
+    log_w = np.multiply(c.k_i, lp)
+    np.add(c.lbin, log_w, out=log_w)
+    x = np.multiply(c.i, lomp)
+    log_w += x
+    a = np.subtract(kt, c.i_eps)
+    log_w += a
+    # log(-expm1(eps_g - a)), the log of 0 (-inf) where a <= eps_g drops the term
+    np.subtract(eps_g, a, out=x)
+    np.expm1(x, out=x)
+    np.negative(x, out=x)
+    np.maximum(x, 0.0, out=x)
+    np.log(x, out=x)
+    log_w += x
+    # a row with no term has top -inf; the float minimum in its place makes
+    # its sum 0 * 0, not nan
+    top = np.maximum(log_w.max(axis=-1), _FLOAT_MIN)
+    log_w -= top[..., None]
+    np.exp(log_w, out=log_w)
+    return np.exp(top) * log_w.sum(axis=-1)
 
 
 class _Windows(NamedTuple):
@@ -360,7 +427,7 @@ def _sliding_rows(x: np.ndarray, width: int) -> np.ndarray:
 
 def _window_pass(eps, k, eps_g, kt, lp, lomp, lbin, lo, span, width):
     """Per row of terms lo..lo+span: the largest log term and the sum of
-    exp(term - largest), in ``_row_sums``' operation order.  Every row is
+    exp(term - largest), in ``_dense_rows``' operation order.  Every row is
     padded to ``width`` > every span, which ``_window_sums`` fixes per pass
     for all the rows it could be given.  Blocks of rows are computed in place
     in buffers allocated once per pass; only the gathers of log C(k, i) and
@@ -408,6 +475,7 @@ def delta_hom_fixed_t(eps: float, k: int, eps_g: float, t: float) -> float:
 
     Evaluates the binomial sum in log space through ``fixed_t_sums``; terms
     whose bracket ``e^(kt - i eps) - e^(eps_g)`` is nonpositive are skipped.
+    Refused (``CapError``) where k t is past the float range.
     """
     _validate_hom(eps, k)
     _validate_budget(eps_g)
@@ -415,9 +483,16 @@ def delta_hom_fixed_t(eps: float, k: int, eps_g: float, t: float) -> float:
         raise ValueError(f"t must lie in [0, eps={eps}], got {t}")
     if t == 0.0 or t == eps:
         return _endpoint_value(eps_g)
+    if k * t == math.inf:
+        raise CapError(f"k t at k={k}, t={t!r} is past the float range")
     if not k * t > eps_g:   # even the i = 0 bracket is nonpositive
         return 0.0
     return float(min(fixed_t_sums(eps, k, eps_g, t).values, 1.0))
+
+
+def _check_numerators(eps: float, k: int) -> None:
+    if (k + 1) * eps == math.inf:
+        raise CapError(f"the candidate offsets at eps={eps!r}, k={k} are past the float range")
 
 
 class Candidate(NamedTuple):
@@ -426,8 +501,11 @@ class Candidate(NamedTuple):
 
 
 def candidate_points(eps: float, k: int, eps_g: float) -> list[Candidate]:
-    """The k+1 stationary offsets (eps_g + (ell+1) eps)/(k+1), clamped to [0, eps]."""
+    """The k+1 stationary offsets (eps_g + (ell+1) eps)/(k+1), clamped to [0, eps].
+    Refused (``CapError``) where (k + 1) eps is past the float range: an
+    offset whose numerator overflowed would be clamped to eps, not given."""
     _validate_hom(eps, k)
+    _check_numerators(eps, k)
     out = []
     for ell in range(k + 1):
         t = (eps_g + (ell + 1) * eps) / (k + 1)
@@ -450,7 +528,9 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
     returned directly.  The candidates' values come from ``_scan_values``:
     every one that can be within TIE_RTOL of the maximum sums a certified
     window of O(sqrt k) terms, so the total work is O(k^1.5) (O(k^2) for k up
-    to about 150, where a window spans the row).
+    to about 150, where a window spans the row).  Refused (``CapError``)
+    where (k + 1) eps, the largest candidate's numerator, is past the float
+    range: a candidate lost to it would leave the maximizers untrue.
     """
     _validate_hom(eps, k)
     _validate_budget(eps_g)
@@ -458,21 +538,25 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
         return OptResult(0.0, 0.0, [])
     if eps_g <= -k * eps:
         return OptResult(-math.expm1(eps_g), 0.0, [])
+    _check_numerators(eps, k)
     endpoint_value = _endpoint_value(eps_g)
 
+    # the numerators (ell + 1) eps come from the cache at the whole-row sizes;
+    # a windowed scan reads no other constant, so it forms only these
+    t = np.add(eps_g, _row_consts(eps, k).ell_eps if k <= _ROW_CONSTS_K_MAX
+               else np.arange(1.0, k + 2) * eps)
+    t /= k + 1
     # the offsets rise by eps/(k+1), far above their rounding, so those
-    # inside (0, eps) are already sorted and distinct
-    t = (eps_g + (np.arange(k + 1) + 1.0) * eps) / (k + 1)
-    t = t[(t > 0.0) & (t < eps)]
+    # inside (0, eps) are already sorted and distinct: one slice
+    t = t[t.searchsorted(0.0, "right"):t.searchsorted(eps)]
     if t.size == 0:
         return OptResult(endpoint_value, 0.0, [])
     values = _scan_values(eps, k, eps_g, t)
     best = float(values.max())
     if best <= endpoint_value:
         return OptResult(endpoint_value, 0.0, [])
-    winners = np.flatnonzero(values >= best * (1.0 - TIE_RTOL))
-    return OptResult(min(best, 1.0), float(t[winners[0]]),
-                     [float(x) for x in t[winners]])
+    winners = t[values >= best * (1.0 - TIE_RTOL)].tolist()
+    return OptResult(min(best, 1.0), winners[0], winners)
 
 
 def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray) -> np.ndarray:
@@ -492,10 +576,10 @@ def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray) -> np.ndarray:
     maximum and the tied set are the one-stage scan's.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lp, lomp = _stable_logs(eps, t)
         if not _windowed(k, t.size):
-            return _row_sums(eps, k, eps_g, t, lp, lomp).values
-        win = _windows(eps, k, eps_g, t, lp, lomp)
+            c = _row_consts(eps, k)
+            return _row_sums(k, eps_g, t, *_stable_logs(eps, t, c.em1), c).values
+        win = _windows(eps, k, eps_g, t, *_stable_logs(eps, t))
         v, w, _ = _window_sums(eps, k, eps_g, win, SCREEN_SDS, math.inf)
         return _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2, _in_play(v, w)).values
 
@@ -540,8 +624,8 @@ def _f_ell_terms(eps: float, k: int, eps_g: float, ell: int, t: float) -> np.nda
     _check_ell_t(eps, k, ell, t)
     i = np.arange(ell + 1)
     mag, sign = _signed_log_diff(k * t - i * eps, eps_g)
-    log_w = _log_weights(_log_choose(k, i), i, k - i, *_stable_logs(eps, t))
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        log_w = _log_weights(_log_choose(k, i), i, k - i, *_stable_logs(eps, t))
         return sign * np.exp(log_w + mag)
 
 
@@ -589,8 +673,8 @@ def df_ell_dt(eps: float, k: int, eps_g: float, ell: int, t: float) -> float:
     if ell == k:
         return 0.0
     mag, sign = _signed_log_diff(eps_g - t, k * t - (ell + 1) * eps)
-    log_w = _log_weights(_log_choose(k, ell), ell, k - 1 - ell, *_stable_logs(eps, t))
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        log_w = _log_weights(_log_choose(k, ell), ell, k - 1 - ell, *_stable_logs(eps, t))
         return _finite_sum(sign * (k - ell) * np.exp(log_w + mag - math.log(-math.expm1(-eps))),
                            eps_g)
 
@@ -621,8 +705,9 @@ def _grouped_sum(groups: dict[tuple[float, float], int], eps_g: float) -> float:
     i = np.minimum(np.arange(max(sizes)), n)          # counts 0..n_j, the last repeated
     g_eps, g_t = np.array(list(groups)).T[:, :, None]
     # per (group, count): the log weight and the ranges taken off sum t
-    table = np.array([_log_weights(_log_choose(n, i), i, n - i,
-                                   *_stable_logs(g_eps, g_t)), i * g_eps])
+    with np.errstate(divide="ignore"):   # log p or log(1 - p) of 0 at an offset on an end
+        table = np.array([_log_weights(_log_choose(n, i), i, n - i,
+                                       *_stable_logs(g_eps, g_t)), i * g_eps])
     fast, inner = 0, np.zeros((2, 1))
     while fast < len(sizes) and inner.shape[1] * sizes[fast] <= _GROUP_BLOCK_ELEMS:
         inner = (table[:, fast, :sizes[fast], None] + inner[:, None]).reshape(2, -1)

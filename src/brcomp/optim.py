@@ -66,7 +66,8 @@ def golden_max_batch(f, lo: np.ndarray, hi: np.ndarray, iters: int = 48,
     the next step can make, d - phi (d - a) if that step keeps [a, d] and
     c + phi (b - c) if it keeps [c, b], each formed by the operations the
     step itself would use.  As in the scalar search, the last step's point
-    is never compared, so an odd ``iters`` makes no call for it.
+    is never compared, so no call evaluates it: an odd ``iters`` makes no
+    call for it, and at an even one the last call evaluates one point.
     """
     swap = ~(lo <= hi)
     a, b = np.where(swap, hi, lo), np.where(swap, lo, hi)
@@ -108,24 +109,27 @@ def golden_max_batch(f, lo: np.ndarray, hi: np.ndarray, iters: int = 48,
     for i in range(0, iters - 1, 2):
         left, right = narrow()
         s = INV_PHI * (b - a)
-        pts = np.empty((2, 3) + a.shape)
+        # the next step's point is compared only if a step follows it
+        ahead = i + 2 < iters
+        pts = np.empty((2, 3 if ahead else 1) + a.shape)
         new = pts[:, 0]
         np.add(a, s, out=new[0])
         np.subtract(b, s, out=new[0], where=left)
-        # d and c after this step give the next step's point in [a, d] and in [c, b]
-        d_next, c_next = np.where(left, c, new[0]), np.where(left, new[0], d)
-        np.subtract(d_next, INV_PHI * (d_next - a), out=pts[0, 1])
-        np.add(c_next, INV_PHI * (b - c_next), out=pts[0, 2])
+        if ahead:
+            # d and c after this step give the next step's point in [a, d] and in [c, b]
+            d_next, c_next = np.where(left, c, new[0]), np.where(left, new[0], d)
+            np.subtract(d_next, INV_PHI * (d_next - a), out=pts[0, 1])
+            np.add(c_next, INV_PHI * (b - c_next), out=pts[0, 2])
         pts[1] = f(pts[0])
         move(left, right, new)
         compare(new)
-        # the step after is already evaluated: its point and value are the
-        # [a, d] candidate where it keeps [a, d], else the [c, b] one
-        left, right = narrow()
-        new = pts[:, 2]
-        np.copyto(new, pts[:, 1], where=left)
-        move(left, right, new)
-        if i + 2 < iters:
+        if ahead:
+            # the step after is already evaluated: its point and value are the
+            # [a, d] candidate where it keeps [a, d], else the [c, b] one
+            left, right = narrow()
+            new = pts[:, 2]
+            np.copyto(new, pts[:, 1], where=left)
+            move(left, right, new)
             compare(new)
     xb, fb = best.copy()
     return (xb, fb, *values[4:].copy())

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rounds:
     values: tuple[float, ...]   # the distinct positive eps, in order of first appearance
     counts: tuple[int, ...]     # the rounds that take each value
@@ -23,10 +23,15 @@ class Rounds:
     equal_eps: bool = field(init=False, repr=False)             # one distinct eps
     groups: tuple[tuple[float, int], ...] = field(init=False, repr=False)   # (eps, count) pairs
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", sum(self.counts))
-        object.__setattr__(self, "equal_eps", len(self.values) == 1)
-        object.__setattr__(self, "groups", tuple(zip(self.values, self.counts)))
+    def __init__(self, values: tuple[float, ...], counts: tuple[int, ...],
+                 order: tuple | None = None):
+        # the fields go straight into the instance dict, here and in
+        # _validated: the generated __init__ of a frozen dataclass and a
+        # __post_init__ set each one through object.__setattr__, which took
+        # half the time of a build
+        f = self.__dict__
+        f["values"], f["counts"], f["order"] = values, counts, order
+        f["k"], f["equal_eps"], f["groups"] = sum(counts), len(values) == 1, tuple(zip(values, counts))
 
     @classmethod
     def of(cls, eps_list) -> Rounds:
@@ -53,7 +58,8 @@ class Rounds:
     @classmethod
     def equal(cls, eps: float, k: int) -> Rounds:
         """k rounds of eps: ``Rounds.of([eps] * k)`` without the list."""
-        if not isinstance(k, (int, np.integer)):   # a float k, even 2.0, does not pass
+        # a float k, even 2.0, does not pass; the type test spares an int the isinstance
+        if type(k) is not int and not isinstance(k, (int, np.integer)):
             raise ValueError(f"k must be an integer, got {k!r}")
         return cls._validated({float(eps): int(k)} if k > 0 else {}, None)
 
@@ -64,11 +70,17 @@ class Rounds:
         rounds, data-independent no-ops, dropped."""
         if not counts:
             raise ValueError("eps_list must be nonempty")
-        if not all(0.0 <= e < math.inf for e in counts):
-            raise ValueError("eps must be finite and nonnegative")
+        for e in counts:   # a loop: all() over a generator cost a sixth of a build
+            if not 0.0 <= e < math.inf:
+                raise ValueError("eps must be finite and nonnegative")
         if counts.pop(0.0, None) and order is not None:
             order = tuple(e for e in order if float(e) != 0.0)
-        return cls(tuple(counts), tuple(counts.values()), order if len(counts) > 1 else None)
+        values, n = tuple(counts), tuple(counts.values())
+        rounds = object.__new__(cls)
+        f = rounds.__dict__
+        f["values"], f["counts"], f["order"] = values, n, order if len(values) > 1 else None
+        f["k"], f["equal_eps"], f["groups"] = sum(n), len(values) == 1, tuple(counts.items())
+        return rounds
 
     def as_list(self) -> list[float]:
         """Every round's eps in order."""

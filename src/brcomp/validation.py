@@ -4,8 +4,9 @@ behind the ``validate`` command.
 
 Everything here is deliberately independent of the closed-form machinery it
 cross-checks: the brute force maximizes its own subset sum of the fixed-offset
-loss over a product grid, sharing only ``p_of_t`` and ``one_minus_p`` with the
-kernels; the simulator just plays the game and counts tail events.
+loss over a product grid through ``p_of_t`` and ``one_minus_p``, whose formulas
+are all it shares with the kernels (they evaluate them over an expm1(-eps)
+formed once); the simulator just plays the game and counts tail events.
 """
 
 from __future__ import annotations

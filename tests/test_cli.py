@@ -6,6 +6,7 @@ import io
 import json
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brcomp import cli
-from brcomp.adaptive import AdaptiveSolverConfig
+from brcomp.adaptive import AdaptiveSolverConfig, delta_adaptive_lb
 from brcomp.bounds import LambdaSearch
 from brcomp.cli import EPS_BISECT_TOL, METHODS, curve_rows, main, method_delta, method_epsilon
 from brcomp.errors import CapError, UnreachableTargetError
-from brcomp.nonadaptive import delta_het_fixed_t
+from brcomp.nonadaptive import (candidate_points, delta_het_fixed_t, delta_hom_fixed_t,
+                                delta_opt_nonadaptive_hom)
 from brcomp.optim import budget_step, lattice_search
 from brcomp.rounds import Rounds
 
@@ -539,6 +541,60 @@ class TestBadInput:
                                  "--eps-g", "0.2", "--method", "basic")
         assert (code, out) == (2, "")
         assert "must be finite" in err
+
+
+class TestNearFloatMax:
+    """Near the float maximum a query answers with every maximizer or exits 3,
+    and warns of no overflow on the way."""
+
+    @pytest.mark.parametrize("argv", [
+        # (k + 1) eps is past the floats: the candidate offset of ell = 1 was
+        # lost to it, and t = 3.33e307 reported as the only maximizer
+        ["delta", "--eps", "1e308", "--k", "2", "--eps-g", "-5", "--method", "br-optcomp"],
+        ["delta", "--eps", "1e308", "--k", "1", "--eps-g", "-5", "--method", "br-optcomp"],
+        ["gap", "--eps", "1e308", "--k", "2", "--eps-g", "-5"],
+        ["curve", "--eps", "1e308", "--k-max", "2", "--delta-g", "0.5",
+         "--methods", "br-optcomp,dp-optcomp"],
+        # the lattice DP's budgets eps_g + m h overflowed
+        ["delta", "--eps", "1e308", "--k", "2", "--eps-g", "-5", "--method", "adaptive-lb"],
+        # k t overflowed, and dp-optcomp printed 0
+        ["delta", "--eps", "8e307", "--k", "3", "--eps-g", "-5", "--method", "dp-optcomp"],
+    ])
+    def test_refused(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "past the float range" in err
+        assert caught == []
+
+    @pytest.mark.parametrize("eps, k", [(5e307, 2), (3e307, 4)])
+    def test_every_maximizer_reported(self, eps, k):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = delta_opt_nonadaptive_hom(eps, k, -5.0)
+            values = {c.t: delta_hom_fixed_t(eps, k, -5.0, c.t)
+                      for c in candidate_points(eps, k, -5.0) if 0.0 < c.t < eps}
+        assert caught == []
+        assert res.delta == 1.0 and res.maximizers == sorted(values) and len(values) == k
+        assert set(values.values()) == {1.0}
+
+    def test_adaptive_budgets_past_float_range_refused(self):
+        # the summed eps is a float, eps_g plus it is not
+        with pytest.raises(CapError, match="past the float range"):
+            delta_adaptive_lb([1e307] * 2, 1.7e308)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert delta_adaptive_lb([5e307] * 2, -5.0).delta == 1.0
+        assert caught == []
+
+    def test_candidate_points_past_float_range_refused(self):
+        # (ell + 1) eps overflowed, and the interior offset 6.67e307 of ell = 1
+        # came back clamped to eps
+        with pytest.raises(CapError, match="past the float range"):
+            candidate_points(1e308, 2, -5.0)
+        assert [c.t for c in candidate_points(5e307, 2, -5.0)] == \
+            [(-5.0 + (ell + 1) * 5e307) / 3 for ell in range(3)]
 
 
 class TestCurve:

@@ -232,6 +232,51 @@ class TestDeltaOpt:
             assert mid <= hi + 1e-12
 
 
+class TestWholeRowScan:
+    """A scan that sums whole rows reads its (eps, k) constants from a bounded
+    cache; delta, t and the maximizers are those of fixed_t_sums' values at
+    the same offsets, bit for bit."""
+
+    def test_equals_fixed_t_sums_rows(self):
+        rng = np.random.default_rng(61)
+        high_eps = 0
+        for j in range(1500):
+            k = int(rng.integers(1, 151))
+            # every fifth eps in (600, 1000]: p underflows at the larger offsets
+            eps = (float(rng.uniform(600.0, 1000.0)) if j % 5 == 0
+                   else float(10.0 ** rng.uniform(-2.5, 0.7)))
+            eps_g = float(rng.uniform(-1.0, 1.0)) * k * eps
+            res = delta_opt_nonadaptive_hom(eps, k, eps_g)
+            want = _oracle_opt(eps, k, eps_g, lambda *q: fixed_t_sums(*q).values)
+            assert (res.delta.hex(), res.t.hex(), [x.hex() for x in res.maximizers]) == \
+                (want[0].hex(), want[1].hex(), [x.hex() for x in want[2]]), (eps, k, eps_g)
+            if res.maximizers and not nonadaptive._windowed(k, k + 1):
+                # the scalar rows of the tied offsets give delta too
+                alone = max(float(fixed_t_sums(eps, k, eps_g, x).values) for x in res.maximizers)
+                assert min(alone, 1.0).hex() == res.delta.hex(), (eps, k, eps_g)
+            high_eps += eps > 600.0 and max(res.maximizers, default=0.0) > 750.0
+        assert high_eps > 50
+
+    def test_constants_read_only_and_cache_bounded(self):
+        c = nonadaptive._row_consts(0.3, 12)
+        assert nonadaptive._row_consts(0.3, 12) is c
+        for a in (c.i, c.k_i, c.i_eps, c.lbin, c.ell_eps):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        cache = nonadaptive._cached_row_consts
+        cap = cache.cache_info().maxsize
+        assert cap is not None
+        for j in range(3 * cap):
+            delta_opt_nonadaptive_hom(0.1 + j * 1e-3, 5, 0.2)
+        assert cache.cache_info().currsize <= cap
+        # the windowed sizes form theirs per call, past the cache
+        before = cache.cache_info()
+        nonadaptive._row_consts(0.1, nonadaptive._ROW_CONSTS_K_MAX + 1)
+        after = cache.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 class TestAveragingAndEqualT:
     def test_averaging_increases_delta(self):
         # replacing (t1, t2) by their mean strictly increases the loss when
@@ -919,7 +964,8 @@ def _subset_delta_het_fixed_t(eps_list, eps_g, t_list):
     eps = np.asarray(eps_list, dtype=float)
     t = np.asarray(t_list, dtype=float)
     k = eps.size
-    lp, lomp = _stable_logs(eps, t)
+    with np.errstate(divide="ignore"):   # the log of p = 0 at t = eps, or of 1 - p = 0 at t = 0
+        lp, lomp = _stable_logs(eps, t)
     tsum = float(t.sum())
     total = 0.0
     for masks in _subset_chunks(k):
