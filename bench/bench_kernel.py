@@ -19,6 +19,11 @@ of a scan):
   terms of each stage of its scan (one stage in a tree without screening),
   the rows each stage sums (the last stage's are the rows that survive the
   screen), and delta and t as float.hex;
+- ``method_epsilon("br-optcomp", ...)`` at the three br-optcomp epsilon
+  inputs of the same batch (k = 256, 445 and 783): time, the
+  ``method_delta`` evaluations, the full stages of their scans
+  (``_window_sums`` calls given the rows in play) and the budget as
+  float.hex;
 - ``delta_opt_nonadaptive_hom(0.01, k, 1.5)`` at k = 10^4 and 10^5: time,
   the ``tracemalloc`` peak of one more call, its terms and rows per stage,
   and the value as float.hex;
@@ -45,7 +50,13 @@ Every time is per call, from ``timeit``: the best of ``TIMEIT_REPEATS``
 runs of as many calls as last at least ``MIN_RUN_S`` (one call, for the
 slowest).  A single call of a fraction of a millisecond is one noisy
 reading on a shared host; so many calls in a run, and the best run, keep
-that noise out.  The trees are measured in ``--repeats`` rounds.  A round
+that noise out.  Each time is then given at reference speed, as perfbench
+gives its times: scaled by ``CAL_REF_S`` over the time of perfbench's
+calibration kernel (Python float arithmetic and small numpy operations),
+timed the same way just before and just after the section in the same
+interpreter.  So a load that slows the whole interpreter slows the kernel
+too and drops out; ``calibration`` records the kernel's raw time per
+section.  The trees are measured in ``--repeats`` rounds.  A round
 runs each section (``SECTIONS``) in a fresh interpreter per tree, the trees
 back to back, and the order of the trees alternates between rounds: the
 load of a shared host drifts over seconds to minutes, so the trees read a
@@ -71,6 +82,10 @@ import timeit
 import tracemalloc
 from pathlib import Path
 
+# (eps, k, delta_g): the br-optcomp epsilon ops of the large-k batch at seed 0
+BUDGET_CASES = [(0.0018346359799883717, 256, 7.338195220043259e-06),
+                (0.05860183814522001, 445, 3.713554841240882e-08),
+                (0.006320696739302674, 783, 5.031145762475223e-07)]
 # (eps, k, eps_g): the large-k delta ops at seed 0, and eps_g at the budgets
 # the large-k epsilon ops at k = 445 and 783 return
 KERNEL_CASES = [(0.05860183814522001, 445, 3.251431679353118),
@@ -83,10 +98,14 @@ COUNT_SIZES = (5, 40, 56_000)
 BUILD_LISTS = {"equal": [0.1] * 3, "mixed": [0.3, 0.8]}
 ADAPTIVE_KS, ADAPTIVE_PER_K = range(3, 9), 3
 MIN_RUN_S, TIMEIT_REPEATS = 0.2, 3
-# measurements that vary between interpreters: the times, and the allocation
-# peak, which moves by some bytes
-MEASURED_FIELDS = frozenset({"ms", "s", "us", "us_per_call", "optkl_curve_to_cap_s",
-                             "tracemalloc_peak_mb"})
+# perfbench's calibration kernel (run.py, calibration_time) and its time on
+# perfbench's reference host
+CAL_LOOPS, CAL_ARRAY_OPS, CAL_REF_S = 8000, 80, 0.0025
+# measurements that vary between interpreters: the times, scaled to reference
+# speed, the calibration kernel's raw time, and the allocation peak, which
+# moves by some bytes
+TIME_FIELDS = frozenset({"ms", "s", "us", "us_per_call", "optkl_curve_to_cap_s"})
+MEASURED_FIELDS = TIME_FIELDS | {"calibration_ms", "tracemalloc_peak_mb"}
 
 
 def _per_call_s(fn) -> float:
@@ -95,6 +114,32 @@ def _per_call_s(fn) -> float:
     timer = timeit.Timer(fn)
     number = max(1, math.ceil(MIN_RUN_S / timer.timeit(1)))
     return min(timer.repeat(TIMEIT_REPEATS, number)) / number
+
+
+def _calibration_s() -> float:
+    """Seconds per run of perfbench's calibration kernel, timed like every
+    measurement here."""
+    import numpy as np
+
+    x = np.linspace(0.0, 1.0, 4096)
+
+    def kernel():
+        s = 0.0
+        for i in range(CAL_LOOPS):
+            s += math.exp(-i * 1e-3) * math.log1p(i)
+        for _ in range(CAL_ARRAY_OPS):
+            s += float(np.log1p(np.exp(-x)).sum())
+        return s
+    return _per_call_s(kernel)
+
+
+def _at_reference_speed(result, factor: float, field: str | None = None):
+    """``result`` with every time field (``TIME_FIELDS``) multiplied by ``factor``."""
+    if isinstance(result, dict):
+        return {key: _at_reference_speed(value, factor, key) for key, value in result.items()}
+    if isinstance(result, list):
+        return [_at_reference_speed(value, factor, field) for value in result]
+    return result * factor if field in TIME_FIELDS else result
 
 
 def _count_terms(nonadaptive) -> tuple[list[int], list[list[int]]]:
@@ -152,6 +197,32 @@ def _delta_opt_kernel_cases() -> list[dict]:
             "stage_terms": [s[0] for s in stages], "stage_rows": [s[1] for s in stages],
             "delta": res.delta.hex(), "t": res.t.hex(),
             "ms": 1e3 * _per_call_s(lambda: nonadaptive.delta_opt_nonadaptive_hom(eps, k, eps_g))})
+    return out
+
+
+def _br_optcomp_budget() -> list[dict]:
+    from brcomp import cli, nonadaptive
+
+    evals, full = [0], [0]
+    inner_delta, inner_sums = cli.method_delta, nonadaptive._window_sums
+
+    def counted_delta(*args, **kw):
+        evals[0] += 1
+        return inner_delta(*args, **kw)
+
+    def counted_sums(*args):
+        full[0] += len(args) > 6   # the full stage passes the mask of the rows in play
+        return inner_sums(*args)
+    cli.method_delta, nonadaptive._window_sums = counted_delta, counted_sums
+    out = []
+    for eps, k, delta_g in BUDGET_CASES:
+        evals[0] = full[0] = 0
+        budget, meta = cli.method_epsilon("br-optcomp", [eps] * k, delta_g)
+        out.append({"eps": eps, "k": k, "delta_g": delta_g, "budget": budget.hex(),
+                    "path": meta["path"], "method_delta_calls": evals[0],
+                    "full_stages": full[0],
+                    "ms": 1e3 * _per_call_s(
+                        lambda: cli.method_epsilon("br-optcomp", [eps] * k, delta_g))})
     return out
 
 
@@ -288,15 +359,21 @@ def _builds_per_query() -> dict:
 SECTIONS = {"fixed_t_sums": _fixed_t_sums, "delta_opt": _delta_opt,
             "candidate_scan": _candidate_scan, "as_counts": _as_counts,
             "delta_opt_kernel_cases": _delta_opt_kernel_cases,
+            "br_optcomp_budget": _br_optcomp_budget,
             "builds_per_query": _builds_per_query, "optkl_curve_to_cap_s": _optkl_curve_to_cap_s,
             "adaptive_lb": _adaptive_lb}
 
 
 def measure(section: str) -> dict:
-    """One section's measurements for the brcomp importable in this interpreter."""
+    """One section's measurements for the brcomp importable in this
+    interpreter, at reference speed, and the calibration kernel's time."""
     import numpy as np
 
-    return {"numpy": np.__version__, section: SECTIONS[section]()}
+    before = _calibration_s()
+    result = SECTIONS[section]()
+    cal = 0.5 * (before + _calibration_s())
+    return {"numpy": np.__version__, "calibration": {section: {"calibration_ms": 1e3 * cal}},
+            **_at_reference_speed({section: result}, CAL_REF_S / cal)}
 
 
 def merge_rounds(rounds: list, field: str | None = None):
@@ -344,7 +421,9 @@ def main(argv=None) -> int:
                 env["PYTHONPATH"] = str(Path(src).resolve())
                 proc = subprocess.run([sys.executable, __file__, "--child", section],
                                       env=env, capture_output=True, text=True, check=True)
-                rounds[label][r].update(json.loads(proc.stdout))
+                out = json.loads(proc.stdout)
+                rounds[label][r].setdefault("calibration", {}).update(out.pop("calibration"))
+                rounds[label][r].update(out)
     for label, runs in rounds.items():
         result["trees"][label] = merge_rounds(runs)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")

@@ -124,8 +124,15 @@ class StrategyTree:
         return cls(tuple(eps), t_nodes)
 
     def t_for_prefix(self, prefix: Sequence[int]) -> float:
+        """The offset played after the outcomes ``prefix``, each 0 or 1, of
+        fewer than ``depth`` rounds."""
+        if len(prefix) >= self.depth:
+            raise ValueError(f"a prefix of a depth-{self.depth} tree has at most "
+                             f"{self.depth - 1} outcomes, got {len(prefix)}")
         node = 0
         for y in prefix:
+            if y not in (0, 1):
+                raise ValueError(f"an outcome must be 0 or 1, got {y!r}")
             node = 2 * node + 1 + (1 - int(y))
         return float(self.t_nodes[node])
 

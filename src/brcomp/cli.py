@@ -4,7 +4,9 @@ certificates, and the validation suite.
 Each query builds its ``Rounds`` once.  An ``epsilon`` answer with no
 closed form is the smallest point of a fixed budget lattice at which the
 method's own delta is at most delta_g, checked there and one step below
-(``_bisect_epsilon``).
+(``_bisect_epsilon``).  Each step asks only whether delta exceeds delta_g
+(``method_delta``'s ``target``), so an equal-eps ``br-optcomp`` step can
+stop at its candidate scan's screen.
 
 Exit codes: 0 success, 2 domain error (bad arguments, unreachable target),
 3 size/depth-cap refusal, 4 unwritable output path.  Stdout carries data
@@ -59,13 +61,17 @@ class CurveRow:
 def method_delta(method: str, eps_list, eps_g: float,
                  cfg: AdaptiveSolverConfig = AdaptiveSolverConfig(),
                  search: bounds.LambdaSearch = bounds.LambdaSearch(), *,
-                 describe: bool = True) -> tuple[float, dict]:
+                 target: float | None = None) -> tuple[float, dict]:
     """Additive loss of the named method at budget eps_g, plus solver metadata.
 
     ``eps_list`` is a ``Rounds`` or anything ``Rounds.of`` accepts.  ``cfg``
     configures ``adaptive-lb`` and ``search`` the bounds' lambda window.
-    ``describe=False`` skips metadata that costs extra evaluations (the
-    ``br-optcomp`` comparison with half-DP); bisection only needs the value.
+    A ``target`` says that only whether the loss exceeds it is asked, as in
+    a budget bisection.  The value is then above the target exactly when
+    the loss is, but may be a certified bound on it, and metadata that costs
+    extra evaluations is skipped: equal-eps ``br-optcomp`` stops its scan
+    once the comparison is certain (``delta_opt_nonadaptive_hom``), and
+    skips its comparison with half-DP.  Every other method ignores it.
     """
     rounds = Rounds.of(eps_list)
     if method == "basic":
@@ -93,10 +99,10 @@ def method_delta(method: str, eps_list, eps_g: float,
         return dp_optcomp_het(rounds.halved() if half else rounds, eps_g), {"form": "subset-sum"}
     if method == "br-optcomp":
         if rounds.equal_eps:
-            res = delta_opt_nonadaptive_hom(eps0, k, eps_g)
+            res = delta_opt_nonadaptive_hom(eps0, k, eps_g, target=target)
             meta = {"t": res.t}
-            if describe and math.isclose(res.delta, dp_optcomp_hom(eps0 / 2.0, k, eps_g),
-                                         rel_tol=TIE_RTOL):
+            if target is None and math.isclose(res.delta, dp_optcomp_hom(eps0 / 2.0, k, eps_g),
+                                               rel_tol=TIE_RTOL):
                 meta["coincides_with_half_dp"] = True
             return res.delta, meta
         if k <= validation.BRUTE_FORCE_CAP:
@@ -169,8 +175,10 @@ def _bisect_epsilon(method: str, rounds: Rounds, delta_g: float, cfg: AdaptiveSo
         raise ValueError("zero-width budget bracket: every round has eps = 0")
 
     def delta(eps_g: float) -> float:
-        return method_delta(method, rounds, eps_g, cfg, search, describe=False)[0]
+        return method_delta(method, rounds, eps_g, cfg, search, target=delta_g)[0]
 
+    # exact even with a target: at -span = -k eps the optimum, 1 - e^-span,
+    # is returned before any scan
     d_lo = delta(-span)
     if delta_g > d_lo:
         raise UnreachableTargetError(

@@ -93,8 +93,8 @@ def br_witness(pair: FiniteMechanismPair, eps: float) -> Optional[float]:
     Comparisons carry an absolute slack so mechanisms assembled from
     floating-point arithmetic still verify.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0.0:   # nan too
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     px = pair.probs_x
     pxp = pair.probs_x_prime
     sup_x = px > 0.0

@@ -21,9 +21,11 @@ O(k^1.5) instead of O(k^2); for k up to about 150 a window would span the
 whole row, and whole rows are summed.  The scan first screens the
 candidates with narrower windows, whose sums plus certified omitted mass
 bound each value from above, and sums in full only those that can be
-within TIE_RTOL of the maximum.  At a fixed offset the sum is
-piecewise linear in e^(eps_g), so ``fixed_t_inverse`` gives the budget for
-a target delta in closed form.
+within TIE_RTOL of the maximum.  A caller that asks only whether the
+optimum exceeds a target, as a budget bisection does, gets its answer from
+the screen alone wherever the screen's bounds settle it.  At a fixed
+offset the sum is piecewise linear in e^(eps_g), so ``fixed_t_inverse``
+gives the budget for a target delta in closed form.
 
 The heterogeneous fixed-t value and the optimal composition of plain
 eps_i-DP mechanisms are one sum over per-group counts of equal (eps, t)
@@ -505,6 +507,7 @@ def candidate_points(eps: float, k: int, eps_g: float) -> list[Candidate]:
     Refused (``CapError``) where (k + 1) eps is past the float range: an
     offset whose numerator overflowed would be clamped to eps, not given."""
     _validate_hom(eps, k)
+    _validate_budget(eps_g)
     _check_numerators(eps, k)
     out = []
     for ell in range(k + 1):
@@ -519,7 +522,8 @@ class OptResult(NamedTuple):
     maximizers: list[float]   # all candidate offsets within TIE_RTOL of the max
 
 
-def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
+def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float, *,
+                              target: float | None = None) -> OptResult:
     """Optimal nonadaptive composition for k equal-parameter BR mechanisms.
 
     Maximizes ``delta_hom_fixed_t`` over the candidate offsets (plus the
@@ -531,6 +535,15 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
     to about 150, where a window spans the row).  Refused (``CapError``)
     where (k + 1) eps, the largest candidate's numerator, is past the float
     range: a candidate lost to it would leave the maximizers untrue.
+
+    A ``target`` asks only whether delta exceeds it, as a budget bisection
+    does.  The scan then returns as soon as the comparison is certain: when
+    the endpoint value exceeds the target, or when a windowed scan's screen
+    settles it (see ``_scan_values``).  Such a result is a certified bound
+    on delta, lower where delta exceeds the target and upper where it does
+    not; it is above the target exactly when delta is, and names no
+    maximizer (t is nan).  Otherwise the result is the one without a target,
+    bit for bit.
     """
     _validate_hom(eps, k)
     _validate_budget(eps_g)
@@ -540,6 +553,8 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
         return OptResult(-math.expm1(eps_g), 0.0, [])
     _check_numerators(eps, k)
     endpoint_value = _endpoint_value(eps_g)
+    if target is not None and endpoint_value > target:
+        return OptResult(endpoint_value, math.nan, [])
 
     # the numerators (ell + 1) eps come from the cache at the whole-row sizes;
     # a windowed scan reads no other constant, so it forms only these
@@ -551,7 +566,9 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
     t = t[t.searchsorted(0.0, "right"):t.searchsorted(eps)]
     if t.size == 0:
         return OptResult(endpoint_value, 0.0, [])
-    values = _scan_values(eps, k, eps_g, t)
+    values = _scan_values(eps, k, eps_g, t, target)
+    if values.ndim == 0:   # a bound settled by the screen
+        return OptResult(min(max(float(values), endpoint_value), 1.0), math.nan, [])
     best = float(values.max())
     if best <= endpoint_value:
         return OptResult(endpoint_value, 0.0, [])
@@ -559,9 +576,11 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
     return OptResult(min(best, 1.0), winners[0], winners)
 
 
-def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray) -> np.ndarray:
+def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray,
+                 target: float | None = None) -> np.ndarray:
     """``fixed_t_sums(eps, k, eps_g, t).values`` at every candidate offset t
-    that can be within TIE_RTOL of their maximum, and 0 at the others.
+    that can be within TIE_RTOL of their maximum, and 0 at the others; or,
+    given a ``target`` that the screen settles, a 0-d bound (``_settled``).
 
     Small scans sum whole rows.  A windowed scan first screens every row
     over windows of ``SCREEN_SDS`` standard deviations, in one pass that
@@ -573,7 +592,9 @@ def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray) -> np.ndarray:
     the maximum; a loose bound just keeps its row.  The second stage sums
     the rows in play at the full settings, with widths fixed by the query
     alone, so each gets the bits that scanning every row would give it: the
-    maximum and the tied set are the one-stage scan's.
+    maximum and the tied set are the one-stage scan's.  The same bounds
+    can settle how the maximum compares with a ``target``, and then the
+    second stage is skipped.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if not _windowed(k, t.size):
@@ -581,7 +602,23 @@ def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray) -> np.ndarray:
             return _row_sums(k, eps_g, t, *_stable_logs(eps, t, c.em1), c).values
         win = _windows(eps, k, eps_g, t, *_stable_logs(eps, t))
         v, w, _ = _window_sums(eps, k, eps_g, win, SCREEN_SDS, math.inf)
+        bound = None if target is None else _settled(v, w, target)
+        if bound is not None:
+            return bound
         return _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2, _in_play(v, w)).values
+
+
+def _settled(v: np.ndarray, w: np.ndarray, target: float) -> np.ndarray | None:
+    """A bound on the largest full row value that lies on the same side of
+    ``target`` as that value, from the screened sums v and their omitted
+    mass w; None where the screen cannot tell.  Each full value is at least
+    v (1 - margin) and at most (v + w)(1 + margin), the bounds ``_in_play``
+    rests on; a nan never settles."""
+    low = v.max() * (1.0 - SCREEN_MARGIN)
+    if low > target:
+        return low
+    high = (v + w).max() * (1.0 + SCREEN_MARGIN)
+    return high if high < target else None
 
 
 def _in_play(v: np.ndarray, w: np.ndarray) -> np.ndarray:

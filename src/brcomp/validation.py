@@ -33,10 +33,30 @@ _SHARD = 1 << 19   # elements per block: Monte Carlo samples, brute-force grid p
 _EXP_CAP = 700.0   # the brute force refuses sum(eps) past this: e^x stays a finite float
 
 
+def _exp_or_inf(x: float) -> float:
+    """e^x, and inf where it is past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def hockey_stick(pair: FiniteMechanismPair, eps_g: float) -> float:
-    """sum_y max(P(y) - e^(eps_g) Q(y), 0) for a finite mechanism pair."""
-    scale = math.exp(eps_g)
-    return float(np.maximum(pair.probs_x - scale * pair.probs_x_prime, 0.0).sum())
+    """sum_y max(P(y) - e^(eps_g) Q(y), 0) for a finite mechanism pair.
+
+    Where e^(eps_g) is past the float range each e^(eps_g) Q(y) is formed
+    in log space: at eps_g = +inf the sum is the P-mass where Q is 0.  A nan
+    budget is refused (``ValueError``)."""
+    _validate_budget(eps_g)
+    q = pair.probs_x_prime
+    scale = _exp_or_inf(eps_g)
+    if scale < math.inf:
+        scaled = scale * q
+    else:
+        # log 0 and inf - inf where Q is 0, and inf where e^(eps_g) Q overflows
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scaled = np.where(q > 0.0, np.exp(eps_g + np.log(q)), 0.0)
+    return float(np.maximum(pair.probs_x - scaled, 0.0).sum())
 
 
 class BruteForceResult(NamedTuple):
@@ -132,14 +152,18 @@ def simulate_adaptive_game(strategy: StrategyTree, eps_g: float, n: int,
 
     over paired plays, with a normal-approximation 95% half width.
     Bit-exactly reproducible for a fixed (seed, n): the stream is sharded
-    with seeds derived as (seed, shard index).
+    with seeds derived as (seed, shard index).  Where e^(eps_g) is past the
+    float range the estimate is 0 if no play's loss exceeds eps_g, and
+    refused (``CapError``) otherwise.  A nan budget is refused
+    (``ValueError``).
     """
     if n < 1:
         raise ValueError("n must be positive")
+    _validate_budget(eps_g)
     k = strategy.depth
     eps = np.asarray(strategy.eps_list, dtype=float)
     t_nodes = strategy.t_nodes
-    scale = math.exp(eps_g)
+    scale = _exp_or_inf(eps_g)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -161,7 +185,11 @@ def simulate_adaptive_game(strategy: StrategyTree, eps_g: float, n: int,
             loss_p += np.where(yp, tp, tp - eps[d])
             node_q = 2 * node_q + np.where(yq, 1, 2)
             node_p = 2 * node_p + np.where(yp, 1, 2)
-        x = (loss_q > eps_g).astype(float) - scale * (loss_p > eps_g)
+        over_q, over_p = loss_q > eps_g, loss_p > eps_g
+        if scale == math.inf and (over_q.any() or over_p.any()):
+            raise CapError(f"a play's loss exceeds eps_g={eps_g!r}, where e^(eps_g) "
+                           "is past the float range")
+        x = over_q - np.where(over_p, scale, 0.0)
         total += float(x.sum())
         total_sq += float((x * x).sum())
         done += m

@@ -46,6 +46,14 @@ class TestStrategyTree:
         assert tree.t_for_prefix((1,)) == 0.2
         assert tree.t_for_prefix((0,)) == 0.3
 
+    @pytest.mark.parametrize("prefix", [(2,), (0.5,), (-1,), (1, 0)])
+    def test_prefix_lookup_refuses_bad_outcomes(self, prefix):
+        # (2,) read the root's offset and (0.5,) a child's; a prefix as long
+        # as the tree raised a bare IndexError
+        tree = StrategyTree((1.0, 1.0), np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(ValueError):
+            tree.t_for_prefix(prefix)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StrategyTree((1.0,), np.array([1.5]))  # offset outside [0, eps]

@@ -267,7 +267,7 @@ class TestEpsilon:
         _, meta = method_delta("br-optcomp", [1.0], 0.0)
         assert len(calls) == 1 and meta["coincides_with_half_dp"] is True
         value, meta = method_delta("br-optcomp", [0.1] * 5, eps_g + EPS_BISECT_TOL,
-                                   describe=False)
+                                   target=1e-6)
         assert len(calls) == 1 and set(meta) == {"t"}
         assert value <= 1e-6
 
@@ -297,7 +297,8 @@ class TestBudgetLattice:
            eps=st.floats(1e-3, 3.0), k=st.integers(1, 60),
            log_delta_g=st.floats(-12.0, -1.0))
     def test_budget_is_on_the_safe_side(self, method, eps, k, log_delta_g):
-        # delta(x) <= delta_g < delta(x - step), both through method_delta
+        # delta(x) <= delta_g < delta(x - step), both through method_delta and
+        # evaluated exactly (no target), so independent of the early stop
         delta_g = 10.0 ** log_delta_g
         try:
             x, meta = method_epsilon(method, [eps] * k, delta_g)
@@ -305,8 +306,8 @@ class TestBudgetLattice:
             assert delta_g > exc.boundary
             return
         assert meta["budget_step"] == self.STEP
-        assert method_delta(method, [eps] * k, x, describe=False)[0] <= delta_g
-        assert method_delta(method, [eps] * k, x - self.STEP, describe=False)[0] > delta_g
+        assert method_delta(method, [eps] * k, x)[0] <= delta_g
+        assert method_delta(method, [eps] * k, x - self.STEP)[0] > delta_g
 
     @pytest.mark.parametrize("method", ["dp-optcomp", "dp-optcomp-half"])
     @pytest.mark.parametrize("eps,k", [(0.5, 1), (0.1, 40), (1.0, 2), (0.01, 10 ** 5),
@@ -336,6 +337,31 @@ class TestBudgetLattice:
         calls.clear()
         method_epsilon("br-optcomp", [0.1] * 5, 1e-6)
         assert len(calls) == 32
+
+    @pytest.mark.parametrize("k", [140, 141, 150, 151])
+    @pytest.mark.parametrize("eps,delta_g", [(0.01, 1e-6), (0.3, 1e-3)])
+    def test_probe_keeps_budgets_at_the_window_boundary(self, monkeypatch, k, eps, delta_g):
+        # the scan windows its rows from k = 141 and caches its constants up
+        # to k = 150.  Bisecting on exact values, with no target, gives the
+        # same budget and path with the same evaluations
+        import brcomp.cli as cli
+        real, settled, calls = cli.delta_opt_nonadaptive_hom, [], []
+
+        def probed(*args, **kw):
+            res = real(*args, **kw)
+            settled.append(math.isnan(res.t))
+            return res
+        monkeypatch.setattr(cli, "delta_opt_nonadaptive_hom", probed)
+        want = method_epsilon("br-optcomp", [eps] * k, delta_g)
+
+        def exact(eps, k, eps_g, target):
+            calls.append(target)
+            return real(eps, k, eps_g)
+        monkeypatch.setattr(cli, "delta_opt_nonadaptive_hom", exact)
+        assert method_epsilon("br-optcomp", [eps] * k, delta_g) == want
+        assert len(calls) == len(settled) and set(calls) == {delta_g}
+        if k >= 141:
+            assert sum(settled) > len(settled) // 2
 
     @pytest.mark.parametrize("seed", [None, 0.3, 0.3 + 2.0 ** -30, 0.3 - 2.0 ** -30, -5.0,
                                       50.0, math.inf, -math.inf, math.nan])

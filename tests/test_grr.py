@@ -60,6 +60,12 @@ def test_grr_probs_rejects_bad_domain():
 
 
 class TestBrWitness:
+    def test_nan_eps_refused(self):
+        # the eps < 0 test let nan through, and log 2 came back
+        pair = FiniteMechanismPair(np.array([2 / 3, 1 / 3]), np.array([1 / 3, 2 / 3]))
+        with pytest.raises(ValueError, match="nan"):
+            br_witness(pair, math.nan)
+
     def test_identical_distributions(self):
         pair = FiniteMechanismPair(np.array([0.25, 0.75]), np.array([0.25, 0.75]))
         assert br_witness(pair, 1.0) == pytest.approx(0.0, abs=1e-12)

@@ -124,6 +124,11 @@ class TestCandidatePoints:
     def test_all_clamped_beyond_budget(self):
         assert all(c.t == 1.0 for c in candidate_points(1.0, 4, 10.0))
 
+    def test_nan_budget_refused(self):
+        # every offset was nan
+        with pytest.raises(ValueError, match="nan"):
+            candidate_points(0.5, 2, math.nan)
+
 
 class TestDeltaOpt:
     def test_single_round_optimum(self):
@@ -190,7 +195,7 @@ class TestDeltaOpt:
         class Scanned(Exception):
             pass
 
-        def capture(eps, k, eps_g, t):
+        def capture(eps, k, eps_g, t, target):
             raise Scanned(t)
         monkeypatch.setattr(nonadaptive, "_scan_values", capture)
 
@@ -769,6 +774,81 @@ class TestScreenedScan:
         one_stage, terms[0] = terms[0], 0
         delta_opt_nonadaptive_hom(eps, k, eps_g)
         assert terms[0] <= 0.35 * one_stage
+
+
+def _probe_draws(seed, n):
+    """n seeded ``_draw_case`` queries with k in [151, 10^4] whose candidate
+    scan is windowed and whose delta lies in (0, 1), with that optimum."""
+    rng, out = np.random.default_rng(seed), []
+    while len(out) < n:
+        eps, k, eps_g = _draw_case(rng)
+        if k >= 151 and nonadaptive._windowed(k, _candidate_offsets(eps, k, eps_g).size):
+            exact = delta_opt_nonadaptive_hom(eps, k, eps_g)
+            if 0.0 < exact.delta < 1.0:
+                out.append((eps, k, eps_g, exact))
+    return out
+
+
+def _hexes(res):
+    return res.delta.hex(), res.t.hex(), [x.hex() for x in res.maximizers]
+
+
+class TestTargetProbe:
+    """Given a target, the scan stops once its screen settles whether delta
+    exceeds it; a settled result must compare with the target as delta does."""
+
+    def test_settled_results_lie_on_the_side_of_delta(self):
+        # targets at delta (1 +- 10^u): the screen's bounds cannot resolve the
+        # closest ones, so both outcomes occur
+        settled = unsettled = 0
+        for eps, k, eps_g, exact in _probe_draws(215, 10):
+            for u in range(-13, 0):
+                for sign in (-1.0, 1.0):
+                    target = exact.delta * (1.0 + sign * 10.0 ** u)
+                    res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=target)
+                    case = (eps, k, eps_g, target)
+                    if math.isnan(res.t):
+                        assert res.maximizers == [], case
+                        assert (res.delta > target) == (exact.delta > target), case
+                        # a lower bound above the target, an upper one below it
+                        if res.delta > target:
+                            assert res.delta <= exact.delta, case
+                        else:
+                            assert res.delta >= exact.delta, case
+                        settled += 1
+                    else:
+                        assert _hexes(res) == _hexes(exact), case
+                        unsettled += 1
+        assert settled > 30 and unsettled > 30
+
+    @pytest.mark.parametrize("eps,k,eps_g", [(0.5, 3, -0.2), (0.1, 40, -0.3), (0.02, 300, -1.0)])
+    def test_endpoint_settles_every_scan(self, eps, k, eps_g):
+        # below the endpoint value 1 - e^eps_g, no scan runs; above it, a
+        # whole-row scan (k <= 140) gives its exact result
+        exact = delta_opt_nonadaptive_hom(eps, k, eps_g)
+        endpoint = -math.expm1(eps_g)
+        res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=endpoint * 0.99)
+        assert (res.delta, math.isnan(res.t), res.maximizers) == (endpoint, True, [])
+        if k <= 140:
+            res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=exact.delta * 1.01)
+            assert _hexes(res) == _hexes(exact)
+
+    def test_full_stage_runs_only_where_unsettled(self, monkeypatch):
+        stages = []
+        inner = nonadaptive._window_sums
+
+        def counted(*args):
+            stages.append(args[4])
+            return inner(*args)
+        monkeypatch.setattr(nonadaptive, "_window_sums", counted)
+        eps, k, eps_g = 0.006320696739302674, 783, 0.3616889603435993
+        delta = delta_opt_nonadaptive_hom(eps, k, eps_g).delta
+        for target, want in [(delta * 2.0, [nonadaptive.SCREEN_SDS]),
+                             (delta / 2.0, [nonadaptive.SCREEN_SDS]),
+                             (delta, [nonadaptive.SCREEN_SDS, nonadaptive.WINDOW_SDS])]:
+            stages.clear()
+            delta_opt_nonadaptive_hom(eps, k, eps_g, target=target)
+            assert stages == want, target
 
 
 class TestLargeKPinned:

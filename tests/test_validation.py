@@ -39,6 +39,43 @@ class TestHockeyStick:
         assert all(x >= y - 1e-15 for x, y in zip(vals, vals[1:]))
 
 
+class TestPastTheFloatRange:
+    """Budgets whose e^(eps_g) leaves the floats: math.exp raised
+    OverflowError at 710, and +-inf gave nan with a warning."""
+
+    # the third outcome's log-ratio is about 712.9, the fourth's infinite
+    PAIR = FiniteMechanismPair(np.array([0.4, 0.3, 0.2, 0.1]),
+                               np.array([0.6, 0.4, 1e-310, 0.0]))
+
+    def test_hockey_stick_answers_every_budget(self):
+        import mpmath as mp
+        with mp.workdps(40):
+            want = mp.mpf(0.1) + mp.mpf(0.2) - mp.exp(710) * mp.mpf(1e-310)
+        assert hockey_stick(self.PAIR, 710.0) == pytest.approx(float(want), rel=1e-14)
+        assert hockey_stick(self.PAIR, 720.0) == 0.1
+        assert hockey_stick(self.PAIR, math.inf) == 0.1   # the P-mass where Q is 0
+        assert hockey_stick(self.PAIR, -math.inf) == self.PAIR.probs_x.sum()   # all of P
+
+    def test_simulator_past_the_float_range(self):
+        # no play's loss reaches 710 (at most 2): the estimate is 0; at -inf
+        # every play exceeds the budget and e^(eps_g) is 0
+        tree = StrategyTree.constant([1.0, 1.0], [0.5, 0.5])
+        for eps_g, want in [(710.0, 0.0), (math.inf, 0.0), (-math.inf, 1.0)]:
+            rep = simulate_adaptive_game(tree, eps_g, 1000, seed=1)
+            assert (rep.delta_hat, rep.half_width_95) == (want, 0.0)
+        # plays reach a loss of 1197: refused at 710, 0 past 1197
+        tree = StrategyTree.constant([400.0] * 3, [399.0] * 3)
+        with pytest.raises(CapError, match="float range"):
+            simulate_adaptive_game(tree, 710.0, 1000, seed=1)
+        assert simulate_adaptive_game(tree, 1200.0, 1000, seed=1).delta_hat == 0.0
+
+    def test_nan_budget_refused(self):
+        with pytest.raises(ValueError, match="nan"):
+            hockey_stick(self.PAIR, math.nan)
+        with pytest.raises(ValueError, match="nan"):
+            simulate_adaptive_game(StrategyTree.constant([1.0], [0.5]), math.nan, 10, seed=1)
+
+
 class TestBruteForce:
     def test_single_round_fine_grid(self):
         res = brute_force_nonadaptive([1.0], 0.0, 10 ** 5)
