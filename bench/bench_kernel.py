@@ -21,9 +21,11 @@ of a scan):
   screen), and delta and t as float.hex;
 - ``method_epsilon("br-optcomp", ...)`` at the three br-optcomp epsilon
   inputs of the same batch (k = 256, 445 and 783): time, the
-  ``method_delta`` evaluations, the full stages of their scans
-  (``_window_sums`` calls given the rows in play) and the budget as
-  float.hex;
+  ``method_delta`` evaluations, the rows probed (``fixed_t_sums`` calls,
+  which the bisection makes only to probe the last maximizer), the steps a
+  probe settled (``_probe`` results; 0 in a tree without it), the full
+  stages of their scans (``_in_play`` calls, one per scan that sums its
+  rows in play) and the budget as float.hex;
 - ``delta_opt_nonadaptive_hom(0.01, k, 1.5)`` at k = 10^4 and 10^5: time,
   the ``tracemalloc`` peak of one more call, its terms and rows per stage,
   and the value as float.hex;
@@ -203,24 +205,29 @@ def _delta_opt_kernel_cases() -> list[dict]:
 def _br_optcomp_budget() -> list[dict]:
     from brcomp import cli, nonadaptive
 
-    evals, full = [0], [0]
-    inner_delta, inner_sums = cli.method_delta, nonadaptive._window_sums
+    counts = {}
 
-    def counted_delta(*args, **kw):
-        evals[0] += 1
-        return inner_delta(*args, **kw)
+    def count(module, name, field, counts_call=lambda res: True):
+        inner = getattr(module, name)
 
-    def counted_sums(*args):
-        full[0] += len(args) > 6   # the full stage passes the mask of the rows in play
-        return inner_sums(*args)
-    cli.method_delta, nonadaptive._window_sums = counted_delta, counted_sums
+        def counted(*args, **kw):
+            res = inner(*args, **kw)
+            counts[field] += bool(counts_call(res))
+            return res
+        setattr(module, name, counted)
+    count(cli, "method_delta", "method_delta_calls")
+    # the bisection sums a row by itself only to probe it
+    count(nonadaptive, "fixed_t_sums", "probes")
+    if hasattr(nonadaptive, "_probe"):   # trees before the probe record 0
+        count(nonadaptive, "_probe", "probe_settled", lambda res: res is not None)
+    # one call in each scan that sums its rows in play
+    count(nonadaptive, "_in_play", "full_stages")
     out = []
     for eps, k, delta_g in BUDGET_CASES:
-        evals[0] = full[0] = 0
+        counts.update(method_delta_calls=0, probes=0, probe_settled=0, full_stages=0)
         budget, meta = cli.method_epsilon("br-optcomp", [eps] * k, delta_g)
         out.append({"eps": eps, "k": k, "delta_g": delta_g, "budget": budget.hex(),
-                    "path": meta["path"], "method_delta_calls": evals[0],
-                    "full_stages": full[0],
+                    "path": meta["path"], **counts,
                     "ms": 1e3 * _per_call_s(
                         lambda: cli.method_epsilon("br-optcomp", [eps] * k, delta_g))})
     return out

@@ -6,7 +6,8 @@ closed form is the smallest point of a fixed budget lattice at which the
 method's own delta is at most delta_g, checked there and one step below
 (``_bisect_epsilon``).  Each step asks only whether delta exceeds delta_g
 (``method_delta``'s ``target``), so an equal-eps ``br-optcomp`` step can
-stop at its candidate scan's screen.
+stop at the one candidate it probes first or at its candidate scan's
+screen.
 
 Exit codes: 0 success, 2 domain error (bad arguments, unreachable target),
 3 size/depth-cap refusal, 4 unwritable output path.  Stdout carries data
@@ -70,8 +71,9 @@ def method_delta(method: str, eps_list, eps_g: float,
     a budget bisection.  The value is then above the target exactly when
     the loss is, but may be a certified bound on it, and metadata that costs
     extra evaluations is skipped: equal-eps ``br-optcomp`` stops its scan
-    once the comparison is certain (``delta_opt_nonadaptive_hom``), and
-    skips its comparison with half-DP.  Every other method ignores it.
+    once the comparison is certain (``delta_opt_nonadaptive_hom``: at a
+    probe of the last maximizer or at the screen), and skips its comparison
+    with half-DP.  Every other method ignores it.
     """
     rounds = Rounds.of(eps_list)
     if method == "basic":
@@ -253,9 +255,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # only flags the handler reads: curve sweeps k over equal rounds (no
     # --eps-file, --k), and gap runs no lambda search (no --lambda-max)
     def common(p, rounds=True, lambda_max=True):
-        # Python 3.13's test for a negative number: before 3.13 argparse read
-        # -1e-3, as ``epsilon`` can print a budget, as a flag
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        # a negative number as Python 3.13 tests for one, and -inf or -nan in
+        # any case float() takes: else argparse reads -1e-3 (before 3.13), as
+        # ``epsilon`` can print a budget, or -inf (in every version) as a
+        # flag, and a value that ``_checked_flags`` refuses never reaches it
+        p._negative_number_matcher = re.compile(r"-(\.?\d|(inf(inity)?|nan)$)", re.IGNORECASE)
         p.add_argument("--eps", type=float, help="per-round parameter (equal rounds)")
         if rounds:
             p.add_argument("--eps-file", help="newline-separated per-round parameters")

@@ -23,9 +23,11 @@ candidates with narrower windows, whose sums plus certified omitted mass
 bound each value from above, and sums in full only those that can be
 within TIE_RTOL of the maximum.  A caller that asks only whether the
 optimum exceeds a target, as a budget bisection does, gets its answer from
-the screen alone wherever the screen's bounds settle it.  At a fixed
-offset the sum is piecewise linear in e^(eps_g), so ``fixed_t_inverse``
-gives the budget for a target delta in closed form.
+one row or from the screen wherever they settle it: a windowed scan first
+sums the candidate that maximized the last scan at the same (eps, k), and
+any candidate's value above the target shows that the optimum is too.  At
+a fixed offset the sum is piecewise linear in e^(eps_g), so
+``fixed_t_inverse`` gives the budget for a target delta in closed form.
 
 The heterogeneous fixed-t value and the optimal composition of plain
 eps_i-DP mechanisms are one sum over per-group counts of equal (eps, t)
@@ -101,6 +103,25 @@ def _log_choose(n, i):
 def _log_binom(k: int) -> np.ndarray:
     """log C(k, i) for i = 0..k."""
     return _log_choose(k, np.arange(k + 1))
+
+
+# (k, log C(k, i)) at the latest windowed size, replaced whole: a budget
+# bisection scans one k some 30 times in a row, and forming the row took
+# 9-11 us at k = 783 and 31-58 us at k = 10^4.  One entry holds k + 1 floats
+# (0.8 MB at k = 10^5)
+_latest_log_binom: tuple[int, np.ndarray] | None = None
+
+
+def _windowed_log_binom(k: int) -> np.ndarray:
+    """``_log_binom(k)``, read-only, from the one-entry memo that ``_windows``
+    and the uncached ``_form_row_consts`` share."""
+    global _latest_log_binom
+    memo = _latest_log_binom
+    if memo is None or memo[0] != k:
+        lbin = _log_binom(k)
+        lbin.flags.writeable = False
+        memo = _latest_log_binom = (k, lbin)
+    return memo[1]
 
 
 def _validate_hom(eps: float, k: int) -> None:
@@ -292,7 +313,8 @@ def _form_row_consts(eps, k) -> _RowConsts:
     n = np.arange(k + 2, dtype=float)
     n_eps = n * eps   # past the float range a term's i eps is inf, and its bracket dropped
     i = n[:-1]
-    consts = _RowConsts(i, k - i, n_eps[:-1], _log_binom(k), n_eps[1:], np.expm1(-eps))
+    lbin = _log_binom(k) if k <= _ROW_CONSTS_K_MAX else _windowed_log_binom(k)
+    consts = _RowConsts(i, k - i, n_eps[:-1], lbin, n_eps[1:], np.expm1(-eps))
     for a in consts[:-1]:
         a.flags.writeable = False
     return consts
@@ -377,7 +399,7 @@ def _windows(eps, k, eps_g, t, lp, lomp) -> _Windows:
     lq, l1mq = t + lp, (t - eps) + lomp
     centre = np.minimum(np.floor((k + 1) * np.exp(l1mq)).astype(np.int64), m)
     return _Windows(t, lp, lomp, lq, l1mq, m, centre, np.sqrt(k * np.exp(lq + l1mq)),
-                    _log_binom(k))
+                    _windowed_log_binom(k))
 
 
 def _window_sums(eps, k, eps_g, win: _Windows, sds, tail_log2, keep=None) -> FixedTSums:
@@ -538,12 +560,14 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float, *,
 
     A ``target`` asks only whether delta exceeds it, as a budget bisection
     does.  The scan then returns as soon as the comparison is certain: when
-    the endpoint value exceeds the target, or when a windowed scan's screen
-    settles it (see ``_scan_values``).  Such a result is a certified bound
-    on delta, lower where delta exceeds the target and upper where it does
-    not; it is above the target exactly when delta is, and names no
-    maximizer (t is nan).  Otherwise the result is the one without a target,
-    bit for bit.
+    the endpoint value exceeds the target; in a windowed scan, when the
+    value of the candidate that maximized the last scan at this (eps, k)
+    exceeds it (``_probe``); or when the screen settles it (see
+    ``_scan_values``).  Such a result is a certified bound on delta, lower
+    where delta exceeds the target and upper where it does not; it is above
+    the target exactly when delta is, and names no maximizer (t is nan).
+    Otherwise the result is the one without a target, bit for bit.  Which
+    candidate is probed changes how fast a step returns, never its answer.
     """
     _validate_hom(eps, k)
     _validate_budget(eps_g)
@@ -563,11 +587,12 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float, *,
     t /= k + 1
     # the offsets rise by eps/(k+1), far above their rounding, so those
     # inside (0, eps) are already sorted and distinct: one slice
-    t = t[t.searchsorted(0.0, "right"):t.searchsorted(eps)]
+    first = int(t.searchsorted(0.0, "right"))   # the ell of the first offset kept
+    t = t[first:t.searchsorted(eps)]
     if t.size == 0:
         return OptResult(endpoint_value, 0.0, [])
-    values = _scan_values(eps, k, eps_g, t, target)
-    if values.ndim == 0:   # a bound settled by the screen
+    values = _scan_values(eps, k, eps_g, t, target, first)
+    if values.ndim == 0:   # a bound settled by a probe or the screen
         return OptResult(min(max(float(values), endpoint_value), 1.0), math.nan, [])
     best = float(values.max())
     if best <= endpoint_value:
@@ -576,11 +601,18 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float, *,
     return OptResult(min(best, 1.0), winners[0], winners)
 
 
+# (eps, k, ell): the candidate that maximized the latest windowed scan to reach
+# its screen, replaced whole at each such scan.  A stale or missing entry costs
+# a targeted scan only its probe
+_last_maximizer: tuple[float, int, int] | None = None
+
+
 def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray,
-                 target: float | None = None) -> np.ndarray:
+                 target: float | None, first: int) -> np.ndarray:
     """``fixed_t_sums(eps, k, eps_g, t).values`` at every candidate offset t
     that can be within TIE_RTOL of their maximum, and 0 at the others; or,
-    given a ``target`` that the screen settles, a 0-d bound (``_settled``).
+    given a ``target`` that a probe or the screen settles, a 0-d bound
+    (``_settled``).  ``first`` is the ell of the candidate t[0].
 
     Small scans sum whole rows.  A windowed scan first screens every row
     over windows of ``SCREEN_SDS`` standard deviations, in one pass that
@@ -594,18 +626,45 @@ def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray,
     alone, so each gets the bits that scanning every row would give it: the
     maximum and the tied set are the one-stage scan's.  The same bounds
     can settle how the maximum compares with a ``target``, and then the
-    second stage is skipped.
+    second stage is skipped.  Before the screen, a targeted scan sums one
+    row, the candidate of the last maximizer at (eps, k) (``_probe``): a
+    value above the target settles the scan at once.  Every windowed scan
+    that reaches the screen records its maximizer for the next probe.
     """
+    global _last_maximizer
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if not _windowed(k, t.size):
             c = _row_consts(eps, k)
             return _row_sums(k, eps_g, t, *_stable_logs(eps, t, c.em1), c).values
+        bound = None if target is None else _probe(eps, k, eps_g, t, first, target)
+        if bound is not None:
+            return bound
         win = _windows(eps, k, eps_g, t, *_stable_logs(eps, t))
         v, w, _ = _window_sums(eps, k, eps_g, win, SCREEN_SDS, math.inf)
         bound = None if target is None else _settled(v, w, target)
         if bound is not None:
+            _last_maximizer = (eps, k, first + int(v.argmax()))
             return bound
-        return _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2, _in_play(v, w)).values
+        values = _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2, _in_play(v, w)).values
+        # the first of the tied maximizers, as delta_opt_nonadaptive_hom reports them
+        tied = values >= values.max() * (1.0 - TIE_RTOL)
+        _last_maximizer = (eps, k, first + int(tied.argmax()))
+        return values
+
+
+def _probe(eps: float, k: int, eps_g: float, t: np.ndarray, first: int,
+           target: float) -> np.ndarray | None:
+    """A lower bound above ``target`` on the largest value at the offsets t,
+    whose first is candidate ``first``: the full-setting sum of the row that
+    ``_last_maximizer`` names for (eps, k), less ``SCREEN_MARGIN``.  The
+    candidate is feasible, so its value bounds the maximum from below, as
+    in ``_settled``.  None where the memo names no row of t, or where the
+    bound does not exceed the target."""
+    memo = _last_maximizer
+    if memo is None or memo[:2] != (eps, k) or not 0 <= memo[2] - first < t.size:
+        return None
+    low = fixed_t_sums(eps, k, eps_g, t[memo[2] - first]).values * (1.0 - SCREEN_MARGIN)
+    return low if low > target else None
 
 
 def _settled(v: np.ndarray, w: np.ndarray, target: float) -> np.ndarray | None:
@@ -613,7 +672,10 @@ def _settled(v: np.ndarray, w: np.ndarray, target: float) -> np.ndarray | None:
     ``target`` as that value, from the screened sums v and their omitted
     mass w; None where the screen cannot tell.  Each full value is at least
     v (1 - margin) and at most (v + w)(1 + margin), the bounds ``_in_play``
-    rests on; a nan never settles."""
+    rests on; a nan never settles.  ``_probe`` settles on the same lower
+    bound from one row summed at the full settings: that sum differs from
+    the row's full-stage sum only by rounding and, summed whole, by the
+    certified mass below 2^TAIL_LOG2 of it that the window leaves out."""
     low = v.max() * (1.0 - SCREEN_MARGIN)
     if low > target:
         return low

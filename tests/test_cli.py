@@ -338,13 +338,21 @@ class TestBudgetLattice:
         method_epsilon("br-optcomp", [0.1] * 5, 1e-6)
         assert len(calls) == 32
 
-    @pytest.mark.parametrize("k", [140, 141, 150, 151])
-    @pytest.mark.parametrize("eps,delta_g", [(0.01, 1e-6), (0.3, 1e-3)])
+    @pytest.mark.parametrize("eps,delta_g,k", [
+        *[(eps, delta_g, k) for eps, delta_g in [(0.01, 1e-6), (0.3, 1e-3)]
+          for k in (140, 141, 150, 151)],
+        # the br-optcomp budgets of perfbench's seed-0 large-k batch
+        pytest.param(0.0018346359799883717, 7.338195220043259e-06, 256, id="large-k-256"),
+        pytest.param(0.05860183814522001, 3.713554841240882e-08, 445, id="large-k-445"),
+        pytest.param(0.006320696739302674, 5.031145762475223e-07, 783, id="large-k-783")])
     def test_probe_keeps_budgets_at_the_window_boundary(self, monkeypatch, k, eps, delta_g):
         # the scan windows its rows from k = 141 and caches its constants up
         # to k = 150.  Bisecting on exact values, with no target, gives the
-        # same budget and path with the same evaluations
+        # same budget and path with the same evaluations.  The memo of the
+        # last maximizer starts empty, as in a fresh process
         import brcomp.cli as cli
+        from brcomp import nonadaptive
+        monkeypatch.setattr(nonadaptive, "_last_maximizer", None)
         real, settled, calls = cli.delta_opt_nonadaptive_hom, [], []
 
         def probed(*args, **kw):
@@ -488,6 +496,43 @@ class TestBadInput:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "must be finite" in err
+
+    # every float flag of every command: the other arguments, the flag, and
+    # the refusal of a non-finite value
+    FLOAT_FLAGS = [
+        (["delta", "--k", "3", "--eps-g", "0.1", "--method", "mgf"], "--eps",
+         "--eps must be finite"),
+        (["delta", "--eps", "0.1", "--k", "3", "--method", "mgf"], "--eps-g",
+         "--eps-g must be finite"),
+        (["delta", "--eps", "0.1", "--k", "3", "--eps-g", "0.1", "--method", "mgf"],
+         "--lambda-max", "lambda_max must be positive and finite"),
+        (["epsilon", "--k", "3", "--delta-g", "1e-6", "--method", "mgf"], "--eps",
+         "--eps must be finite"),
+        (["epsilon", "--eps", "0.1", "--k", "3", "--method", "mgf"], "--delta-g",
+         "delta_g must lie in (0, 1)"),
+        (["epsilon", "--eps", "0.1", "--k", "3", "--delta-g", "1e-6", "--method", "mgf"],
+         "--lambda-max", "lambda_max must be positive and finite"),
+        (["curve", "--k-max", "2", "--delta-g", "1e-6", "--methods", "mgf"], "--eps",
+         "--eps must be finite"),
+        (["curve", "--eps", "0.1", "--k-max", "2", "--methods", "mgf"], "--delta-g",
+         "delta_g must lie in (0, 1)"),
+        (["curve", "--eps", "0.1", "--k-max", "2", "--delta-g", "1e-6", "--methods", "mgf"],
+         "--lambda-max", "lambda_max must be positive and finite"),
+        (["gap", "--k", "2", "--eps-g", "0.1"], "--eps", "--eps must be finite"),
+        (["gap", "--eps", "0.5", "--k", "2"], "--eps-g", "--eps-g must be finite"),
+    ]
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan", "-NaN"])
+    @pytest.mark.parametrize("argv,flag,refusal", FLOAT_FLAGS,
+                             ids=[f"{argv[0]}{flag}" for argv, flag, _ in FLOAT_FLAGS])
+    def test_negative_non_finite_value_reaches_its_check(self, capsys, argv, flag, refusal,
+                                                          value):
+        # argparse read -inf and -nan as flags: exit 2, "expected one
+        # argument", where --flag=-inf got the value's own refusal
+        spaced = run_cli(capsys, *argv, flag, value)
+        assert spaced == run_cli(capsys, *argv, f"{flag}={value}")
+        code, out, err = spaced
+        assert (code, out) == (2, "") and refusal in err, err
 
     @pytest.mark.parametrize("eps, why", [("0", "nothing to compose"),
                                           ("-0.5", "must be finite and nonnegative")])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -195,7 +196,9 @@ class TestDeltaOpt:
         class Scanned(Exception):
             pass
 
-        def capture(eps, k, eps_g, t, target):
+        def capture(eps, k, eps_g, t, target, first):
+            # first is the index ell of the candidate t[0]
+            assert t[0] == (eps_g + (first + 1.0) * eps) / (k + 1), (eps, k, eps_g)
             raise Scanned(t)
         monkeypatch.setattr(nonadaptive, "_scan_values", capture)
 
@@ -776,13 +779,13 @@ class TestScreenedScan:
         assert terms[0] <= 0.35 * one_stage
 
 
-def _probe_draws(seed, n):
-    """n seeded ``_draw_case`` queries with k in [151, 10^4] whose candidate
+def _probe_draws(seed, n, k_min=151):
+    """n seeded ``_draw_case`` queries with k in [k_min, 10^4] whose candidate
     scan is windowed and whose delta lies in (0, 1), with that optimum."""
     rng, out = np.random.default_rng(seed), []
     while len(out) < n:
         eps, k, eps_g = _draw_case(rng)
-        if k >= 151 and nonadaptive._windowed(k, _candidate_offsets(eps, k, eps_g).size):
+        if k >= k_min and nonadaptive._windowed(k, _candidate_offsets(eps, k, eps_g).size):
             exact = delta_opt_nonadaptive_hom(eps, k, eps_g)
             if 0.0 < exact.delta < 1.0:
                 out.append((eps, k, eps_g, exact))
@@ -793,33 +796,82 @@ def _hexes(res):
     return res.delta.hex(), res.t.hex(), [x.hex() for x in res.maximizers]
 
 
-class TestTargetProbe:
-    """Given a target, the scan stops once its screen settles whether delta
-    exceeds it; a settled result must compare with the target as delta does."""
+def _check_targeted(res, exact, target, case) -> bool:
+    """Whether a targeted result is settled, after checking it against the
+    untargeted one: a settled result lies on delta's side of the target (a
+    lower bound above it, an upper one below it) and names no maximizer; an
+    unsettled one is the untargeted result bit for bit."""
+    if not math.isnan(res.t):
+        assert _hexes(res) == _hexes(exact), case
+        return False
+    assert res.maximizers == [], case
+    assert (res.delta > target) == (exact.delta > target), case
+    if res.delta > target:
+        assert res.delta <= exact.delta, case
+    else:
+        assert res.delta >= exact.delta, case
+    return True
 
-    def test_settled_results_lie_on_the_side_of_delta(self):
+
+def _ell_of(eps, k, eps_g, t):
+    """The candidate index ell of the offset t that the scan formed."""
+    return int(np.flatnonzero((eps_g + np.arange(1.0, k + 2) * eps) / (k + 1) == t)[0])
+
+
+class TestTargetProbe:
+    """Given a target, the scan stops once a probe of the last maximizer or
+    its screen settles whether delta exceeds it; a settled result must
+    compare with the target as delta does."""
+
+    TARGET_STEPS = [sign * 10.0 ** u for u in range(-13, 0) for sign in (-1.0, 1.0)]
+
+    def test_settled_results_lie_on_the_side_of_delta(self, monkeypatch):
         # targets at delta (1 +- 10^u): the screen's bounds cannot resolve the
         # closest ones, so both outcomes occur
+        monkeypatch.setattr(nonadaptive, "_last_maximizer", None)
         settled = unsettled = 0
         for eps, k, eps_g, exact in _probe_draws(215, 10):
-            for u in range(-13, 0):
-                for sign in (-1.0, 1.0):
-                    target = exact.delta * (1.0 + sign * 10.0 ** u)
-                    res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=target)
-                    case = (eps, k, eps_g, target)
-                    if math.isnan(res.t):
-                        assert res.maximizers == [], case
-                        assert (res.delta > target) == (exact.delta > target), case
-                        # a lower bound above the target, an upper one below it
-                        if res.delta > target:
-                            assert res.delta <= exact.delta, case
-                        else:
-                            assert res.delta >= exact.delta, case
-                        settled += 1
-                    else:
-                        assert _hexes(res) == _hexes(exact), case
-                        unsettled += 1
+            for step in self.TARGET_STEPS:
+                target = exact.delta * (1.0 + step)
+                res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=target)
+                if _check_targeted(res, exact, target, (eps, k, eps_g, target)):
+                    settled += 1
+                else:
+                    unsettled += 1
         assert settled > 30 and unsettled > 30
+
+    def test_probe_settles_on_the_side_of_delta_whatever_the_memo(self, monkeypatch):
+        # the memo names the true maximizer, a neighbour, a candidate outside
+        # the interior offsets, or nothing; the probe may only settle a scan
+        # whose delta is above the target, by a lower bound
+        stages = []
+        inner = nonadaptive._window_sums
+
+        def counted(*args):
+            stages.append(args[4])
+            return inner(*args)
+        monkeypatch.setattr(nonadaptive, "_window_sums", counted)
+        probed = Counter()
+        for eps, k, eps_g, exact in _probe_draws(216, 10, k_min=141):
+            ell = _ell_of(eps, k, eps_g, exact.t)
+            first = int(np.searchsorted((eps_g + np.arange(1.0, k + 2) * eps) / (k + 1), 0.0,
+                                        "right"))
+            memos = {"maximizer": (eps, k, ell),
+                     "neighbour": (eps, k, ell + 1 if ell < k else ell - 1),
+                     "outside": (eps, k, first - 1 if first > 0 else k + 1), "none": None}
+            for state, memo in memos.items():
+                for step in self.TARGET_STEPS:
+                    target = exact.delta * (1.0 + step)
+                    monkeypatch.setattr(nonadaptive, "_last_maximizer", memo)
+                    stages.clear()
+                    res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=target)
+                    case = (eps, k, eps_g, target, state)
+                    settled = _check_targeted(res, exact, target, case)
+                    # settled with no screen: by the probe, above the target
+                    if nonadaptive.SCREEN_SDS not in stages:
+                        assert settled and res.delta > target, case
+                        probed[state] += 1
+        assert probed["maximizer"] > 50 and probed["outside"] == probed["none"] == 0
 
     @pytest.mark.parametrize("eps,k,eps_g", [(0.5, 3, -0.2), (0.1, 40, -0.3), (0.02, 300, -1.0)])
     def test_endpoint_settles_every_scan(self, eps, k, eps_g):
@@ -842,13 +894,44 @@ class TestTargetProbe:
             return inner(*args)
         monkeypatch.setattr(nonadaptive, "_window_sums", counted)
         eps, k, eps_g = 0.006320696739302674, 783, 0.3616889603435993
-        delta = delta_opt_nonadaptive_hom(eps, k, eps_g).delta
-        for target, want in [(delta * 2.0, [nonadaptive.SCREEN_SDS]),
-                             (delta / 2.0, [nonadaptive.SCREEN_SDS]),
-                             (delta, [nonadaptive.SCREEN_SDS, nonadaptive.WINDOW_SDS])]:
-            stages.clear()
-            delta_opt_nonadaptive_hom(eps, k, eps_g, target=target)
-            assert stages == want, target
+        exact = delta_opt_nonadaptive_hom(eps, k, eps_g)
+        delta, hint = exact.delta, (eps, k, _ell_of(eps, k, eps_g, exact.t))
+        screen, full = [nonadaptive.SCREEN_SDS], [nonadaptive.SCREEN_SDS, nonadaptive.WINDOW_SDS]
+        # with no memo, and with the maximizer memoized: a probe of it settles
+        # a delta above the target with no stage (k = 783 probes a whole row)
+        for memo, cases in [(None, [(delta * 2.0, screen), (delta / 2.0, screen), (delta, full)]),
+                            (hint, [(delta * 2.0, screen), (delta / 2.0, []), (delta, full)])]:
+            for target, want in cases:
+                monkeypatch.setattr(nonadaptive, "_last_maximizer", memo)
+                stages.clear()
+                delta_opt_nonadaptive_hom(eps, k, eps_g, target=target)
+                assert stages == want, (memo, target)
+
+    def test_scans_memoize_their_first_maximizer(self, monkeypatch):
+        # a full stage memoizes its first maximizer, a settled screen its
+        # largest screened sum, a probe nothing new; a whole-row scan nothing
+        eps, k, eps_g = TIED
+        monkeypatch.setattr(nonadaptive, "_last_maximizer", None)
+        exact = delta_opt_nonadaptive_hom(eps, k, eps_g)
+        assert len(exact.maximizers) == 2
+        tied = (eps, k, _ell_of(eps, k, eps_g, exact.t))
+        assert nonadaptive._last_maximizer == tied
+        t = _candidate_offsets(eps, k, eps_g)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            win = nonadaptive._windows(eps, k, eps_g, t, *_stable_logs(eps, t))
+            screened = nonadaptive._window_sums(eps, k, eps_g, win, nonadaptive.SCREEN_SDS,
+                                                math.inf).values
+        top = (eps, k, _ell_of(eps, k, eps_g, t[screened.argmax()]))
+        assert top != tied   # the screen's narrow windows break the tie
+        monkeypatch.setattr(nonadaptive, "_last_maximizer", None)
+        res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=exact.delta * 2.0)
+        assert math.isnan(res.t) and nonadaptive._last_maximizer == top
+        monkeypatch.setattr(nonadaptive, "_last_maximizer", tied)
+        res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=exact.delta / 2.0)
+        assert math.isnan(res.t) and nonadaptive._last_maximizer == tied
+        delta_opt_nonadaptive_hom(0.1, 40, 0.3)
+        delta_opt_nonadaptive_hom(0.1, 40, 0.3, target=1e-9)
+        assert nonadaptive._last_maximizer == tied
 
 
 class TestLargeKPinned:
