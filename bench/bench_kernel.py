@@ -21,11 +21,13 @@ of a scan):
   screen), and delta and t as float.hex;
 - ``method_epsilon("br-optcomp", ...)`` at the three br-optcomp epsilon
   inputs of the same batch (k = 256, 445 and 783): time, the
-  ``method_delta`` evaluations, the rows probed (``fixed_t_sums`` calls,
-  which the bisection makes only to probe the last maximizer), the steps a
-  probe settled (``_probe`` results; 0 in a tree without it), the full
-  stages of their scans (``_in_play`` calls, one per scan that sums its
-  rows in play) and the budget as float.hex;
+  ``method_delta`` evaluations, the candidate scans
+  (``delta_opt_nonadaptive_hom`` calls, through ``cli`` or within
+  ``nonadaptive``, as a budget seed makes them), the single-offset rows
+  (``fixed_t_sums`` calls, which only a seed's roots or a probe of the last
+  maximizer make), the full stages of the scans (``_in_play`` calls, one
+  per scan that sums its rows in play), the path and the budget as
+  float.hex;
 - ``delta_opt_nonadaptive_hom(0.01, k, 1.5)`` at k = 10^4 and 10^5: time,
   the ``tracemalloc`` peak of one more call, its terms and rows per stage,
   and the value as float.hex;
@@ -207,24 +209,23 @@ def _br_optcomp_budget() -> list[dict]:
 
     counts = {}
 
-    def count(module, name, field, counts_call=lambda res: True):
+    def count(module, name, field):
         inner = getattr(module, name)
 
         def counted(*args, **kw):
-            res = inner(*args, **kw)
-            counts[field] += bool(counts_call(res))
-            return res
+            counts[field] += 1
+            return inner(*args, **kw)
         setattr(module, name, counted)
     count(cli, "method_delta", "method_delta_calls")
-    # the bisection sums a row by itself only to probe it
-    count(nonadaptive, "fixed_t_sums", "probes")
-    if hasattr(nonadaptive, "_probe"):   # trees before the probe record 0
-        count(nonadaptive, "_probe", "probe_settled", lambda res: res is not None)
+    # method_delta scans through cli's name for the kernel, a seed through nonadaptive's
+    count(cli, "delta_opt_nonadaptive_hom", "scans")
+    count(nonadaptive, "delta_opt_nonadaptive_hom", "scans")
+    count(nonadaptive, "fixed_t_sums", "rows")
     # one call in each scan that sums its rows in play
     count(nonadaptive, "_in_play", "full_stages")
     out = []
     for eps, k, delta_g in BUDGET_CASES:
-        counts.update(method_delta_calls=0, probes=0, probe_settled=0, full_stages=0)
+        counts.update(method_delta_calls=0, scans=0, rows=0, full_stages=0)
         budget, meta = cli.method_epsilon("br-optcomp", [eps] * k, delta_g)
         out.append({"eps": eps, "k": k, "delta_g": delta_g, "budget": budget.hex(),
                     "path": meta["path"], **counts,

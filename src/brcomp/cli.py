@@ -4,10 +4,8 @@ certificates, and the validation suite.
 Each query builds its ``Rounds`` once.  An ``epsilon`` answer with no
 closed form is the smallest point of a fixed budget lattice at which the
 method's own delta is at most delta_g, checked there and one step below
-(``_bisect_epsilon``).  Each step asks only whether delta exceeds delta_g
-(``method_delta``'s ``target``), so an equal-eps ``br-optcomp`` step can
-stop at the one candidate it probes first or at its candidate scan's
-screen.
+(``_bisect_epsilon``).  Where a closed form or a seed estimates the
+crossing, the lattice search only confirms it (path ``closed-form``).
 
 Exit codes: 0 success, 2 domain error (bad arguments, unreachable target),
 3 size/depth-cap refusal, 4 unwritable output path.  Stdout carries data
@@ -29,7 +27,7 @@ from . import bounds, validation
 from .adaptive import (AdaptiveSolverConfig, adaptive_edge_high, adaptive_edge_low,
                        delta_adaptive_lb, gap_certificate)
 from .errors import CapError, UnreachableTargetError
-from .nonadaptive import (TIE_RTOL, _validate_budget, delta_het_fixed_t,
+from .nonadaptive import (TIE_RTOL, _validate_budget, budget_seed, delta_het_fixed_t,
                           delta_opt_nonadaptive_hom, dp_optcomp_het, dp_optcomp_hom,
                           fixed_t_inverse)
 from .optim import budget_step, lattice_search
@@ -67,13 +65,9 @@ def method_delta(method: str, eps_list, eps_g: float,
 
     ``eps_list`` is a ``Rounds`` or anything ``Rounds.of`` accepts.  ``cfg``
     configures ``adaptive-lb`` and ``search`` the bounds' lambda window.
-    A ``target`` says that only whether the loss exceeds it is asked, as in
-    a budget bisection.  The value is then above the target exactly when
-    the loss is, but may be a certified bound on it, and metadata that costs
-    extra evaluations is skipped: equal-eps ``br-optcomp`` stops its scan
-    once the comparison is certain (``delta_opt_nonadaptive_hom``: at a
-    probe of the last maximizer or at the screen), and skips its comparison
-    with half-DP.  Every other method ignores it.
+    A ``target`` says that the value is only compared with it, as in a
+    budget bisection: equal-eps ``br-optcomp`` then skips its comparison
+    with half-DP, which costs an evaluation.  The value does not change.
     """
     rounds = Rounds.of(eps_list)
     if method == "basic":
@@ -101,7 +95,7 @@ def method_delta(method: str, eps_list, eps_g: float,
         return dp_optcomp_het(rounds.halved() if half else rounds, eps_g), {"form": "subset-sum"}
     if method == "br-optcomp":
         if rounds.equal_eps:
-            res = delta_opt_nonadaptive_hom(eps0, k, eps_g, target=target)
+            res = delta_opt_nonadaptive_hom(eps0, k, eps_g)
             meta = {"t": res.t}
             if target is None and math.isclose(res.delta, dp_optcomp_hom(eps0 / 2.0, k, eps_g),
                                                rel_tol=TIE_RTOL):
@@ -155,16 +149,17 @@ def _bisect_epsilon(method: str, rounds: Rounds, delta_g: float, cfg: AdaptiveSo
     (``optim.budget_step``, 2^-30 below a summed eps of 2^20) at which its
     own delta is <= delta_g, confirmed there and one step below.
 
-    Equal-eps ``dp-optcomp`` and ``dp-optcomp-half`` seed the search with
-    the closed form ``fixed_t_inverse`` at the midpoint offset (path
-    ``closed-form``); the other methods bisect the lattice over
-    [-sum eps, sum eps].  Where delta is nonincreasing on the lattice the
-    answer does not depend on the path.  The methods share the lattice for
-    given rounds, so a pointwise delta ordering between two such
-    methods (half-DP <= br-optcomp <= DP) carries over to their budgets.
-    Were the lower delta's budget x above the other's, then at x - step,
-    at or above the other's budget, the other delta would be <= delta_g
-    (it is nonincreasing) yet at least the lower one, which exceeds delta_g.
+    Equal-eps ``dp-optcomp``, ``dp-optcomp-half`` and, where its scan
+    windows the rows, ``br-optcomp`` seed the search (``_closed_form_budget``),
+    which confirms the seed with two evaluations (path ``closed-form``); the
+    others bisect the lattice over [-sum eps, sum eps].  Where delta is
+    nonincreasing on the lattice the answer does not depend on the path.
+    The methods share the lattice for given rounds, so a pointwise delta
+    ordering between two such methods (half-DP <= br-optcomp <= DP) carries
+    over to their budgets.  Were the lower delta's budget x above the
+    other's, then at x - step, at or above the other's budget, the other
+    delta would be <= delta_g (it is nonincreasing) yet at least the lower
+    one, which exceeds delta_g.
     """
     # rounded to nearest, not up: the bracket certifies nothing, and it fixes the search path
     try:
@@ -179,8 +174,6 @@ def _bisect_epsilon(method: str, rounds: Rounds, delta_g: float, cfg: AdaptiveSo
     def delta(eps_g: float) -> float:
         return method_delta(method, rounds, eps_g, cfg, search, target=delta_g)[0]
 
-    # exact even with a target: at -span = -k eps the optimum, 1 - e^-span,
-    # is returned before any scan
     d_lo = delta(-span)
     if delta_g > d_lo:
         raise UnreachableTargetError(
@@ -192,12 +185,16 @@ def _bisect_epsilon(method: str, rounds: Rounds, delta_g: float, cfg: AdaptiveSo
 
 
 def _closed_form_budget(method: str, rounds: Rounds, delta_g: float) -> float | None:
-    """The DP baselines' budget at equal eps: their loss is the fixed-offset
-    sum at the midpoint, which ``fixed_t_inverse`` inverts.  None otherwise."""
-    if method not in ("dp-optcomp", "dp-optcomp-half") or not rounds.equal_eps:
+    """An estimate of the budget at equal eps: ``budget_seed``'s for
+    ``br-optcomp`` (None at small k), and for the DP baselines the closed
+    form ``fixed_t_inverse`` of their loss, the sum at the midpoint offset."""
+    if not rounds.equal_eps or method not in ("br-optcomp", "dp-optcomp", "dp-optcomp-half"):
         return None
-    e = rounds.values[0] if method == "dp-optcomp" else rounds.values[0] / 2.0
-    return fixed_t_inverse(2.0 * e, rounds.k, e, delta_g)
+    e, k = rounds.values[0], rounds.k
+    if method == "br-optcomp":
+        return budget_seed(e, k, delta_g)
+    e = e if method == "dp-optcomp" else e / 2.0
+    return fixed_t_inverse(2.0 * e, k, e, delta_g)
 
 
 def curve_rows(methods, eps: float, k_max: int, delta_g: float,

@@ -21,13 +21,10 @@ O(k^1.5) instead of O(k^2); for k up to about 150 a window would span the
 whole row, and whole rows are summed.  The scan first screens the
 candidates with narrower windows, whose sums plus certified omitted mass
 bound each value from above, and sums in full only those that can be
-within TIE_RTOL of the maximum.  A caller that asks only whether the
-optimum exceeds a target, as a budget bisection does, gets its answer from
-one row or from the screen wherever they settle it: a windowed scan first
-sums the candidate that maximized the last scan at the same (eps, k), and
-any candidate's value above the target shows that the optimum is too.  At
-a fixed offset the sum is piecewise linear in e^(eps_g), so
-``fixed_t_inverse`` gives the budget for a target delta in closed form.
+within TIE_RTOL of the maximum.  At a fixed offset the sum is piecewise
+linear in e^(eps_g), so ``fixed_t_inverse`` gives the budget for a target
+delta in closed form; ``budget_seed`` finds the optimum's from a few scans,
+following each maximizer's offset as it moves with the budget.
 
 The heterogeneous fixed-t value and the optimal composition of plain
 eps_i-DP mechanisms are one sum over per-group counts of equal (eps, t)
@@ -105,10 +102,9 @@ def _log_binom(k: int) -> np.ndarray:
     return _log_choose(k, np.arange(k + 1))
 
 
-# (k, log C(k, i)) at the latest windowed size, replaced whole: a budget
-# bisection scans one k some 30 times in a row, and forming the row took
-# 9-11 us at k = 783 and 31-58 us at k = 10^4.  One entry holds k + 1 floats
-# (0.8 MB at k = 10^5)
+# (k, log C(k, i)) at the latest windowed size, replaced whole: a budget seed
+# or a dp-optcomp budget evaluates one k 5-30 times, and forming the row took
+# 7 us at k = 783 and 1.2 ms at k = 10^5, where it holds 0.8 MB
 _latest_log_binom: tuple[int, np.ndarray] | None = None
 
 
@@ -544,8 +540,7 @@ class OptResult(NamedTuple):
     maximizers: list[float]   # all candidate offsets within TIE_RTOL of the max
 
 
-def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float, *,
-                              target: float | None = None) -> OptResult:
+def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
     """Optimal nonadaptive composition for k equal-parameter BR mechanisms.
 
     Maximizes ``delta_hom_fixed_t`` over the candidate offsets (plus the
@@ -557,17 +552,6 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float, *,
     to about 150, where a window spans the row).  Refused (``CapError``)
     where (k + 1) eps, the largest candidate's numerator, is past the float
     range: a candidate lost to it would leave the maximizers untrue.
-
-    A ``target`` asks only whether delta exceeds it, as a budget bisection
-    does.  The scan then returns as soon as the comparison is certain: when
-    the endpoint value exceeds the target; in a windowed scan, when the
-    value of the candidate that maximized the last scan at this (eps, k)
-    exceeds it (``_probe``); or when the screen settles it (see
-    ``_scan_values``).  Such a result is a certified bound on delta, lower
-    where delta exceeds the target and upper where it does not; it is above
-    the target exactly when delta is, and names no maximizer (t is nan).
-    Otherwise the result is the one without a target, bit for bit.  Which
-    candidate is probed changes how fast a step returns, never its answer.
     """
     _validate_hom(eps, k)
     _validate_budget(eps_g)
@@ -577,8 +561,6 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float, *,
         return OptResult(-math.expm1(eps_g), 0.0, [])
     _check_numerators(eps, k)
     endpoint_value = _endpoint_value(eps_g)
-    if target is not None and endpoint_value > target:
-        return OptResult(endpoint_value, math.nan, [])
 
     # the numerators (ell + 1) eps come from the cache at the whole-row sizes;
     # a windowed scan reads no other constant, so it forms only these
@@ -587,13 +569,10 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float, *,
     t /= k + 1
     # the offsets rise by eps/(k+1), far above their rounding, so those
     # inside (0, eps) are already sorted and distinct: one slice
-    first = int(t.searchsorted(0.0, "right"))   # the ell of the first offset kept
-    t = t[first:t.searchsorted(eps)]
+    t = t[t.searchsorted(0.0, "right"):t.searchsorted(eps)]
     if t.size == 0:
         return OptResult(endpoint_value, 0.0, [])
-    values = _scan_values(eps, k, eps_g, t, target, first)
-    if values.ndim == 0:   # a bound settled by a probe or the screen
-        return OptResult(min(max(float(values), endpoint_value), 1.0), math.nan, [])
+    values = _scan_values(eps, k, eps_g, t)
     best = float(values.max())
     if best <= endpoint_value:
         return OptResult(endpoint_value, 0.0, [])
@@ -601,18 +580,9 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float, *,
     return OptResult(min(best, 1.0), winners[0], winners)
 
 
-# (eps, k, ell): the candidate that maximized the latest windowed scan to reach
-# its screen, replaced whole at each such scan.  A stale or missing entry costs
-# a targeted scan only its probe
-_last_maximizer: tuple[float, int, int] | None = None
-
-
-def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray,
-                 target: float | None, first: int) -> np.ndarray:
+def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray) -> np.ndarray:
     """``fixed_t_sums(eps, k, eps_g, t).values`` at every candidate offset t
-    that can be within TIE_RTOL of their maximum, and 0 at the others; or,
-    given a ``target`` that a probe or the screen settles, a 0-d bound
-    (``_settled``).  ``first`` is the ell of the candidate t[0].
+    that can be within TIE_RTOL of their maximum, and 0 at the others.
 
     Small scans sum whole rows.  A windowed scan first screens every row
     over windows of ``SCREEN_SDS`` standard deviations, in one pass that
@@ -624,69 +594,95 @@ def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray,
     the maximum; a loose bound just keeps its row.  The second stage sums
     the rows in play at the full settings, with widths fixed by the query
     alone, so each gets the bits that scanning every row would give it: the
-    maximum and the tied set are the one-stage scan's.  The same bounds
-    can settle how the maximum compares with a ``target``, and then the
-    second stage is skipped.  Before the screen, a targeted scan sums one
-    row, the candidate of the last maximizer at (eps, k) (``_probe``): a
-    value above the target settles the scan at once.  Every windowed scan
-    that reaches the screen records its maximizer for the next probe.
+    maximum and the tied set are the one-stage scan's.
     """
-    global _last_maximizer
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if not _windowed(k, t.size):
             c = _row_consts(eps, k)
             return _row_sums(k, eps_g, t, *_stable_logs(eps, t, c.em1), c).values
-        bound = None if target is None else _probe(eps, k, eps_g, t, first, target)
-        if bound is not None:
-            return bound
         win = _windows(eps, k, eps_g, t, *_stable_logs(eps, t))
         v, w, _ = _window_sums(eps, k, eps_g, win, SCREEN_SDS, math.inf)
-        bound = None if target is None else _settled(v, w, target)
-        if bound is not None:
-            _last_maximizer = (eps, k, first + int(v.argmax()))
-            return bound
-        values = _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2, _in_play(v, w)).values
-        # the first of the tied maximizers, as delta_opt_nonadaptive_hom reports them
-        tied = values >= values.max() * (1.0 - TIE_RTOL)
-        _last_maximizer = (eps, k, first + int(tied.argmax()))
-        return values
-
-
-def _probe(eps: float, k: int, eps_g: float, t: np.ndarray, first: int,
-           target: float) -> np.ndarray | None:
-    """A lower bound above ``target`` on the largest value at the offsets t,
-    whose first is candidate ``first``: the full-setting sum of the row that
-    ``_last_maximizer`` names for (eps, k), less ``SCREEN_MARGIN``.  The
-    candidate is feasible, so its value bounds the maximum from below, as
-    in ``_settled``.  None where the memo names no row of t, or where the
-    bound does not exceed the target."""
-    memo = _last_maximizer
-    if memo is None or memo[:2] != (eps, k) or not 0 <= memo[2] - first < t.size:
-        return None
-    low = fixed_t_sums(eps, k, eps_g, t[memo[2] - first]).values * (1.0 - SCREEN_MARGIN)
-    return low if low > target else None
-
-
-def _settled(v: np.ndarray, w: np.ndarray, target: float) -> np.ndarray | None:
-    """A bound on the largest full row value that lies on the same side of
-    ``target`` as that value, from the screened sums v and their omitted
-    mass w; None where the screen cannot tell.  Each full value is at least
-    v (1 - margin) and at most (v + w)(1 + margin), the bounds ``_in_play``
-    rests on; a nan never settles.  ``_probe`` settles on the same lower
-    bound from one row summed at the full settings: that sum differs from
-    the row's full-stage sum only by rounding and, summed whole, by the
-    certified mass below 2^TAIL_LOG2 of it that the window leaves out."""
-    low = v.max() * (1.0 - SCREEN_MARGIN)
-    if low > target:
-        return low
-    high = (v + w).max() * (1.0 + SCREEN_MARGIN)
-    return high if high < target else None
+        return _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2, _in_play(v, w)).values
 
 
 def _in_play(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The screened rows that can be within TIE_RTOL of the maximum:
     (v + w)(1 + margin) >= max v (1 - TIE_RTOL)(1 - margin)."""
     return (v + w) * (1.0 + SCREEN_MARGIN) >= v.max() * ((1.0 - TIE_RTOL) * (1.0 - SCREEN_MARGIN))
+
+
+def budget_seed(eps: float, k: int, delta_g: float) -> float | None:
+    """An estimate of the least x with ``delta_opt_nonadaptive_hom(eps, k,
+    x) <= delta_g``, for a lattice search to confirm; None where the scan
+    sums whole rows (k up to 140).  From the larger of two lower bounds, the
+    endpoints' budget log(1 - delta_g) and the half-DP one, x moves to the
+    budget of the scan's maximizer at x (``_candidate_root``), a strategy's
+    and so a lower bound too, until a scan shows delta_g met, names the
+    candidate just solved for (their sums differ by rounding only) or x
+    stops rising."""
+    if not _windowed(k, k + 1):
+        return None
+    half = fixed_t_inverse(eps, k, eps / 2.0, delta_g) if eps / 2.0 > 0.0 else -math.inf
+    x, solved = max(half, math.log1p(-delta_g)), None
+    while True:
+        res = delta_opt_nonadaptive_hom(eps, k, x)
+        if res.delta <= delta_g or not res.maximizers:   # below delta_g, or at an endpoint
+            return x
+        ell = round((res.t * (k + 1) - x) / eps) - 1
+        if ell == solved or not (root := _candidate_root(eps, k, ell, x, res.delta, delta_g)) > x:
+            return x
+        x, solved = root, ell
+
+
+def _candidate_root(eps: float, k: int, ell: int, x: float, value: float,
+                    delta_g: float) -> float:
+    """The least budget found above x at which candidate ell, its offset
+    (x + (ell + 1) eps)/(k + 1) moving with the budget, is worth at most
+    delta_g, within a few ulps of one where it is worth more (``value`` at
+    x).  On this path ``df_ell_dt`` vanishes, so the value falls as x rises,
+    with slope -e^x sum_{i<=ell} w_i, to 0 at x = end = (k - ell) eps, as
+    (end - x)^(k-ell+1) near it.  So y = log(value/delta_g) is searched over
+    z = log(end - x): a step of y/(k - ell + 1), then secants (at most 4
+    times the step before) until y <= 0, then Illinois false position,
+    bisecting in z while the lower end's value underflows to 0."""
+    c, end, log_dg = (ell + 1.0) * eps, (k - ell) * eps, math.log(delta_g)
+
+    def excess(x):
+        t = (x + c) / (k + 1)
+        v = fixed_t_sums(eps, k, x, t).values if t < eps else 0.0
+        return math.log(v) - log_dg if v > 0.0 else -math.inf
+
+    def toward_end(x, dz):   # the budget at z(x) + dz, exact near x = 0
+        return x - (end - x) * math.expm1(dz)
+
+    def dz(x0, x1):   # z(x1) - z(x0) for x0 < x1 < end, exact for x1 near x0 or near end
+        d, e = x1 - x0, end - x0
+        return math.log1p(-d / e) if d < 0.5 * e else math.log((end - x1) / e)
+
+    def tol(x):
+        return 8.0 * math.ulp(max(1.0, abs(x)))
+
+    xa, ya = x, math.log(value) - log_dg
+    step, last = -ya / (k - ell + 1), math.nextafter(end, -math.inf)
+    while True:
+        xb = min(max(toward_end(xa, step), xa + tol(xa)), last)
+        yb = excess(xb) if xb > xa else -math.inf
+        if not yb > 0.0:
+            break
+        span = dz(xa, xb)
+        step = max(yb * span / (ya - yb) if ya > yb else -math.inf, 4.0 * span)
+        xa, ya = xb, yb
+    side = 0
+    while xb - xa > 2.0 * tol(xb):
+        span = dz(xa, xb)
+        nx = toward_end(xa, 0.5 * span) if math.isinf(yb) else toward_end(xb, yb * span / (ya - yb))
+        nx = min(max(nx, xa + tol(xa)), xb - tol(xb))
+        y = excess(nx)
+        if y > 0.0:
+            xa, ya, yb, side = nx, y, yb * (0.5 if side > 0 else 1.0), 1
+        else:
+            xb, yb, ya, side = nx, y, ya * (0.5 if side < 0 else 1.0), -1
+    return xb
 
 
 # ---------------------------------------------------------------------------
@@ -845,17 +841,22 @@ def dp_optcomp_hom(eps_dp: float, k: int, eps_g: float) -> float:
 
     A fixed offset at the interval midpoint is exactly the DP worst case, so
     this is ``delta_hom_fixed_t`` with range 2*eps_dp and t = eps_dp.
+    Refused (``CapError``) where 2*eps_dp is past the float range.
     """
+    if 2.0 * eps_dp == math.inf and eps_dp < math.inf:
+        raise CapError(f"the range 2 eps at eps={eps_dp!r} is past the float range")
     return delta_hom_fixed_t(2.0 * eps_dp, k, eps_g, eps_dp)
 
 
 def dp_optcomp_het(eps_list: Sequence[float], eps_g: float) -> float:
     """Optimal composition of eps_i-DP mechanisms: as in ``dp_optcomp_hom``,
     the fixed-offset loss at ranges 2*eps_i and midpoint offsets eps_i, one
-    group per distinct eps_i of ``Rounds.of(eps_list)``."""
+    group per distinct eps_i of ``Rounds.of(eps_list)``, and refused like it."""
     rounds = Rounds.of(eps_list)
     if not rounds.values or min(rounds.values) == 0.0:   # a halved subnormal eps is 0
         raise ValueError("all eps must be positive")
+    if 2.0 * max(rounds.values) == math.inf:
+        raise CapError(f"the range 2 eps at eps={max(rounds.values)!r} is past the float range")
     return _grouped_sum({(2.0 * e, e): n for e, n in rounds.groups}, eps_g)
 
 

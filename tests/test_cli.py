@@ -309,25 +309,51 @@ class TestBudgetLattice:
         assert method_delta(method, [eps] * k, x)[0] <= delta_g
         assert method_delta(method, [eps] * k, x - self.STEP)[0] > delta_g
 
-    @pytest.mark.parametrize("method", ["dp-optcomp", "dp-optcomp-half"])
-    @pytest.mark.parametrize("eps,k", [(0.5, 1), (0.1, 40), (1.0, 2), (0.01, 10 ** 5),
-                                       (10.0, 100), (1.0, 1000), (3.0, 500)])
-    @pytest.mark.parametrize("delta_g", [1e-9, 1e-3])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(eps=st.floats(1e-3, 3.0), k=st.integers(141, 3000),
+           log_delta_g=st.floats(-12.0, -1.0))
+    def test_windowed_br_budget_is_on_the_safe_side(self, eps, k, log_delta_g):
+        # where the scan windows its rows the br-optcomp budget is seeded;
+        # the seed's lattice point must be the checked crossing
+        delta_g = 10.0 ** log_delta_g
+        x, meta = method_epsilon("br-optcomp", [eps] * k, delta_g)
+        assert meta == {"budget_step": self.STEP, "path": "closed-form"}
+        assert method_delta("br-optcomp", [eps] * k, x)[0] <= delta_g
+        assert method_delta("br-optcomp", [eps] * k, x - self.STEP)[0] > delta_g
+
+    @pytest.mark.parametrize("delta_g,eps,k,method", [
+        *[(delta_g, eps, k, method) for delta_g in (1e-9, 1e-3)
+          for eps, k in [(0.5, 1), (0.1, 40), (1.0, 2), (0.01, 10 ** 5), (10.0, 100),
+                         (1.0, 1000), (3.0, 500)]
+          for method in ("dp-optcomp", "dp-optcomp-half")],
+        # br-optcomp is seeded where its scan windows the rows, from k = 141
+        *[(delta_g, eps, k, "br-optcomp") for eps, delta_g in [(0.01, 1e-6), (0.3, 1e-3)]
+          for k in (140, 141, 150, 151, 1000)],
+        # the br-optcomp budgets of perfbench's seed-0 large-k batch
+        pytest.param(7.338195220043259e-06, 0.0018346359799883717, 256, "br-optcomp",
+                     id="large-k-256"),
+        pytest.param(3.713554841240882e-08, 0.05860183814522001, 445, "br-optcomp",
+                     id="large-k-445"),
+        pytest.param(5.031145762475223e-07, 0.006320696739302674, 783, "br-optcomp",
+                     id="large-k-783")])
     def test_seed_never_changes_the_answer(self, monkeypatch, method, eps, k, delta_g):
-        # the closed form only seeds the search: plain lattice bisection finds
-        # the same budget bit for bit, including k = 1e5 and k eps > 700
+        # the closed form or seed only starts the search: plain lattice
+        # bisection finds the same budget bit for bit, including k = 1e5 and
+        # k eps > 700
         import brcomp.cli as cli
         seeded, meta = method_epsilon(method, [eps] * k, delta_g)
-        assert meta["path"] == "closed-form"
+        assert meta["path"] == ("bisection" if method == "br-optcomp" and k <= 140
+                                else "closed-form")
         monkeypatch.setattr(cli, "_closed_form_budget", lambda *a: None)
         plain, meta = method_epsilon(method, [eps] * k, delta_g)
         assert meta["path"] == "bisection"
         assert seeded == plain
 
     def test_evaluations_per_budget(self, monkeypatch):
-        # a closed-form budget costs 3 kernel calls: the reachability check,
-        # the seed's lattice point and the one below; bisecting [-0.5, 0.5]
-        # on 2^30 lattice steps costs 32
+        # a closed-form or seeded budget costs 3 method calls: the
+        # reachability check, the seed's lattice point and the one below
+        # (the br-optcomp seed's own scans call the kernel directly);
+        # bisecting [-0.5, 0.5] on 2^30 lattice steps costs 32
         import brcomp.cli as cli
         calls = []
         real = cli.method_delta
@@ -337,39 +363,9 @@ class TestBudgetLattice:
         calls.clear()
         method_epsilon("br-optcomp", [0.1] * 5, 1e-6)
         assert len(calls) == 32
-
-    @pytest.mark.parametrize("eps,delta_g,k", [
-        *[(eps, delta_g, k) for eps, delta_g in [(0.01, 1e-6), (0.3, 1e-3)]
-          for k in (140, 141, 150, 151)],
-        # the br-optcomp budgets of perfbench's seed-0 large-k batch
-        pytest.param(0.0018346359799883717, 7.338195220043259e-06, 256, id="large-k-256"),
-        pytest.param(0.05860183814522001, 3.713554841240882e-08, 445, id="large-k-445"),
-        pytest.param(0.006320696739302674, 5.031145762475223e-07, 783, id="large-k-783")])
-    def test_probe_keeps_budgets_at_the_window_boundary(self, monkeypatch, k, eps, delta_g):
-        # the scan windows its rows from k = 141 and caches its constants up
-        # to k = 150.  Bisecting on exact values, with no target, gives the
-        # same budget and path with the same evaluations.  The memo of the
-        # last maximizer starts empty, as in a fresh process
-        import brcomp.cli as cli
-        from brcomp import nonadaptive
-        monkeypatch.setattr(nonadaptive, "_last_maximizer", None)
-        real, settled, calls = cli.delta_opt_nonadaptive_hom, [], []
-
-        def probed(*args, **kw):
-            res = real(*args, **kw)
-            settled.append(math.isnan(res.t))
-            return res
-        monkeypatch.setattr(cli, "delta_opt_nonadaptive_hom", probed)
-        want = method_epsilon("br-optcomp", [eps] * k, delta_g)
-
-        def exact(eps, k, eps_g, target):
-            calls.append(target)
-            return real(eps, k, eps_g)
-        monkeypatch.setattr(cli, "delta_opt_nonadaptive_hom", exact)
-        assert method_epsilon("br-optcomp", [eps] * k, delta_g) == want
-        assert len(calls) == len(settled) and set(calls) == {delta_g}
-        if k >= 141:
-            assert sum(settled) > len(settled) // 2
+        calls.clear()
+        method_epsilon("br-optcomp", [0.1] * 141, 1e-6)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("seed", [None, 0.3, 0.3 + 2.0 ** -30, 0.3 - 2.0 ** -30, -5.0,
                                       50.0, math.inf, -math.inf, math.nan])
@@ -630,6 +626,9 @@ class TestNearFloatMax:
         ["delta", "--eps", "1e308", "--k", "2", "--eps-g", "-5", "--method", "adaptive-lb"],
         # k t overflowed, and dp-optcomp printed 0
         ["delta", "--eps", "8e307", "--k", "3", "--eps-g", "-5", "--method", "dp-optcomp"],
+        # the range 2 eps overflowed, and a finite --eps was called not finite (exit 2)
+        ["delta", "--eps", "1e308", "--k", "1", "--eps-g", "0", "--method", "dp-optcomp"],
+        ["epsilon", "--eps", "1e308", "--k", "1", "--delta-g", "1e-6", "--method", "dp-optcomp"],
     ])
     def test_refused(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
@@ -638,6 +637,24 @@ class TestNearFloatMax:
         assert (code, out) == (3, "")
         assert "past the float range" in err
         assert caught == []
+
+    @pytest.mark.parametrize("argv", [["delta", "--eps-g", "0"], ["epsilon", "--delta-g", "1e-6"]])
+    def test_dp_range_past_float_range_refused(self, tmp_path, capsys, argv):
+        # the range 2 eps of the first entry overflowed: delta printed 0 (the
+        # true value is near 1, dp-optcomp-half prints 1) and epsilon called
+        # 0.0 the largest achievable value (exit 2)
+        f = tmp_path / "eps.txt"
+        f.write_text("1e308\n1.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv, "--eps-file", str(f), "--method",
+                                     "dp-optcomp")
+        assert (code, out) == (3, "")
+        assert "past the float range" in err
+        assert caught == []
+        code, out, _ = run_cli(capsys, "delta", "--eps-file", str(f), "--eps-g", "0",
+                               "--method", "dp-optcomp-half")
+        assert (code, float(out)) == (0, 1.0)
 
     @pytest.mark.parametrize("eps, k", [(5e307, 2), (3e307, 4)])
     def test_every_maximizer_reported(self, eps, k):

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +14,7 @@ from brcomp.cli import method_delta, method_epsilon
 from brcomp.errors import CapError
 from brcomp.grr import grr_probs
 from brcomp.nonadaptive import (TAIL_LOG2, TIE_RTOL, _log_binom, _stable_logs,
-                                candidate_points, delta_het_fixed_t, delta_hom_fixed_t,
+                                budget_seed, candidate_points, delta_het_fixed_t, delta_hom_fixed_t,
                                 delta_opt_nonadaptive_hom, df_ell_dt, dp_optcomp_het,
                                 dp_optcomp_hom, f_ell, f_ell_magnitude, fixed_t_inverse,
                                 fixed_t_sums, nonadaptive_recursion_check)
@@ -196,9 +195,7 @@ class TestDeltaOpt:
         class Scanned(Exception):
             pass
 
-        def capture(eps, k, eps_g, t, target, first):
-            # first is the index ell of the candidate t[0]
-            assert t[0] == (eps_g + (first + 1.0) * eps) / (k + 1), (eps, k, eps_g)
+        def capture(eps, k, eps_g, t):
             raise Scanned(t)
         monkeypatch.setattr(nonadaptive, "_scan_values", capture)
 
@@ -779,159 +776,37 @@ class TestScreenedScan:
         assert terms[0] <= 0.35 * one_stage
 
 
-def _probe_draws(seed, n, k_min=151):
-    """n seeded ``_draw_case`` queries with k in [k_min, 10^4] whose candidate
-    scan is windowed and whose delta lies in (0, 1), with that optimum."""
-    rng, out = np.random.default_rng(seed), []
-    while len(out) < n:
-        eps, k, eps_g = _draw_case(rng)
-        if k >= k_min and nonadaptive._windowed(k, _candidate_offsets(eps, k, eps_g).size):
-            exact = delta_opt_nonadaptive_hom(eps, k, eps_g)
-            if 0.0 < exact.delta < 1.0:
-                out.append((eps, k, eps_g, exact))
-    return out
+class TestBudgetSeed:
+    """``budget_seed`` follows each scan's maximizer along its path to the
+    budget where its value meets delta_g (``_candidate_root``)."""
 
+    def test_none_where_the_scan_sums_whole_rows(self):
+        assert budget_seed(0.1, 140, 1e-6) is None
+        assert isinstance(budget_seed(0.1, 141, 1e-6), float)
 
-def _hexes(res):
-    return res.delta.hex(), res.t.hex(), [x.hex() for x in res.maximizers]
+    def test_candidate_root_brackets_the_exact_crossing(self):
+        # from the half-DP budget, the maximizer's root: at 40 digits its
+        # value is above delta_g just below the root and below it just
+        # above, in the ordinary regime and near the path's end
+        rng = np.random.default_rng(217)
+        cases = [(0.001, 141, 1e-300), (20.0, 1000, 1e-50)]
+        while len(cases) < 8:
+            eps, k, _ = _draw_case(rng, 2000)
+            if k >= 141:
+                cases.append((eps, k, float(10.0 ** rng.uniform(-12.0, -1.0))))
+        for eps, k, delta_g in cases:
+            x = fixed_t_inverse(eps, k, eps / 2.0, delta_g)
+            res = delta_opt_nonadaptive_hom(eps, k, x)
+            assert res.delta > delta_g, (eps, k, delta_g)
+            ell = round((res.t * (k + 1) - x) / eps) - 1
+            assert (x + (ell + 1.0) * eps) / (k + 1) == res.t
+            root = nonadaptive._candidate_root(eps, k, ell, x, res.delta, delta_g)
+            assert x < root < (k - ell) * eps
 
-
-def _check_targeted(res, exact, target, case) -> bool:
-    """Whether a targeted result is settled, after checking it against the
-    untargeted one: a settled result lies on delta's side of the target (a
-    lower bound above it, an upper one below it) and names no maximizer; an
-    unsettled one is the untargeted result bit for bit."""
-    if not math.isnan(res.t):
-        assert _hexes(res) == _hexes(exact), case
-        return False
-    assert res.maximizers == [], case
-    assert (res.delta > target) == (exact.delta > target), case
-    if res.delta > target:
-        assert res.delta <= exact.delta, case
-    else:
-        assert res.delta >= exact.delta, case
-    return True
-
-
-def _ell_of(eps, k, eps_g, t):
-    """The candidate index ell of the offset t that the scan formed."""
-    return int(np.flatnonzero((eps_g + np.arange(1.0, k + 2) * eps) / (k + 1) == t)[0])
-
-
-class TestTargetProbe:
-    """Given a target, the scan stops once a probe of the last maximizer or
-    its screen settles whether delta exceeds it; a settled result must
-    compare with the target as delta does."""
-
-    TARGET_STEPS = [sign * 10.0 ** u for u in range(-13, 0) for sign in (-1.0, 1.0)]
-
-    def test_settled_results_lie_on_the_side_of_delta(self, monkeypatch):
-        # targets at delta (1 +- 10^u): the screen's bounds cannot resolve the
-        # closest ones, so both outcomes occur
-        monkeypatch.setattr(nonadaptive, "_last_maximizer", None)
-        settled = unsettled = 0
-        for eps, k, eps_g, exact in _probe_draws(215, 10):
-            for step in self.TARGET_STEPS:
-                target = exact.delta * (1.0 + step)
-                res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=target)
-                if _check_targeted(res, exact, target, (eps, k, eps_g, target)):
-                    settled += 1
-                else:
-                    unsettled += 1
-        assert settled > 30 and unsettled > 30
-
-    def test_probe_settles_on_the_side_of_delta_whatever_the_memo(self, monkeypatch):
-        # the memo names the true maximizer, a neighbour, a candidate outside
-        # the interior offsets, or nothing; the probe may only settle a scan
-        # whose delta is above the target, by a lower bound
-        stages = []
-        inner = nonadaptive._window_sums
-
-        def counted(*args):
-            stages.append(args[4])
-            return inner(*args)
-        monkeypatch.setattr(nonadaptive, "_window_sums", counted)
-        probed = Counter()
-        for eps, k, eps_g, exact in _probe_draws(216, 10, k_min=141):
-            ell = _ell_of(eps, k, eps_g, exact.t)
-            first = int(np.searchsorted((eps_g + np.arange(1.0, k + 2) * eps) / (k + 1), 0.0,
-                                        "right"))
-            memos = {"maximizer": (eps, k, ell),
-                     "neighbour": (eps, k, ell + 1 if ell < k else ell - 1),
-                     "outside": (eps, k, first - 1 if first > 0 else k + 1), "none": None}
-            for state, memo in memos.items():
-                for step in self.TARGET_STEPS:
-                    target = exact.delta * (1.0 + step)
-                    monkeypatch.setattr(nonadaptive, "_last_maximizer", memo)
-                    stages.clear()
-                    res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=target)
-                    case = (eps, k, eps_g, target, state)
-                    settled = _check_targeted(res, exact, target, case)
-                    # settled with no screen: by the probe, above the target
-                    if nonadaptive.SCREEN_SDS not in stages:
-                        assert settled and res.delta > target, case
-                        probed[state] += 1
-        assert probed["maximizer"] > 50 and probed["outside"] == probed["none"] == 0
-
-    @pytest.mark.parametrize("eps,k,eps_g", [(0.5, 3, -0.2), (0.1, 40, -0.3), (0.02, 300, -1.0)])
-    def test_endpoint_settles_every_scan(self, eps, k, eps_g):
-        # below the endpoint value 1 - e^eps_g, no scan runs; above it, a
-        # whole-row scan (k <= 140) gives its exact result
-        exact = delta_opt_nonadaptive_hom(eps, k, eps_g)
-        endpoint = -math.expm1(eps_g)
-        res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=endpoint * 0.99)
-        assert (res.delta, math.isnan(res.t), res.maximizers) == (endpoint, True, [])
-        if k <= 140:
-            res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=exact.delta * 1.01)
-            assert _hexes(res) == _hexes(exact)
-
-    def test_full_stage_runs_only_where_unsettled(self, monkeypatch):
-        stages = []
-        inner = nonadaptive._window_sums
-
-        def counted(*args):
-            stages.append(args[4])
-            return inner(*args)
-        monkeypatch.setattr(nonadaptive, "_window_sums", counted)
-        eps, k, eps_g = 0.006320696739302674, 783, 0.3616889603435993
-        exact = delta_opt_nonadaptive_hom(eps, k, eps_g)
-        delta, hint = exact.delta, (eps, k, _ell_of(eps, k, eps_g, exact.t))
-        screen, full = [nonadaptive.SCREEN_SDS], [nonadaptive.SCREEN_SDS, nonadaptive.WINDOW_SDS]
-        # with no memo, and with the maximizer memoized: a probe of it settles
-        # a delta above the target with no stage (k = 783 probes a whole row)
-        for memo, cases in [(None, [(delta * 2.0, screen), (delta / 2.0, screen), (delta, full)]),
-                            (hint, [(delta * 2.0, screen), (delta / 2.0, []), (delta, full)])]:
-            for target, want in cases:
-                monkeypatch.setattr(nonadaptive, "_last_maximizer", memo)
-                stages.clear()
-                delta_opt_nonadaptive_hom(eps, k, eps_g, target=target)
-                assert stages == want, (memo, target)
-
-    def test_scans_memoize_their_first_maximizer(self, monkeypatch):
-        # a full stage memoizes its first maximizer, a settled screen its
-        # largest screened sum, a probe nothing new; a whole-row scan nothing
-        eps, k, eps_g = TIED
-        monkeypatch.setattr(nonadaptive, "_last_maximizer", None)
-        exact = delta_opt_nonadaptive_hom(eps, k, eps_g)
-        assert len(exact.maximizers) == 2
-        tied = (eps, k, _ell_of(eps, k, eps_g, exact.t))
-        assert nonadaptive._last_maximizer == tied
-        t = _candidate_offsets(eps, k, eps_g)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            win = nonadaptive._windows(eps, k, eps_g, t, *_stable_logs(eps, t))
-            screened = nonadaptive._window_sums(eps, k, eps_g, win, nonadaptive.SCREEN_SDS,
-                                                math.inf).values
-        top = (eps, k, _ell_of(eps, k, eps_g, t[screened.argmax()]))
-        assert top != tied   # the screen's narrow windows break the tie
-        monkeypatch.setattr(nonadaptive, "_last_maximizer", None)
-        res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=exact.delta * 2.0)
-        assert math.isnan(res.t) and nonadaptive._last_maximizer == top
-        monkeypatch.setattr(nonadaptive, "_last_maximizer", tied)
-        res = delta_opt_nonadaptive_hom(eps, k, eps_g, target=exact.delta / 2.0)
-        assert math.isnan(res.t) and nonadaptive._last_maximizer == tied
-        delta_opt_nonadaptive_hom(0.1, 40, 0.3)
-        delta_opt_nonadaptive_hom(0.1, 40, 0.3, target=1e-9)
-        assert nonadaptive._last_maximizer == tied
+            def exact(x):
+                return _mp_delta_fixed_t(eps, k, x, (x + (ell + 1.0) * eps) / (k + 1))
+            h = 1e-9 * max(1.0, abs(root))
+            assert exact(root - h) > delta_g > exact(root + h), (eps, k, delta_g)
 
 
 class TestLargeKPinned:
@@ -1052,6 +927,19 @@ class TestDpBaselines:
     def test_het_size_cap(self):
         with pytest.raises(CapError):
             dp_optcomp_het(0.1 + 0.01 * np.arange(26), 0.0)
+
+    def test_range_past_float_range_refused(self):
+        # 2 eps overflowed: the equal form refused eps = inf as not finite, and
+        # the grouped sum gave 0 with a RuntimeWarning; the largest eps whose
+        # range is a float still answers
+        for eps in (1e308, float.fromhex("0x1.0p+1023")):
+            with pytest.raises(CapError, match="past the float range"):
+                dp_optcomp_hom(eps, 1, 0.0)
+            with pytest.raises(CapError, match="past the float range"):
+                dp_optcomp_het([eps, 1.0], 0.0)
+        below = math.nextafter(float.fromhex("0x1.0p+1023"), 0.0)
+        assert dp_optcomp_hom(below, 1, 0.0) == 1.0
+        assert dp_optcomp_het([below, 1.0], 0.0) == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_het_non_finite_eps_refused(self, bad):
