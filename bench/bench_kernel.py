@@ -35,8 +35,11 @@ of a scan):
   0.01, 0.1 and 1, k <= 40, eps_g within +-k eps), the small-k candidate
   scan that ``curve`` repeats: time per call, and a sha256 digest of every
   delta and t as float.hex, so that two trees compare bit for bit;
-- ``Rounds.of`` on lists of 5, 40 and 56 000 entries, each once mixed (seven
-  values, fresh float objects) and once equal: time per call;
+- ``Rounds.of`` on lists of 5, 40, 500, 2000 and 56 000 entries (both sides
+  of ``rounds.SORTED_COUNT_MIN``), each once mixed (seven values, fresh float
+  objects) and once equal; on 56 000 entries that share seven float objects,
+  as perfbench builds its lists, once as a list and once as an array; and on
+  56 000 entries drawn from 3000 distinct values: time per call;
 - the validated ``Rounds`` builds that one ``method_epsilon`` and one
   ``method_delta`` query make, for every method on an equal and an unequal
   list;
@@ -98,7 +101,9 @@ KERNEL_CASES = [(0.05860183814522001, 445, 3.251431679353118),
                 (0.023981130017311256, 6950, 5.109616377129443)]
 DELTA_CASES = [(0.01, 10 ** 4, 1.5), (0.01, 10 ** 5, 1.5)]
 SCAN_INPUTS = 400
-COUNT_SIZES = (5, 40, 56_000)
+# both sides of rounds.SORTED_COUNT_MIN (1000), and the largest large-k list
+COUNT_SIZES = (5, 40, 500, 2000, 56_000)
+COUNT_SHARED, COUNT_MANY = 56_000, (56_000, 3000)
 BUILD_LISTS = {"equal": [0.1] * 3, "mixed": [0.3, 0.8]}
 ADAPTIVE_KS, ADAPTIVE_PER_K = range(3, 9), 3
 MIN_RUN_S, TIMEIT_REPEATS = 0.2, 3
@@ -279,14 +284,21 @@ def _as_counts() -> list[dict]:
     from brcomp.rounds import Rounds
 
     rng = np.random.default_rng(0)
-    out = []
+    cases = []
     for n in COUNT_SIZES:
         values = 10.0 ** rng.uniform(-3.0, -1.0, 7)
-        lists = {"mixed": values[rng.integers(0, 7, n)].tolist(), "equal": [values[0]] * n}
-        for kind, eps_list in lists.items():
-            out.append({"entries": n, "list": kind,
-                        "us": 1e6 * _per_call_s(lambda: Rounds.of(eps_list))})
-    return out
+        cases += [(n, "mixed", values[rng.integers(0, 7, n)].tolist()),
+                  (n, "equal", [values[0]] * n)]
+    # perfbench's shape: seven float objects shared over the list, and the
+    # same rounds as an array
+    seven = (10.0 ** rng.uniform(-3.0, -1.0, 7)).tolist()
+    shared = [seven[i] for i in rng.integers(0, 7, COUNT_SHARED).tolist()]
+    cases += [(COUNT_SHARED, "shared", shared), (COUNT_SHARED, "shared-array", np.array(shared))]
+    n, distinct = COUNT_MANY
+    many = 10.0 ** rng.uniform(-3.0, -1.0, distinct)
+    cases.append((n, f"{distinct}-distinct", many[rng.integers(0, distinct, n)].tolist()))
+    return [{"entries": n, "list": kind, "us": 1e6 * _per_call_s(lambda: Rounds.of(eps_list))}
+            for n, kind, eps_list in cases]
 
 
 def _optkl_curve_to_cap_s() -> float:

@@ -2,15 +2,64 @@
 take each, and the order of the rounds when they differ.  The methods of
 ``cli``, every bound and ``dp_optcomp_het`` take a ``Rounds`` or anything
 ``Rounds.of`` accepts; the solvers that pair each round with an offset or a
-tree level take the list (``Rounds.as_list``)."""
+tree level take the list (``Rounds.as_list``).
+
+``Rounds.of`` counts a list by one of three paths, each giving what
+``Counter(map(float, ...))`` gives, keys in order of first appearance: an
+equal list or tuple by one ``list.count``; an unequal list of
+``SORTED_COUNT_MIN`` entries or more, with at most ``SORTED_DISTINCT_MAX``
+distinct values, by sorting its float64 copy (``_sorted_counts``); and
+every other input by hashing its entries."""
 
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# The shortest unequal list counted by sorting (``_sorted_counts``).  Below
+# it the fixed cost of the numpy calls loses to hashing: on a 2-core Xeon
+# host, lists of 2-9 values broke even at 1000-1200 entries when they share
+# a few float objects, as perfbench's lists do, and at about 500 when every
+# entry is its own object.
+SORTED_COUNT_MIN = 1000
+# The most distinct values a sorted count takes.  Each costs one pass over
+# the list for its first appearance, and at SORTED_COUNT_MIN entries 16
+# values broke even with hashing (32 at 2000 entries, about 250 at 20 000);
+# past the cap the list is hashed, so no count costs O(entries x values).
+SORTED_DISTINCT_MAX = 16
+
+
+def _sorted_counts(order: tuple) -> dict | None:
+    """A long list's counts from one sort of its float64 copy, keyed by float
+    in order of first appearance; None where the hashed count must decide:
+    an entry that ``struct`` does not take as a float (a string, or one that
+    ``float`` refuses too), or more than ``SORTED_DISTINCT_MAX`` distinct
+    values."""
+    if len(set(order[:4 * SORTED_DISTINCT_MAX])) > SORTED_DISTINCT_MAX:
+        return None   # many distinct values show early: no conversion spent on them
+    try:
+        # float() of each entry at a quarter of np.fromiter's time; and
+        # np.fromiter reads None as nan, where float() refuses it
+        eps = np.frombuffer(struct.pack(f"{len(order)}d", *order))
+    except struct.error:
+        return None
+    ranked = np.sort(eps)
+    # -0.0 and 0.0 share a run, as they share a Counter key; a nan is a run
+    # of its own, refused like any nan
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    if len(starts) > SORTED_DISTINCT_MAX:
+        return None
+    values = ranked[starts].tolist()
+    counts = np.diff(starts, append=len(ranked)).tolist()
+    first = [np.argmax(eps == e) for e in values]
+    return {values[i]: counts[i] for i in sorted(range(len(values)), key=first.__getitem__)}
+
+
+_NOT_1D = "eps_list must be a 1-D sequence"
 
 
 @dataclass(frozen=True, init=False)
@@ -37,22 +86,35 @@ class Rounds:
     def of(cls, eps_list) -> Rounds:
         """The rounds of a list, tuple, 1-D array or iterator of eps, or of one
         scalar eps; a ``Rounds`` passes unchanged.  An equal list or tuple is
-        recognised at C speed by one ``list.count``, with no hashing."""
+        recognised at C speed by one ``list.count``, with no hashing; an
+        unequal one of ``SORTED_COUNT_MIN`` entries or more is counted in
+        numpy (``_sorted_counts``), and the rest by hashing.  A 2-D array or
+        a list of sequences is refused with ``ValueError``."""
         if isinstance(eps_list, Rounds):
             return eps_list
         if isinstance(eps_list, np.ndarray):
             eps_list = eps_list.tolist()   # iterating an array boxes each entry twice
-        # the last entry spares most unequal lists the full count
-        if (isinstance(eps_list, (list, tuple)) and eps_list and eps_list[-1] == eps_list[0]
-                and eps_list.count(eps_list[0]) == len(eps_list)):
-            return cls._validated({float(eps_list[0]): len(eps_list)}, None)
+        order = eps_list
         try:
-            order = tuple(eps_list)    # a copy, not a pass per entry
-        except TypeError:              # a scalar is one round
-            order = (eps_list,)
-        counts = Counter(order)
-        if any(type(e) is not float for e in counts):   # ints, numpy floats
-            counts = Counter(map(float, order))
+            # the last entry spares most unequal lists the full count
+            if (isinstance(eps_list, (list, tuple)) and eps_list and eps_list[-1] == eps_list[0]
+                    and eps_list.count(eps_list[0]) == len(eps_list)):
+                counts, order = {float(eps_list[0]): len(eps_list)}, None
+            else:
+                try:
+                    order = tuple(eps_list)    # a copy, not a pass per entry
+                except TypeError:              # a scalar is one round
+                    order = (eps_list,)
+                counts = _sorted_counts(order) if len(order) >= SORTED_COUNT_MIN else None
+                if counts is None:
+                    counts = Counter(order)
+                    if any(type(e) is not float for e in counts):   # ints, numpy floats
+                        counts = Counter(map(float, order))
+        except (TypeError, ValueError):
+            # a nested entry, as a 2-D array's row, fails in hash(), float() or ==
+            if any(isinstance(e, (list, tuple)) or getattr(e, "ndim", 0) for e in order):
+                raise ValueError(_NOT_1D) from None
+            raise
         return cls._validated(counts, order)
 
     @classmethod

@@ -18,7 +18,7 @@ from brcomp.bounds import (_MAXKL_LOG_FORM, _MAXKL_SERIES_CUTOFF, LambdaSearch,
 from brcomp.cli import EPS_BISECT_TOL, METHODS, method_delta, method_epsilon
 from brcomp.errors import CapError
 from brcomp.nonadaptive import delta_hom_fixed_t, delta_opt_nonadaptive_hom
-from brcomp.rounds import Rounds
+from brcomp.rounds import SORTED_COUNT_MIN, SORTED_DISTINCT_MAX, Rounds, _sorted_counts
 
 MAXKL_1 = 0.123301561482245  # frozen 40-digit evaluation at eps = 1
 
@@ -323,11 +323,26 @@ def _held(rounds: Rounds) -> list[tuple[str, int]]:
     return [(e.hex(), n) for e, n in rounds.groups]
 
 
+def _check_forms(values: list) -> None:
+    """``Rounds.of`` holds what ``Counter(map(float, ...))`` holds, in order
+    of first appearance, in every input form, with the order of the
+    nonzero rounds kept when they differ."""
+    want = _counted(values)
+    nonzero = [float(v) for v in values if v != 0.0]
+    for name, form in _forms(values).items():
+        got = Rounds.of(form)
+        assert _held(got) == want, name
+        assert all(type(e) is float for e in got.values), name
+        assert got.as_list() == nonzero and got.k == len(nonzero), name
+        assert (got.order is None) == (len(want) <= 1), name
+        assert Rounds.of(got) is got
+
+
 class TestAsCounts:
-    """``Rounds.of`` holds the rounds as counts, and recognises an equal list
-    with one C-speed count; every input form must give what
-    ``Counter(map(float, ...))`` gives, and keep the order of the nonzero
-    rounds."""
+    """``Rounds.of`` holds the rounds as counts, recognises an equal list
+    with one C-speed count and counts a long unequal one by sorting; every
+    input form must give what ``Counter(map(float, ...))`` gives, and keep
+    the order of the nonzero rounds."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(values=st.lists(st.sampled_from(_POOL) | st.floats(0.0, 10.0),
@@ -336,19 +351,55 @@ class TestAsCounts:
     def test_matches_counter_of_floats(self, values, repeat, equal):
         if equal:
             values = [values[0]] * repeat
-        want = _counted(values)
-        nonzero = [float(v) for v in values if v != 0.0]
-        for name, form in _forms(values).items():
-            got = Rounds.of(form)
-            assert _held(got) == want, name
-            assert all(type(e) is float for e in got.values), name
-            assert got.as_list() == nonzero and got.k == len(nonzero), name
-            assert (got.order is None) == (len(want) <= 1), name
-            assert Rounds.of(got) is got
+        _check_forms(values)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(specials=st.lists(st.sampled_from(_POOL) | st.booleans(), max_size=4),
+           n_floats=st.integers(0, SORTED_DISTINCT_MAX + 3),
+           size=st.integers(SORTED_COUNT_MIN - 3, SORTED_COUNT_MIN + 3)
+           | st.integers(SORTED_COUNT_MIN, 4 * SORTED_COUNT_MIN),
+           seed=st.integers(0, 2 ** 32 - 1), blocks=st.booleans())
+    def test_long_lists_match_counter_of_floats(self, specials, n_floats, size, seed, blocks):
+        # a pool's objects shared over the list, as perfbench builds its
+        # lists, with about as many distinct values as the sorted count
+        # takes; in blocks, the values past the first few show only late,
+        # after the sorted count's early look at the list
+        rng = np.random.default_rng(seed)
+        pool = specials + (10.0 ** rng.uniform(-3.0, 1.0, n_floats)).tolist()
+        assume(pool)
+        picks = rng.integers(0, len(pool), size)
+        if blocks:
+            picks.sort()
+        _check_forms([pool[i] for i in picks.tolist()])
+
+    def test_sorted_count_takes_long_lists_of_few_values(self, monkeypatch):
+        few = [0.25, 1e-3, 0.5] * SORTED_COUNT_MIN
+        taken = []
+        monkeypatch.setattr("brcomp.rounds._sorted_counts",
+                            lambda order: taken.append(_sorted_counts(order)) or taken[-1])
+        assert _held(Rounds.of(few)) == _counted(few)
+        assert taken == [{0.25: 1000, 1e-3: 1000, 0.5: 1000}]
+        assert list(taken[0]) == [0.25, 1e-3, 0.5]
+        Rounds.of(few[:SORTED_COUNT_MIN - 1])
+        assert len(taken) == 1
+        # past the distinct-value cap, early or late, the hashed count
+        # decides, and so it does for an entry struct refuses: float() reads
+        # a string, and refuses None
+        many = [i / 64 for i in range(1, SORTED_DISTINCT_MAX + 2)]
+        assert _sorted_counts(tuple(many * 100)) is None
+        assert _sorted_counts(tuple([0.5] * SORTED_COUNT_MIN + many)) is None
+        assert _sorted_counts(tuple(few + ["0.5"])) is None
+        assert _held(Rounds.of(few + ["0.5"])) == _counted(few + ["0.5"])
+        with pytest.raises(TypeError):
+            Rounds.of(few + [None])
 
     @pytest.mark.parametrize("values", [
         [0.1] * 56_000, [0.0, -0.0, 0.0], [-0.0, 0.5, -0.0], [0.0, 0.0, 0.7],
-        [2, 2, 2], [2, 2.0, 2], [1, 0.5], [True, 1.0], [0.1, 0.1, 0.2, 0.1]])
+        [2, 2, 2], [2, 2.0, 2], [1, 0.5], [True, 1.0], [0.1, 0.1, 0.2, 0.1],
+        [-0.0, 0.0, 3, True, 0.25, 1.0] * SORTED_COUNT_MIN, [0.0] * SORTED_COUNT_MIN + [0.7],
+        [-0.0] * SORTED_COUNT_MIN + [0.0, 2, False, 2.0], [True] * SORTED_COUNT_MIN + [1, 0.5],
+        [0.1] * SORTED_COUNT_MIN + [0.2] * SORTED_COUNT_MIN,
+        [1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)] * SORTED_COUNT_MIN])
     def test_examples(self, values):
         want = _counted(values)
         for name, form in _forms(values).items():
@@ -368,10 +419,27 @@ class TestAsCounts:
         ([0.1, math.inf], "finite"),
         ([-0.1] * 4, "finite"),
         ([0.1, -0.2], "finite"),
-        ([], "nonempty"), ((), "nonempty"), (np.array([]), "nonempty"), (iter([]), "nonempty")])
+        ([], "nonempty"), ((), "nonempty"), (np.array([]), "nonempty"), (iter([]), "nonempty"),
+        (np.ones((2, 2)), "1-D"), (np.ones((1, 3)), "1-D"), ([[0.1, 0.2]], "1-D"),
+        ([[0.1], [0.2]], "1-D"), ([(0.1, 0.2)] * 3, "1-D"), ([0.1, [0.2]], "1-D"),
+        ([np.ones(2)] * 2, "1-D"), (iter([[0.1, 0.2]]), "1-D"),
+        ([[0.1, 0.2]] * SORTED_COUNT_MIN, "1-D"), ([0.1, (0.2, 0.3)] * SORTED_COUNT_MIN, "1-D")])
     def test_bad_input_refused(self, bad, match):
         with pytest.raises(ValueError, match=match):
             Rounds.of(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("at", [0, SORTED_COUNT_MIN, 2 * SORTED_COUNT_MIN - 1])
+    def test_bad_entry_of_a_long_list_refused(self, bad, at):
+        values = [0.1, 0.2] * SORTED_COUNT_MIN
+        values[at] = bad
+        for form in _forms(values).values():
+            with pytest.raises(ValueError, match="finite"):
+                Rounds.of(form)
+
+    def test_two_d_array_refused_by_a_method(self):
+        with pytest.raises(ValueError, match="1-D"):
+            method_delta("mgf", np.ones((2, 2)), 1.0)
 
     @pytest.mark.parametrize("eps,k,match", [
         (math.nan, 3, "finite"), (math.inf, 2, "finite"), (-0.1, 4, "finite"),
