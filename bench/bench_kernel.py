@@ -24,10 +24,9 @@ of a scan):
   ``method_delta`` evaluations, the candidate scans
   (``delta_opt_nonadaptive_hom`` calls, through ``cli`` or within
   ``nonadaptive``, as a budget seed makes them), the single-offset rows
-  (``fixed_t_sums`` calls, which only a seed's roots or a probe of the last
-  maximizer make), the full stages of the scans (``_in_play`` calls, one
-  per scan that sums its rows in play), the path and the budget as
-  float.hex;
+  (``fixed_t_sums`` calls, which only a seed's roots make), the full stages
+  of the scans (``_in_play`` calls, one per scan that sums its rows in
+  play), the path and the budget as float.hex;
 - ``delta_opt_nonadaptive_hom(0.01, k, 1.5)`` at k = 10^4 and 10^5: time,
   the ``tracemalloc`` peak of one more call, its terms and rows per stage,
   and the value as float.hex;

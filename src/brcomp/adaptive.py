@@ -425,14 +425,20 @@ def adaptive_edge_low(eps: float, k: int, eps_g: float) -> float:
 
     with the same equal-offset reduction (log(1 - q_t) is concave in t),
     stationary at t = (eps_g + k eps)/(k+1), where 1 - q_t =
-    e^(t - eps) expm1(-t)/expm1(-eps) and the bracket is e^t - 1.
+    e^(t - eps) expm1(-t)/expm1(-eps) and the bracket is e^t - 1.  Where
+    e^t is past the float range, e^(k (t - eps)) (e^t - 1) is taken as
+    e^(eps_g) (1 - e^-t), since (k + 1) t = eps_g + k eps: the rounded sum
+    k (t - eps) + t would cancel, and read 1.63 for 1.0 at eps = 1e300, k = 1.
     """
     t = _edge_offset(eps, k, eps_g, high=False)
     if t is None:
         return _endpoint_value(eps_g)
     log_scale = _exact_ratio(eps, k, eps_g, k, -k)   # k (t - eps)
-    return (-math.expm1(eps_g)
-            + math.exp(log_scale) * (math.expm1(-t) / math.expm1(-eps)) ** k * math.expm1(t))
+    ratio = (math.expm1(-t) / math.expm1(-eps)) ** k
+    try:
+        return -math.expm1(eps_g) + math.exp(log_scale) * ratio * math.expm1(t)
+    except OverflowError:   # t > 709.78
+        return -math.expm1(eps_g) + math.exp(eps_g) * ratio * -math.expm1(-t)
 
 
 # ---------------------------------------------------------------------------

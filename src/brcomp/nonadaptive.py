@@ -17,7 +17,7 @@ the Bin(k, 1-q) probability of its index, so it sums only a window of
 O(sqrt k) terms around that distribution's mode and certifies the rest: a
 geometric tail bound at each window edge must stay below 2^-60 of the
 window's sum, or the window is widened.  Scanning every candidate so costs
-O(k^1.5) instead of O(k^2); for k up to about 150 a window would span the
+O(k^1.5) instead of O(k^2); for k up to 140 a window would span the
 whole row, and whole rows are summed.  The scan first screens the
 candidates with narrower windows, whose sums plus certified omitted mass
 bound each value from above, and sums in full only those that can be
@@ -97,27 +97,14 @@ def _log_choose(n, i):
     return lf[n] - lf[i] - lf[n - i]
 
 
+@functools.lru_cache(maxsize=1)
 def _log_binom(k: int) -> np.ndarray:
-    """log C(k, i) for i = 0..k."""
-    return _log_choose(k, np.arange(k + 1))
-
-
-# (k, log C(k, i)) at the latest windowed size, replaced whole: a budget seed
-# or a dp-optcomp budget evaluates one k 5-30 times, and forming the row took
-# 7 us at k = 783 and 1.2 ms at k = 10^5, where it holds 0.8 MB
-_latest_log_binom: tuple[int, np.ndarray] | None = None
-
-
-def _windowed_log_binom(k: int) -> np.ndarray:
-    """``_log_binom(k)``, read-only, from the one-entry memo that ``_windows``
-    and the uncached ``_form_row_consts`` share."""
-    global _latest_log_binom
-    memo = _latest_log_binom
-    if memo is None or memo[0] != k:
-        lbin = _log_binom(k)
-        lbin.flags.writeable = False
-        memo = _latest_log_binom = (k, lbin)
-    return memo[1]
+    """log C(k, i) for i = 0..k, read-only; the latest k is kept.  A budget
+    seed or a dp-optcomp budget evaluates one k 5-30 times, and forming the
+    row took 7 us at k = 783 and 1.2 ms at k = 10^5, where it holds 0.8 MB."""
+    lbin = _log_choose(k, np.arange(k + 1))
+    lbin.flags.writeable = False
+    return lbin
 
 
 def _validate_hom(eps: float, k: int) -> None:
@@ -219,7 +206,7 @@ def _log_tail(k: int, lbin, lq, l1mq, edge, step: int) -> np.ndarray:
 def _windowed(k: int, n_offsets: int) -> bool:
     """Whether fixed_t_sums windows the rows.  Not when all the rows together
     hold fewer terms than the window bookkeeping costs, nor when even the
-    widest first window would span the row (k up to about 150).  Whole rows
+    widest first window would span the row (k up to 140).  Whole rows
     are their own path because of that cost: at k <= 100 a windowed scan
     took 110-350 us more per call than one over whole rows (2-core Xeon,
     numpy 2.4), and a perfbench ``curve`` batch (k <= 40) makes about 8000
@@ -255,8 +242,7 @@ def fixed_t_sums(eps: float, k: int, eps_g: float, t) -> FixedTSums:
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if not _windowed(k, t.size):
-            c = _row_consts(eps, k)
-            return _row_sums(k, eps_g, t, *_stable_logs(eps, t, c.em1), c)
+            return _row_sums(eps, k, eps_g, t)
         lp, lomp = _stable_logs(eps, t)
         win = _windows(eps, k, eps_g, t.reshape(-1), lp.reshape(-1), lomp.reshape(-1))
         res = _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2)
@@ -309,29 +295,27 @@ def _form_row_consts(eps, k) -> _RowConsts:
     n = np.arange(k + 2, dtype=float)
     n_eps = n * eps   # past the float range a term's i eps is inf, and its bracket dropped
     i = n[:-1]
-    lbin = _log_binom(k) if k <= _ROW_CONSTS_K_MAX else _windowed_log_binom(k)
-    consts = _RowConsts(i, k - i, n_eps[:-1], lbin, n_eps[1:], np.expm1(-eps))
+    consts = _RowConsts(i, k - i, n_eps[:-1], _log_binom(k), n_eps[1:], np.expm1(-eps))
     for a in consts[:-1]:
         a.flags.writeable = False
     return consts
 
 
-# the constants of the most recent pairs at k up to _ROW_CONSTS_K_MAX, where every
-# scan sums whole rows: a budget bisection scans one pair some 30 times in a row,
-# and forming its constants was a sixth of a k <= 40 scan (a perfbench curve
-# batch hit the cache 15928 times and missed 720 at 4 entries or 16, 480 at 64).
-# The windowed sizes form theirs per call, a small share of their O(k^1.5) work
-_ROW_CONSTS_K_MAX = 150
+# the constants of the most recent pairs at the sizes where every scan sums whole
+# rows: a budget bisection scans one pair some 30 times in a row, and forming its
+# constants was a sixth of a k <= 40 scan (a perfbench curve batch hit the cache
+# 15928 times and missed 720 at 4 entries or 16, 480 at 64).  The windowed sizes
+# form theirs per call, a small share of their O(k^1.5) work
 _cached_row_consts = functools.lru_cache(maxsize=16)(_form_row_consts)
 
 
 def _row_consts(eps, k) -> _RowConsts:
     """The ``_RowConsts`` of (eps, k), from the cache at whole-row sizes.  Past
     the float range i eps overflows: call it where that is ignored."""
-    return (_cached_row_consts if k <= _ROW_CONSTS_K_MAX else _form_row_consts)(eps, k)
+    return (_form_row_consts if _windowed(k, k + 1) else _cached_row_consts)(eps, k)
 
 
-def _row_sums(k, eps_g, t, lp, lomp, c: _RowConsts) -> FixedTSums:
+def _row_sums(eps, k, eps_g, t: np.ndarray) -> FixedTSums:
     """fixed_t_sums over whole rows, in blocks of offsets.  A row's log terms
     are ``((lbin_i + (k - i) lp) + i lomp) + a_i`` with a_i = k t - i eps,
     plus log(-expm1(eps_g - a_i)) (see ``_log_bracketed``), and -inf where
@@ -340,8 +324,10 @@ def _row_sums(k, eps_g, t, lp, lomp, c: _RowConsts) -> FixedTSums:
     to 0.  A scalar offset runs as one 1-D row on numpy scalars, the
     cheapest form for the many single evaluations of a bisection: as a 2-D
     block of one row it cost 1-6 us more per call at k <= 100 (2-core Xeon,
-    numpy 2.4).  The rows are formed in place from the constants ``c`` of
+    numpy 2.4).  The rows are formed in place from the ``_RowConsts`` of
     (eps, k)."""
+    c = _row_consts(eps, k)
+    lp, lomp = _stable_logs(eps, t, c.em1)
     if t.ndim == 0:
         return FixedTSums(_dense_rows(k * float(t), lp, lomp, eps_g, c), np.float64(0.0), 1)
     values = np.empty(t.size)
@@ -395,7 +381,7 @@ def _windows(eps, k, eps_g, t, lp, lomp) -> _Windows:
     lq, l1mq = t + lp, (t - eps) + lomp
     centre = np.minimum(np.floor((k + 1) * np.exp(l1mq)).astype(np.int64), m)
     return _Windows(t, lp, lomp, lq, l1mq, m, centre, np.sqrt(k * np.exp(lq + l1mq)),
-                    _windowed_log_binom(k))
+                    _log_binom(k))
 
 
 def _window_sums(eps, k, eps_g, win: _Windows, sds, tail_log2, keep=None) -> FixedTSums:
@@ -549,7 +535,7 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
     returned directly.  The candidates' values come from ``_scan_values``:
     every one that can be within TIE_RTOL of the maximum sums a certified
     window of O(sqrt k) terms, so the total work is O(k^1.5) (O(k^2) for k up
-    to about 150, where a window spans the row).  Refused (``CapError``)
+    to 140, where a window spans the row).  Refused (``CapError``)
     where (k + 1) eps, the largest candidate's numerator, is past the float
     range: a candidate lost to it would leave the maximizers untrue.
     """
@@ -564,8 +550,8 @@ def delta_opt_nonadaptive_hom(eps: float, k: int, eps_g: float) -> OptResult:
 
     # the numerators (ell + 1) eps come from the cache at the whole-row sizes;
     # a windowed scan reads no other constant, so it forms only these
-    t = np.add(eps_g, _row_consts(eps, k).ell_eps if k <= _ROW_CONSTS_K_MAX
-               else np.arange(1.0, k + 2) * eps)
+    t = np.add(eps_g, np.arange(1.0, k + 2) * eps if _windowed(k, k + 1)
+               else _row_consts(eps, k).ell_eps)
     t /= k + 1
     # the offsets rise by eps/(k+1), far above their rounding, so those
     # inside (0, eps) are already sorted and distinct: one slice
@@ -598,8 +584,7 @@ def _scan_values(eps: float, k: int, eps_g: float, t: np.ndarray) -> np.ndarray:
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if not _windowed(k, t.size):
-            c = _row_consts(eps, k)
-            return _row_sums(k, eps_g, t, *_stable_logs(eps, t, c.em1), c).values
+            return _row_sums(eps, k, eps_g, t).values
         win = _windows(eps, k, eps_g, t, *_stable_logs(eps, t))
         v, w, _ = _window_sums(eps, k, eps_g, win, SCREEN_SDS, math.inf)
         return _window_sums(eps, k, eps_g, win, WINDOW_SDS, TAIL_LOG2, _in_play(v, w)).values

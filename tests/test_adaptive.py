@@ -531,6 +531,26 @@ class TestEdgeForms:
             assert abs(edge(eps, k, eps_g) - want) <= 2 * (k + 1) * 2.0 ** -52 * want, \
                 (eps, k, eps_g)
 
+    def test_low_form_past_exp_overflow_matches_mpmath(self):
+        # e^t at the stationary offset t overflows once t > 709.78 (it raised
+        # OverflowError); half the budgets are near the region's top,
+        # -(k - 1) eps, where t is largest
+        rng = np.random.default_rng(9)
+        cases = [(3000.0, 2, -3000.0), (1e300, 1, -1.0), (1500.0, 1, -0.3),
+                 (2000.0, 1, -580.0), (2000.0, 1, -581.0), (1e3, 3, -2500.0)]
+        while len(cases) < 120:
+            k = int(rng.integers(1, 6))
+            eps = float(10.0 ** rng.uniform(3.0, 300.0))
+            f = float(rng.uniform(0.0, 1.0) if len(cases) % 2 else 10.0 ** rng.uniform(-300.0, 0.0))
+            cases.append((eps, k, -(k - 1 + f) * eps))
+        past = 0
+        for eps, k, eps_g in cases:
+            want = float(_mp_edge(eps, k, eps_g, False))
+            assert abs(adaptive_edge_low(eps, k, eps_g) - want) <= 2 * (k + 1) * 2.0 ** -52 * want, \
+                (eps, k, eps_g)
+            past += (eps_g + k * eps) / (k + 1) > 709.78
+        assert 80 < past < len(cases)
+
     @pytest.mark.parametrize("high", [True, False])
     def test_equals_nonadaptive_optimum(self, high):
         # adapting gains nothing beyond (k-1) eps: the edge value is the
@@ -602,8 +622,10 @@ def _edge_cases(n, eps_lo, f_hi, high, value):
 def _mp_edge(eps, k, eps_g, high):
     """The edge value at 60 digits: the equal-offset form at its stationary
     offset (eps_g + eps)/(k+1) above or (eps_g + k eps)/(k+1) below, or the
-    endpoint value when that offset is not inside (0, eps)."""
-    with mp.workdps(60):
+    endpoint value when that offset is not inside (0, eps).  The working
+    precision grows by eps's decimal exponent, so that k (t - eps) + t keeps
+    60 digits of eps_g."""
+    with mp.workdps(60 + max(0, int(math.log10(eps)))):
         eps, eps_g = mp.mpf(eps), mp.mpf(eps_g)
         t = (eps_g + (1 if high else k) * eps) / (k + 1)
         if not 0 < t < eps:

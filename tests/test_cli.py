@@ -128,6 +128,12 @@ class TestDelta:
                                "--eps-g", "0", "--method", "edge-high")
         assert code == 2
 
+    def test_edge_low_past_exp_overflow(self, capsys):
+        # e^t at the stationary offset t = 1000 overflowed: a traceback, exit 1
+        code, out, _ = run_cli(capsys, "delta", "--eps", "3000", "--k", "2",
+                               "--eps-g", "-3000", "--method", "edge-low")
+        assert (code, out) == (0, "1\n")
+
     def test_stdout_is_data_only(self, capsys):
         code, out, err = run_cli(capsys, "delta", "--eps", "1", "--k", "2",
                                  "--eps-g", "0.5", "--method", "br-optcomp")
@@ -683,6 +689,41 @@ class TestNearFloatMax:
             candidate_points(1e308, 2, -5.0)
         assert [c.t for c in candidate_points(5e307, 2, -5.0)] == \
             [(-5.0 + (ell + 1) * 5e307) / 3 for ell in range(3)]
+
+
+def _eps_value():
+    """A per-round eps, log-uniform in [1e-6, 1e5] or near 1e300."""
+    return st.one_of(st.floats(-6.0, 5.0).map(lambda x: 10.0 ** x),
+                     st.floats(299.0, 301.0).map(lambda x: 10.0 ** x))
+
+
+class TestNoLeakedException:
+    """Every method answers with a loss in [0, 1] or refuses with
+    ``ValueError`` or ``CapError``: no other exception leaks out of it."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_answers_or_refuses(self, method, data):
+        equal = data.draw(st.booleans(), label="equal")
+        # the adaptive solver at k = 5 and the heterogeneous grid oracle at
+        # k = 3 take seconds a query
+        k_max = 4 if method == "adaptive-lb" else 2 if method == "br-optcomp" and not equal else 50
+        k = data.draw(st.integers(1, k_max), label="k")
+        eps = ([data.draw(_eps_value(), label="eps")] * k if equal
+               else data.draw(st.lists(_eps_value(), min_size=k, max_size=k), label="eps"))
+        total = math.fsum(eps)
+        if data.draw(st.booleans(), label="edge"):
+            # within one mean eps of +-sum eps, where the edge forms apply
+            eps_g = (k - 1 + data.draw(st.floats(0.0, 1.0), label="u")) * total / k
+            eps_g *= data.draw(st.sampled_from([-1.0, 1.0]), label="sign")
+        else:
+            eps_g = data.draw(st.floats(-1.5, 1.5), label="f") * total
+        try:
+            value = method_delta(method, eps, eps_g)[0]
+        except (ValueError, CapError):
+            return
+        assert isinstance(value, float) and 0.0 <= value <= 1.0, value
 
 
 class TestCurve:

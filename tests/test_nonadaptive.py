@@ -275,11 +275,36 @@ class TestWholeRowScan:
         for j in range(3 * cap):
             delta_opt_nonadaptive_hom(0.1 + j * 1e-3, 5, 0.2)
         assert cache.cache_info().currsize <= cap
-        # the windowed sizes form theirs per call, past the cache
-        before = cache.cache_info()
-        nonadaptive._row_consts(0.1, nonadaptive._ROW_CONSTS_K_MAX + 1)
-        after = cache.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+        # a scan sums whole rows, and reads the cache, up to k = 140 (as a
+        # budget seed is refused there); from 141 it forms its constants per
+        # call, past the cache
+        assert [budget_seed(0.1, k, 1e-6) is None for k in (140, 141)] == [True, False]
+        for k, cached in ((140, True), (141, False)):
+            delta_opt_nonadaptive_hom(0.1, k, 0.5)
+            before = cache.cache_info()
+            delta_opt_nonadaptive_hom(0.1, k, 0.5)
+            after = cache.cache_info()
+            assert after.misses == before.misses
+            assert (after.hits > before.hits) == cached, k
+            assert (nonadaptive._row_consts(0.1, k) is nonadaptive._row_consts(0.1, k)) == cached
+
+    def test_one_read_only_log_binom_per_k(self, monkeypatch):
+        # every reader of log C(k, i) gets the one memo's array for k
+        eps, k, eps_g = 0.1, 500, 1.0
+        lbin = _log_binom(k)
+        assert not lbin.flags.writeable
+        with pytest.raises(ValueError):
+            lbin[0] = 1.0
+        assert _log_binom(k) is lbin
+        read = []
+        monkeypatch.setattr(nonadaptive, "_log_binom",
+                            lambda n: read.append(_log_binom(n)) or read[-1])
+        t = np.array([0.02, 0.05])
+        win = nonadaptive._windows(eps, k, eps_g, t, *_stable_logs(eps, t))
+        consts = nonadaptive._form_row_consts(eps, k)
+        fixed_t_inverse(eps, k, 0.05, 1e-6)
+        assert len(read) == 3
+        assert all(a is lbin for a in read + [win.lbin, consts.lbin])
 
 
 class TestAveragingAndEqualT:
